@@ -24,6 +24,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/perf"
@@ -35,7 +36,7 @@ func main() {
 	trials := flag.Int("trials", 3, "trials per cell (timing aggregates over all)")
 	seed := flag.Uint64("seed", 1, "base random seed")
 	outPath := flag.String("out", "", "write the artifact JSON to this path ('-' = stdout)")
-	gate := flag.Bool("gate", false, "after writing, re-parse the artifact and fail on a missing grid cell or an allocs/slot regression in the steady classical cell")
+	gate := flag.Bool("gate", false, "after writing, re-parse the artifact and fail on a missing grid cell or an allocs/slot regression in a steady classical gate cell")
 	baseline := flag.String("baseline", "", "with -gate: committed artifact whose slots/sec set per-cell floors (host-speed normalized, 2x slack)")
 	quiet := flag.Bool("quiet", false, "suppress the table and progress output")
 	compare := flag.Bool("compare", false, "compare two artifacts: crnbench -compare OLD.json NEW.json emits a markdown delta table and runs no benchmarks")
@@ -127,7 +128,7 @@ func main() {
 		}
 		if !*quiet {
 			fmt.Fprintf(os.Stderr, "crnbench: gate ok (%d cells, %s ≤ %.2f allocs/slot)\n",
-				len(back.Cells), perf.GateKey(scale), perf.GateAllocsPerSlot)
+				len(back.Cells), strings.Join(perf.GateKeys(scale), ", "), perf.GateAllocsPerSlot)
 			if *baseline != "" {
 				fmt.Fprintf(os.Stderr, "crnbench: slots/sec floors ok vs %s (headroom %.0f%%)\n",
 					*baseline, 100*(1-perf.FloorHeadroom))

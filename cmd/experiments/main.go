@@ -1,5 +1,5 @@
 // Command experiments regenerates the paper-reproduction experiments
-// (E1–E15; see DESIGN.md section 5 for the index mapping each experiment
+// (E1–E16; see DESIGN.md section 5 for the index mapping each experiment
 // to a theorem or claim).  It prints tables and ASCII figures, and can
 // save every table as CSV and the full run as a JSON artifact.
 //

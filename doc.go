@@ -123,7 +123,7 @@
 // RunSweepWorker, AssembleSweep, NewSweepHTTPBackend, and
 // NewSweepHTTPServer.
 //
-// cmd/experiments accepts -parallel to run the E1–E15
+// cmd/experiments accepts -parallel to run the E1–E16
 // reproduction harness concurrently and -json for the same
 // machine-readable treatment; cmd/crnbench times the engine itself
 // across a deterministic perf grid into BENCH_engine.json.

@@ -3,6 +3,7 @@ package baseline
 import (
 	"fmt"
 
+	"repro/internal/arena"
 	"repro/internal/channel"
 	"repro/internal/protocol"
 	"repro/internal/rng"
@@ -24,7 +25,7 @@ type SlottedAloha struct {
 	p       float64 // static probability; 0 means genie mode
 	c       float64 // genie numerator (target expected transmitters)
 	ids     []channel.PacketID
-	loc     map[channel.PacketID]int
+	loc     arena.Index[int] // packet ID → index in ids
 	stats   AlohaStats
 	scratch []int
 }
@@ -46,7 +47,7 @@ func NewSlottedAloha(r *rng.Rand, p float64) *SlottedAloha {
 	if p <= 0 || p > 1 {
 		panic("baseline: ALOHA probability must be in (0,1]")
 	}
-	return &SlottedAloha{rand: r, p: p, loc: make(map[channel.PacketID]int)}
+	return &SlottedAloha{rand: r, p: p}
 }
 
 // NewGenieAloha returns backlog-aware ALOHA transmitting with probability
@@ -59,7 +60,7 @@ func NewGenieAloha(r *rng.Rand, c float64) *SlottedAloha {
 	if c <= 0 {
 		panic("baseline: genie numerator must be positive")
 	}
-	return &SlottedAloha{rand: r, c: c, loc: make(map[channel.PacketID]int)}
+	return &SlottedAloha{rand: r, c: c}
 }
 
 // Name implements protocol.Protocol.
@@ -79,10 +80,10 @@ func (a *SlottedAloha) Pending() int { return len(a.ids) }
 // Inject implements protocol.Protocol.
 func (a *SlottedAloha) Inject(now int64, ids []channel.PacketID) {
 	for _, id := range ids {
-		if _, dup := a.loc[id]; dup {
+		if a.loc.Has(int64(id)) {
 			panic(fmt.Sprintf("baseline: duplicate injection of packet %d", id))
 		}
-		a.loc[id] = len(a.ids)
+		a.loc.Put(int64(id), len(a.ids))
 		a.ids = append(a.ids, id)
 	}
 }
@@ -115,7 +116,7 @@ func (a *SlottedAloha) Observe(fb channel.Feedback) {
 		return
 	}
 	for _, id := range fb.Event.Packets {
-		idx, ok := a.loc[id]
+		idx, ok := a.loc.Delete(int64(id))
 		if !ok {
 			continue
 		}
@@ -124,9 +125,8 @@ func (a *SlottedAloha) Observe(fb channel.Feedback) {
 		a.ids[idx] = moved
 		a.ids = a.ids[:last]
 		if idx != last {
-			a.loc[moved] = idx
+			a.loc.Put(int64(moved), idx)
 		}
-		delete(a.loc, id)
 		a.stats.Delivered++
 	}
 }

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"container/heap"
 	"math"
 	"testing"
 
@@ -108,6 +109,76 @@ func TestPopulationCapMergesDistinctExponents(t *testing.T) {
 	c, pmin = p.Contention()
 	if math.Abs(c-1) > 1e-12 || math.Abs(pmin-0.5) > 1e-12 {
 		t.Fatalf("after merge+down contention %v pmin %v, want 1, 0.5", c, pmin)
+	}
+}
+
+// TestPopulationInvariants drives random arrivals, deliveries and
+// shifts and checks, after every step, the invariants the O(1) saturate
+// and table lookups rely on: buckets sorted by distinct base, none empty,
+// every effective exponent within [eFloor, eCap], every packet's
+// recorded location pointing at it, and emptied buckets recycled rather
+// than reallocated.
+func TestPopulationInvariants(t *testing.T) {
+	r := rng.New(31)
+	p := newPopulation(1.0/8, 1.1, 0.5)
+	live := map[channel.PacketID]bool{}
+	var next channel.PacketID
+	for step := 0; step < 20_000; step++ {
+		switch op := r.Intn(10); {
+		case op < 3:
+			p.Add(next)
+			live[next] = true
+			next++
+		case op < 5 && len(live) > 0:
+			for id := range live {
+				if !p.Remove(id) {
+					t.Fatalf("step %d: Remove(%d) missed a live packet", step, id)
+				}
+				delete(live, id)
+				break
+			}
+		case op < 7:
+			p.Shift(1)
+		default:
+			p.Shift(-1)
+		}
+		if p.Len() != len(live) {
+			t.Fatalf("step %d: Len %d, want %d", step, p.Len(), len(live))
+		}
+		for i, b := range p.buckets {
+			if len(b.ids) == 0 {
+				t.Fatalf("step %d: empty bucket left live", step)
+			}
+			if i > 0 && p.buckets[i-1].base >= b.base {
+				t.Fatalf("step %d: buckets out of order at %d", step, i)
+			}
+			if e := b.base + p.shift; e < p.eFloor || e > p.eCap {
+				t.Fatalf("step %d: bucket at exponent %d outside [%d, %d]", step, e, p.eFloor, p.eCap)
+			}
+			for idx, id := range b.ids {
+				if l, ok := p.loc.Get(int64(id)); !ok || p.byHandle[l.b] != b || int(l.idx) != idx {
+					t.Fatalf("step %d: packet %d recorded at %+v, lives in bucket %d slot %d", step, id, l, b.handle, idx)
+				}
+			}
+		}
+		if limit := p.eCap - p.eFloor + 2; len(p.byHandle) > limit {
+			t.Fatalf("step %d: %d buckets allocated for %d exponents", step, len(p.byHandle), limit)
+		}
+	}
+}
+
+// TestPopulationProbTable checks the table lookup against the direct
+// expression at every exponent, including far past both saturation
+// bounds.
+func TestPopulationProbTable(t *testing.T) {
+	for _, p := range []*population{newPopulation(1.0/8, 1.1, 0.5), newPopulation(0.25, 2, 1), newPopulation(1, 3, 1)} {
+		for e := p.eFloor - 50; e <= p.eCap+50; e++ {
+			s := p.slot(e)
+			if p.prob(e) != p.rawProb(e) || p.logq[s] != math.Log1p(-p.rawProb(e)) {
+				t.Fatalf("exponent %d: table (%v, %v), direct (%v, %v)",
+					e, p.prob(e), p.logq[s], p.rawProb(e), math.Log1p(-p.rawProb(e)))
+			}
+		}
 	}
 }
 
@@ -414,6 +485,71 @@ func TestPolynomialValidation(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+func TestWindowTableMatchesWindowFn(t *testing.T) {
+	for _, e := range []*Backoff{
+		NewExponentialBackoff(rng.New(1)),
+		NewBackoff(rng.New(1), 3, 1.5),
+		NewBackoff(rng.New(1), 1, 1.0001),
+		NewPolynomialBackoff(rng.New(1), 2),
+	} {
+		for k := int64(0); k < 3*windowTableLen; k++ {
+			if got, want := e.window(k), e.windowFn(k); got != want {
+				t.Fatalf("%s: window(%d) = %d, windowFn %d", e.Name(), k, got, want)
+			}
+		}
+	}
+}
+
+// refHeap is the container/heap implementation of the schedule that
+// txHeap replaced, kept as the reference its pop order must reproduce.
+type refHeap []txEntry
+
+func (h refHeap) Len() int            { return len(h) }
+func (h refHeap) Less(i, j int) bool  { return h[i].slot < h[j].slot }
+func (h refHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x interface{}) { *h = append(*h, x.(txEntry)) }
+func (h *refHeap) Pop() interface{} {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
+}
+
+// TestTxHeapMatchesContainerHeap runs random push/pop sequences whose
+// slots collide heavily — the case where heap order, not slot order,
+// decides which packet pops first — through txHeap and container/heap
+// and requires identical pops and identical backing arrays throughout.
+func TestTxHeapMatchesContainerHeap(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		r := rng.New(seed)
+		var h txHeap
+		var ref refHeap
+		slots := int64(1 + r.Intn(8)) // few distinct slots: heavy ties
+		var id channel.PacketID
+		for op := 0; op < 5000; op++ {
+			if len(h) == 0 || r.Intn(5) < 3 {
+				e := txEntry{slot: r.Int63n(slots), id: id}
+				id++
+				h.push(e)
+				heap.Push(&ref, e)
+			} else {
+				got, want := h.pop(), heap.Pop(&ref).(txEntry)
+				if got != want {
+					t.Fatalf("seed %d op %d: popped %+v, container/heap %+v", seed, op, got, want)
+				}
+			}
+			if len(h) != len(ref) {
+				t.Fatalf("seed %d op %d: %d entries, container/heap %d", seed, op, len(h), len(ref))
+			}
+			for i := range h {
+				if h[i] != ref[i] {
+					t.Fatalf("seed %d op %d: entry %d is %+v, container/heap %+v", seed, op, i, h[i], ref[i])
+				}
+			}
+		}
 	}
 }
 

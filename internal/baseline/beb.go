@@ -1,10 +1,10 @@
 package baseline
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
+	"repro/internal/arena"
 	"repro/internal/channel"
 	"repro/internal/protocol"
 	"repro/internal/rng"
@@ -38,9 +38,15 @@ type Backoff struct {
 	rand     *rng.Rand
 	name     string
 	windowFn func(failures int64) int64
+	// windows[k] is windowFn(k) for the first windowTableLen failure
+	// counts, so rescheduling reads the window instead of calling Pow.
+	windows [windowTableLen]int64
 
-	sched    txHeap
-	failures map[channel.PacketID]int64
+	sched txHeap
+	// failures holds each pending packet's failure count; presence marks
+	// the packet alive (heap entries of delivered packets are skipped
+	// lazily).
+	failures arena.Index[int64]
 	inFlight []channel.PacketID
 	pending  int
 	// shardPending counts pending packets per engine shard (keyed by
@@ -76,21 +82,16 @@ func NewBackoff(r *rng.Rand, initialWindow int64, base float64) *Backoff {
 	if base <= 1 {
 		panic("baseline: backoff base must exceed 1")
 	}
-	return &Backoff{
-		rand:     r,
-		name:     "exponential-backoff",
-		failures: make(map[channel.PacketID]int64),
-		windowFn: func(k int64) int64 {
-			w := float64(initialWindow) * math.Pow(base, float64(k))
-			if w > 1<<40 {
-				return 1 << 40
-			}
-			if w < 1 {
-				return 1
-			}
-			return int64(w)
-		},
-	}
+	return newBackoff(r, "exponential-backoff", func(k int64) int64 {
+		w := float64(initialWindow) * math.Pow(base, float64(k))
+		if w > 1<<40 {
+			return 1 << 40
+		}
+		if w < 1 {
+			return 1
+		}
+		return int64(w)
+	})
 }
 
 // NewPolynomialBackoff returns polynomial backoff: after k failures the
@@ -103,21 +104,37 @@ func NewPolynomialBackoff(r *rng.Rand, exp float64) *Backoff {
 	if exp <= 0 {
 		panic("baseline: polynomial exponent must be positive")
 	}
-	return &Backoff{
-		rand:     r,
-		name:     fmt.Sprintf("polynomial-backoff(%g)", exp),
-		failures: make(map[channel.PacketID]int64),
-		windowFn: func(k int64) int64 {
-			w := math.Pow(float64(k+1), exp)
-			if w > 1<<40 {
-				return 1 << 40
-			}
-			if w < 1 {
-				return 1
-			}
-			return int64(w)
-		},
+	return newBackoff(r, fmt.Sprintf("polynomial-backoff(%g)", exp), func(k int64) int64 {
+		w := math.Pow(float64(k+1), exp)
+		if w > 1<<40 {
+			return 1 << 40
+		}
+		if w < 1 {
+			return 1
+		}
+		return int64(w)
+	})
+}
+
+// windowTableLen is how many failure counts the window table covers; 64
+// spans binary exponential backoff past its 2^40 cap, and longer failure
+// streaks fall back to the window function.
+const windowTableLen = 64
+
+func newBackoff(r *rng.Rand, name string, windowFn func(int64) int64) *Backoff {
+	e := &Backoff{rand: r, name: name, windowFn: windowFn}
+	for k := range e.windows {
+		e.windows[k] = windowFn(int64(k))
 	}
+	return e
+}
+
+// window returns the window after k failures.
+func (e *Backoff) window(k int64) int64 {
+	if k < windowTableLen {
+		return e.windows[k]
+	}
+	return e.windowFn(k)
 }
 
 // Name implements protocol.Protocol.
@@ -133,13 +150,13 @@ func (e *Backoff) Pending() int { return e.pending }
 // uniform slot of its initial window, starting next slot.
 func (e *Backoff) Inject(now int64, ids []channel.PacketID) {
 	for _, id := range ids {
-		if _, dup := e.failures[id]; dup {
+		if e.failures.Has(int64(id)) {
 			panic(fmt.Sprintf("baseline: duplicate injection of packet %d", id))
 		}
-		e.failures[id] = 0
+		e.failures.Put(int64(id), 0)
 		e.pending++
 		e.shardPending[int(id)%protocol.NumShards]++
-		heap.Push(&e.sched, txEntry{slot: now + 1 + e.rand.Int63n(e.windowFn(0)), id: id})
+		e.sched.push(txEntry{slot: now + 1 + e.rand.Int63n(e.windows[0]), id: id})
 	}
 }
 
@@ -160,8 +177,8 @@ func (e *Backoff) Shards() int { return protocol.NumShards }
 func (e *Backoff) PrepareSlot(now int64) {
 	e.inFlight = e.inFlight[:0]
 	for len(e.sched) > 0 && e.sched[0].slot <= now {
-		entry := heap.Pop(&e.sched).(txEntry)
-		if _, alive := e.failures[entry.id]; !alive {
+		entry := e.sched.pop()
+		if !e.failures.Has(int64(entry.id)) {
 			continue // delivered earlier by a wider decoding window
 		}
 		e.inFlight = append(e.inFlight, entry.id)
@@ -203,8 +220,7 @@ func (e *Backoff) ShardNextWake(now int64, shard int) int64 {
 func (e *Backoff) Observe(fb channel.Feedback) {
 	if fb.Event != nil {
 		for _, id := range fb.Event.Packets {
-			if _, ok := e.failures[id]; ok {
-				delete(e.failures, id)
+			if _, ok := e.failures.Delete(int64(id)); ok {
 				e.pending--
 				e.shardPending[int(id)%protocol.NumShards]--
 				e.stats.Delivered++
@@ -212,18 +228,18 @@ func (e *Backoff) Observe(fb channel.Feedback) {
 		}
 	}
 	for _, id := range e.inFlight {
-		k, ok := e.failures[id]
+		k, ok := e.failures.Get(int64(id))
 		if !ok {
 			continue // delivered this slot
 		}
 		e.stats.Failures++
 		k++
-		e.failures[id] = k
-		w := e.windowFn(k)
+		e.failures.Put(int64(id), k)
+		w := e.window(k)
 		if w > e.stats.MaxWindow {
 			e.stats.MaxWindow = w
 		}
-		heap.Push(&e.sched, txEntry{slot: fb.Slot + 1 + e.rand.Int63n(w), id: id})
+		e.sched.push(txEntry{slot: fb.Slot + 1 + e.rand.Int63n(w), id: id})
 	}
 	e.inFlight = e.inFlight[:0]
 }
@@ -233,8 +249,8 @@ func (e *Backoff) Observe(fb channel.Feedback) {
 // quiet slots in between.
 func (e *Backoff) NextWake(now int64) int64 {
 	for len(e.sched) > 0 {
-		if _, alive := e.failures[e.sched[0].id]; !alive {
-			heap.Pop(&e.sched)
+		if !e.failures.Has(int64(e.sched[0].id)) {
+			e.sched.pop()
 			continue
 		}
 		if e.sched[0].slot < now {
@@ -251,17 +267,51 @@ type txEntry struct {
 	id   channel.PacketID
 }
 
-// txHeap is a min-heap of scheduled transmissions ordered by slot.
+// txHeap is a min-heap of scheduled transmissions ordered by slot.  Its
+// sift-up and sift-down make exactly container/heap's comparisons and
+// moves, so entries with equal slots pop in the order container/heap
+// would pop them — the order rescheduling draws from the shared RNG —
+// without boxing every entry into an interface.
 type txHeap []txEntry
 
-func (h txHeap) Len() int            { return len(h) }
-func (h txHeap) Less(i, j int) bool  { return h[i].slot < h[j].slot }
-func (h txHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *txHeap) Push(x interface{}) { *h = append(*h, x.(txEntry)) }
-func (h *txHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+// push adds x and restores the heap order (container/heap's up).
+func (h *txHeap) push(x txEntry) {
+	*h = append(*h, x)
+	s := *h
+	j := len(s) - 1
+	for j > 0 {
+		i := (j - 1) / 2 // parent
+		if !(x.slot < s[i].slot) {
+			break
+		}
+		s[j] = s[i]
+		j = i
+	}
+	s[j] = x
+}
+
+// pop removes and returns the minimum entry: the last entry moves to the
+// root and sifts down (container/heap's Pop and down).
+func (h *txHeap) pop() txEntry {
+	s := *h
+	n := len(s) - 1
+	top, x := s[0], s[n]
+	i := 0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && s[j2].slot < s[j].slot {
+			j = j2
+		}
+		if !(s[j].slot < x.slot) {
+			break
+		}
+		s[i] = s[j]
+		i = j
+	}
+	s[i] = x
+	*h = s[:n]
+	return top
 }

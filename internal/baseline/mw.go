@@ -30,7 +30,6 @@ type MultiplicativeWeights struct {
 	rand  *rng.Rand
 	pop   *population
 	stats MWStats
-	sent  []channel.PacketID // scratch: this slot's transmitters
 }
 
 var _ protocol.Protocol = (*MultiplicativeWeights)(nil)
@@ -88,7 +87,6 @@ func (m *MultiplicativeWeights) Inject(now int64, ids []channel.PacketID) {
 // Transmitters implements protocol.Protocol.
 func (m *MultiplicativeWeights) Transmitters(now int64, buf []channel.PacketID) []channel.PacketID {
 	buf = m.pop.Sample(m.rand, buf)
-	m.sent = append(m.sent[:0], buf...)
 	m.stats.Transmissions += int64(len(buf))
 	return buf
 }

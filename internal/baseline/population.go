@@ -12,6 +12,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/arena"
 	"repro/internal/channel"
 	"repro/internal/rng"
 )
@@ -29,6 +30,13 @@ import (
 // protocol that shifts every slot (multiplicative weights under
 // overload) costs amortized O(log n) moves per packet instead of O(n)
 // per slot.
+//
+// Every live bucket's effective exponent (base + shift) stays within
+// [eFloor, eCap]: arrivals enter at exponent 0, and each ±1 shift folds
+// the one bucket it pushes past a bound back onto it.  So the bucket a
+// shift saturates is always at the end of the sorted list, and the
+// probability of any bucket is read from tables built once over that
+// range.
 type population struct {
 	p0     float64
 	factor float64
@@ -36,12 +44,18 @@ type population struct {
 	eFloor int // exponent where the probability saturates at pFloor
 	pMax   float64
 
-	shift   int
-	buckets []*popBucket // sorted by base
-	byBase  map[int]*popBucket
-	loc     map[channel.PacketID]popLoc
-	size    int
-	scratch []int
+	// probs[e-eFloor] is prob(e) and logq[e-eFloor] is Log1p(-prob(e))
+	// for e in [eFloor, eCap]: the per-slot sampler's only transcendental
+	// inputs, evaluated once instead of per bucket per slot.
+	probs, logq []float64
+
+	shift    int
+	buckets  []*popBucket // live buckets, sorted by base
+	byHandle []*popBucket // every bucket ever made, indexed by its handle
+	free     []*popBucket // emptied buckets awaiting reuse
+	loc      arena.Index[popLoc]
+	size     int
+	scratch  []int
 }
 
 // pFloor bounds probabilities from below: values this small are
@@ -51,13 +65,17 @@ type population struct {
 const pFloor = 1e-9
 
 type popBucket struct {
-	base int
-	ids  []channel.PacketID
+	base   int
+	handle int32 // index in population.byHandle, kept across reuse
+	ids    []channel.PacketID
 }
 
+// popLoc is where a packet lives: its bucket's handle and its index in
+// the bucket's member list.  It is pointer-free so it can sit in an
+// arena.Index, and the handle survives relabels and reuse of the bucket.
 type popLoc struct {
-	b   *popBucket
-	idx int
+	b   int32
+	idx int32
 }
 
 // newPopulation returns an empty population with activation probability
@@ -76,8 +94,6 @@ func newPopulation(p0, factor, pMax float64) *population {
 		p0:     p0,
 		factor: factor,
 		pMax:   pMax,
-		byBase: make(map[int]*popBucket),
-		loc:    make(map[channel.PacketID]popLoc),
 	}
 	p.eCap = int(math.Ceil(math.Log(pMax/p0) / math.Log(factor)))
 	if p.eCap < 0 {
@@ -87,11 +103,16 @@ func newPopulation(p0, factor, pMax float64) *population {
 	if p.eFloor > 0 {
 		p.eFloor = 0
 	}
+	for e := p.eFloor; e <= p.eCap; e++ {
+		v := p.rawProb(e)
+		p.probs = append(p.probs, v)
+		p.logq = append(p.logq, math.Log1p(-v))
+	}
 	return p
 }
 
-// prob returns the probability at effective exponent e.
-func (p *population) prob(e int) float64 {
+// rawProb evaluates the probability at effective exponent e.
+func (p *population) rawProb(e int) float64 {
 	if e >= p.eCap {
 		return p.pMax
 	}
@@ -108,36 +129,44 @@ func (p *population) prob(e int) float64 {
 	return v
 }
 
+// slot returns the table index of effective exponent e, clamped to the
+// saturation range.
+func (p *population) slot(e int) int {
+	return min(max(e, p.eFloor), p.eCap) - p.eFloor
+}
+
+// prob returns the probability at effective exponent e.
+func (p *population) prob(e int) float64 { return p.probs[p.slot(e)] }
+
 // Len returns the number of packets in the population.
 func (p *population) Len() int { return p.size }
 
 // Add inserts a packet at exponent 0 (probability p0).  It panics on a
 // duplicate ID.
 func (p *population) Add(id channel.PacketID) {
-	if _, dup := p.loc[id]; dup {
+	if p.loc.Has(int64(id)) {
 		panic(fmt.Sprintf("baseline: duplicate packet %d", id))
 	}
 	b := p.getBucket(0 - p.shift)
-	p.loc[id] = popLoc{b: b, idx: len(b.ids)}
+	p.loc.Put(int64(id), popLoc{b: b.handle, idx: int32(len(b.ids))})
 	b.ids = append(b.ids, id)
 	p.size++
 }
 
 // Remove deletes a packet if present, reporting whether it was.
 func (p *population) Remove(id channel.PacketID) bool {
-	l, ok := p.loc[id]
+	l, ok := p.loc.Delete(int64(id))
 	if !ok {
 		return false
 	}
-	b := l.b
+	b := p.byHandle[l.b]
 	last := len(b.ids) - 1
 	moved := b.ids[last]
 	b.ids[l.idx] = moved
 	b.ids = b.ids[:last]
-	if l.idx != last {
-		p.loc[moved] = popLoc{b: b, idx: l.idx}
+	if int(l.idx) != last {
+		p.loc.Put(int64(moved), l)
 	}
-	delete(p.loc, id)
 	p.size--
 	if len(b.ids) == 0 {
 		p.dropBucket(b)
@@ -160,37 +189,43 @@ func (p *population) Shift(delta int) {
 	}
 }
 
-// saturate folds buckets past the saturation boundary back onto it.
+// saturate folds the bucket past the saturation boundary back onto it.
 // dir = +1 handles the cap (bases above boundary), dir = -1 the floor
 // (bases below).  After a single ±1 shift at most one bucket sits past
-// the boundary (the previously saturated one, now one step beyond), so
-// this relabels one bucket in O(1), or merges by size on collision.
+// the boundary (the previously saturated one, now one step beyond) and it
+// is the last (cap) or first (floor) in base order, so this relabels one
+// bucket in O(1), or merges by size on collision.
 func (p *population) saturate(boundary, dir int) {
-	for {
-		var past *popBucket
-		for _, b := range p.buckets {
-			if (dir > 0 && b.base > boundary) || (dir < 0 && b.base < boundary) {
-				past = b
-				break
-			}
-		}
-		if past == nil {
-			return
-		}
-		if at, exists := p.byBase[boundary]; exists {
-			p.mergeInto(past, at)
-		} else {
-			p.relabel(past, boundary)
-		}
+	if len(p.buckets) == 0 {
+		return
+	}
+	past, next := p.buckets[0], 1
+	if dir > 0 {
+		past, next = p.buckets[len(p.buckets)-1], len(p.buckets)-2
+	}
+	if (dir > 0 && past.base <= boundary) || (dir < 0 && past.base >= boundary) {
+		return
+	}
+	if next >= 0 && next < len(p.buckets) && p.buckets[next].base == boundary {
+		p.mergeInto(past, p.buckets[next])
+	} else {
+		p.relabel(past, boundary)
 	}
 }
 
-// relabel changes a bucket's base without touching its members.
+// relabel changes a bucket's base without touching its members, then
+// moves it to its sorted position by swapping past its neighbours.
 func (p *population) relabel(b *popBucket, newBase int) {
-	delete(p.byBase, b.base)
+	i := p.position(b)
 	b.base = newBase
-	p.byBase[newBase] = b
-	sort.Slice(p.buckets, func(i, j int) bool { return p.buckets[i].base < p.buckets[j].base })
+	for i > 0 && p.buckets[i-1].base > newBase {
+		p.buckets[i], p.buckets[i-1] = p.buckets[i-1], b
+		i--
+	}
+	for i+1 < len(p.buckets) && p.buckets[i+1].base < newBase {
+		p.buckets[i], p.buckets[i+1] = p.buckets[i+1], b
+		i++
+	}
 }
 
 // mergeInto merges the smaller of a, b into the larger and leaves the
@@ -210,7 +245,7 @@ func (p *population) mergeInto(a, b *popBucket) {
 // moveAll empties src into dst and drops src.
 func (p *population) moveAll(src, dst *popBucket) {
 	for _, id := range src.ids {
-		p.loc[id] = popLoc{b: dst, idx: len(dst.ids)}
+		p.loc.Put(int64(id), popLoc{b: dst.handle, idx: int32(len(dst.ids))})
 		dst.ids = append(dst.ids, id)
 	}
 	src.ids = src.ids[:0]
@@ -224,8 +259,8 @@ func (p *population) Sample(r *rng.Rand, dst []channel.PacketID) []channel.Packe
 		if len(b.ids) == 0 {
 			continue
 		}
-		prob := p.prob(b.base + p.shift)
-		p.scratch = r.SampleIndices(p.scratch[:0], len(b.ids), prob)
+		s := p.slot(b.base + p.shift)
+		p.scratch = r.SampleIndicesLog(p.scratch[:0], len(b.ids), p.probs[s], p.logq[s])
 		for _, idx := range p.scratch {
 			dst = append(dst, b.ids[idx])
 		}
@@ -250,25 +285,43 @@ func (p *population) Contention() (c, pMin float64) {
 	return c, pMin
 }
 
-func (p *population) getBucket(base int) *popBucket {
-	if b, ok := p.byBase[base]; ok {
-		return b
+// position returns the index of a live bucket in the sorted list.
+func (p *population) position(b *popBucket) int {
+	i := sort.Search(len(p.buckets), func(i int) bool { return p.buckets[i].base >= b.base })
+	if i == len(p.buckets) || p.buckets[i] != b {
+		panic(fmt.Sprintf("baseline: bucket with base %d not live", b.base))
 	}
-	b := &popBucket{base: base}
-	p.byBase[base] = b
+	return i
+}
+
+// getBucket returns the bucket with the given base, creating it (in
+// sorted position, recycling emptied buckets) if needed.
+func (p *population) getBucket(base int) *popBucket {
 	i := sort.Search(len(p.buckets), func(i int) bool { return p.buckets[i].base >= base })
+	if i < len(p.buckets) && p.buckets[i].base == base {
+		return p.buckets[i]
+	}
+	var b *popBucket
+	if n := len(p.free); n > 0 {
+		b = p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+		b.base = base
+	} else {
+		b = &popBucket{base: base, handle: int32(len(p.byHandle))}
+		p.byHandle = append(p.byHandle, b)
+	}
 	p.buckets = append(p.buckets, nil)
 	copy(p.buckets[i+1:], p.buckets[i:])
 	p.buckets[i] = b
 	return b
 }
 
+// dropBucket unlinks an emptied bucket and keeps it for reuse.
 func (p *population) dropBucket(b *popBucket) {
-	delete(p.byBase, b.base)
-	for i, bb := range p.buckets {
-		if bb == b {
-			p.buckets = append(p.buckets[:i], p.buckets[i+1:]...)
-			return
-		}
-	}
+	i := p.position(b)
+	copy(p.buckets[i:], p.buckets[i+1:])
+	p.buckets[len(p.buckets)-1] = nil
+	p.buckets = p.buckets[:len(p.buckets)-1]
+	p.free = append(p.free, b)
 }

@@ -302,7 +302,7 @@ func (c *Channel) checkDuplicates(txs []PacketID) {
 	if sameIDs(txs, c.prevTxs) {
 		return // identical to the already-validated previous slot
 	}
-	if id, found := findDup(txs, &c.dupScratch); found {
+	if id, found := FindDup(txs, &c.dupScratch); found {
 		panic(fmt.Sprintf("channel: packet %d transmitted twice in one slot", id))
 	}
 	// Cache only lists that passed validation, so a caller that recovers
@@ -310,12 +310,14 @@ func (c *Channel) checkDuplicates(txs []PacketID) {
 	c.prevTxs = append(c.prevTxs[:0], txs...)
 }
 
-// findDup reports a duplicated ID in txs.  Small lists use a quadratic
+// FindDup reports a duplicated ID in txs.  Small lists use a quadratic
 // scan (cheaper than any setup); larger ones sort a reused scratch copy
-// and scan adjacent pairs, so validation needs no map and no per-call
-// allocation.  The reported duplicate is deterministic: first by
-// position for small lists, smallest duplicated ID for large ones.
-func findDup(txs []PacketID, scratch *[]PacketID) (PacketID, bool) {
+// and scan adjacent pairs, so validation needs no map, no per-call
+// allocation once the scratch has grown, and no memory beyond the
+// largest list checked.  The reported duplicate is deterministic: first
+// by position for small lists, smallest duplicated ID for large ones.
+// It is the one duplicate check every detector and medium shares.
+func FindDup(txs []PacketID, scratch *[]PacketID) (PacketID, bool) {
 	if len(txs) <= 32 {
 		for i := 1; i < len(txs); i++ {
 			for j := 0; j < i; j++ {

@@ -145,7 +145,7 @@ func (d *ShardedDup) validate(s int) {
 	if len(sub) < 2 || sameIDs(sub, d.prev[s]) {
 		return
 	}
-	if id, found := findDup(sub, &d.scratch[s]); found {
+	if id, found := FindDup(sub, &d.scratch[s]); found {
 		d.dupID[s], d.dupOK[s] = id, true
 		return
 	}

@@ -123,37 +123,16 @@ var Models = []string{"coded", "classical", "classical:none", "classical:binary"
 
 // dupCheck validates that a transmitter list names distinct packets
 // (one device cannot send two packets at once), mirroring the coded
-// detector's invariant on slots the inner detector never sees.  The
-// quadratic scan covers common small slots; the generation-stamped map
-// handles large ones without per-slot clearing.
+// detector's invariant on slots the inner detector never sees.  It is
+// channel.FindDup over a reused sort scratch, so its memory is bounded
+// by the largest slot it has checked.
 type dupCheck struct {
-	seen map[channel.PacketID]uint64
-	gen  uint64
+	scratch []channel.PacketID
 }
 
 func (d *dupCheck) check(txs []channel.PacketID) {
-	if len(txs) < 2 {
-		return
-	}
-	if len(txs) <= 32 {
-		for i := 1; i < len(txs); i++ {
-			for j := 0; j < i; j++ {
-				if txs[i] == txs[j] {
-					panic(fmt.Sprintf("medium: packet %d transmitted twice in one slot", txs[i]))
-				}
-			}
-		}
-		return
-	}
-	if d.seen == nil {
-		d.seen = make(map[channel.PacketID]uint64)
-	}
-	d.gen++
-	for _, id := range txs {
-		if d.seen[id] == d.gen {
-			panic(fmt.Sprintf("medium: packet %d transmitted twice in one slot", id))
-		}
-		d.seen[id] = d.gen
+	if id, found := channel.FindDup(txs, &d.scratch); found {
+		panic(fmt.Sprintf("medium: packet %d transmitted twice in one slot", id))
 	}
 }
 

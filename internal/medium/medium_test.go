@@ -1,6 +1,7 @@
 package medium
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/adversary"
@@ -180,6 +181,56 @@ func TestDuplicateTransmittersPanic(t *testing.T) {
 	mustPanic("large classical collision", func() {
 		NewClassical(CDNone).Step(0, big)
 	})
+}
+
+// TestDuplicateCheckMemoryBounded drives each medium that validates
+// transmitters itself through a long run of large slots, every one
+// naming fresh packet IDs, as a long classical drain does.  Validation
+// memory must stay bounded by the largest slot — not grow with every ID
+// ever seen — and a planted duplicate must still panic afterwards.
+func TestDuplicateCheckMemoryBounded(t *testing.T) {
+	const slotSize, slots = 64, 20_000
+	media := map[string]func() (Medium, *dupCheck){
+		"classical": func() (Medium, *dupCheck) { m := NewClassical(CDTernary); return m, &m.dup },
+		"capture":   func() (Medium, *dupCheck) { m := NewCapture(4); return m, &m.dup },
+		"jammed": func() (Medium, *dupCheck) {
+			m := Jam(NewCoded(4, 0), &jam.Periodic{Period: 1, Burst: 1}, 1).(*Jammed)
+			return m, &m.dup
+		},
+	}
+	for name, build := range media {
+		m, dup := build()
+		txs := make([]channel.PacketID, slotSize)
+		step := func(now int64) {
+			for i := range txs {
+				txs[i] = channel.PacketID(now*slotSize + int64(i))
+			}
+			m.Step(now, txs)
+		}
+		step(0) // size the scratch
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for now := int64(1); now < slots; now++ {
+			step(now)
+		}
+		runtime.ReadMemStats(&after)
+		if grown := after.TotalAlloc - before.TotalAlloc; grown > 64<<10 {
+			t.Errorf("%s: %d slots of fresh IDs allocated %d bytes validating them", name, slots, grown)
+		}
+		if c := cap(dup.scratch); c > 2*slotSize {
+			t.Errorf("%s: validation scratch holds %d IDs, largest slot was %d", name, c, slotSize)
+		}
+		txs[slotSize-1] = txs[0]
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: planted duplicate not rejected after the long run", name)
+				}
+			}()
+			m.Step(slots, txs)
+		}()
+	}
 }
 
 func TestParseCD(t *testing.T) {

@@ -9,9 +9,9 @@
 // arrivals, deliveries, peak bookkeeping) are deterministic; the timing
 // numbers are host-dependent and recorded for trajectory, not for
 // byte-stability.  Check validates an artifact structurally — every
-// expected cell present, counters sane — and gates on the steady-state
-// classical cell's allocations per slot, the property
-// BenchmarkClassicalPerSlot pins at 0 allocs/op.
+// expected cell present, counters sane — and gates the steady-state
+// classical genie and beb cells' allocations per slot (the former is the
+// configuration BenchmarkClassicalPerSlot pins at 0 allocs/op).
 package perf
 
 import (
@@ -44,7 +44,7 @@ const (
 
 // Case is one cell of the engine-benchmark grid.
 type Case struct {
-	Protocol  string  `json:"protocol"`  // dba, genie, beb
+	Protocol  string  `json:"protocol"`  // dba, genie, beb, mw
 	Model     string  `json:"model"`     // coded, classical:ternary
 	Adversary string  `json:"adversary"` // none or an adversary descriptor
 	Workload  string  `json:"workload"`  // "batch" or "steady:RATE"
@@ -85,6 +85,7 @@ func combos() []combo {
 		{"genie", "coded", 64, 0.25, 200_000},
 		{"genie", "classical:ternary", 1, 0.25, 200_000},
 		{"beb", "classical:ternary", 1, 0.15, 20_000},
+		{"mw", "classical:ternary", 1, 0.15, 20_000},
 	}
 }
 
@@ -130,16 +131,23 @@ func Cases(scale Scale) []Case {
 	return cases
 }
 
-// GateKey returns the key of the allocation-gate cell: the steady-state
-// classical genie cell, the same configuration BenchmarkClassicalPerSlot
-// holds at 0 allocs/op.
-func GateKey(scale Scale) string {
-	for _, c := range Cases(scale) {
-		if c.Protocol == "genie" && c.Model == "classical:ternary" && c.Rate != 0 {
-			return c.Key()
+// GateKeys returns the keys of the allocation-gate cells: the
+// steady-state classical genie cell (the configuration
+// BenchmarkClassicalPerSlot holds at 0 allocs/op) and the steady-state
+// classical beb cell (the typed schedule heap and arena bookkeeping).
+func GateKeys(scale Scale) []string {
+	var keys []string
+	for _, proto := range []string{"genie", "beb"} {
+		for _, c := range Cases(scale) {
+			if c.Protocol == proto && c.Model == "classical:ternary" && c.Rate != 0 {
+				keys = append(keys, c.Key())
+			}
 		}
 	}
-	panic("perf: grid lost its gate cell")
+	if len(keys) != 2 {
+		panic("perf: grid lost a gate cell")
+	}
+	return keys
 }
 
 // Measurement is one cell's result: deterministic simulation outcomes
@@ -270,6 +278,8 @@ func build(c Case, seed uint64) (sim.Config, protocol.Protocol, arrival.Process)
 		proto = baseline.NewGenieAloha(rng.New(seed^protoSeedSalt), 1)
 	case "beb":
 		proto = baseline.NewExponentialBackoff(rng.New(seed ^ protoSeedSalt))
+	case "mw":
+		proto = baseline.NewMultiplicativeWeights(rng.New(seed^protoSeedSalt), baseline.DefaultMWConfig())
 	default:
 		panic(fmt.Sprintf("perf: unknown protocol %q", c.Protocol))
 	}
@@ -307,14 +317,15 @@ func round(x float64, decimals int) float64 {
 }
 
 // GateAllocsPerSlot is the regression threshold Check applies to the
-// gate cell: the steady-state classical per-slot path allocates only
+// gate cells: the steady-state classical per-slot path allocates only
 // setup (a few hundred allocations amortized over ≥50k slots), so
 // anything near one allocation per slot is a regression.
 const GateAllocsPerSlot = 0.02
 
 // Check validates an artifact against the grid it claims to cover:
-// every expected cell present exactly once with sane counters, and the
-// allocation gate below threshold.  It returns the first problem found.
+// every expected cell present exactly once with sane counters, and every
+// allocation-gate cell below threshold.  It returns the first problem
+// found.
 func Check(a *Artifact, scale Scale) error {
 	if a == nil {
 		return fmt.Errorf("perf: nil artifact")
@@ -346,10 +357,11 @@ func Check(a *Artifact, scale Scale) error {
 			return fmt.Errorf("perf: cell %q recorded no in-flight bookkeeping", c.Key())
 		}
 	}
-	gate := byKey[GateKey(scale)]
-	if gate.AllocsPerSlot > GateAllocsPerSlot {
-		return fmt.Errorf("perf: allocation gate failed: %q at %.4f allocs/slot (max %.4f) — the steady-state per-slot path regressed",
-			gate.Key, gate.AllocsPerSlot, GateAllocsPerSlot)
+	for _, key := range GateKeys(scale) {
+		if gate := byKey[key]; gate.AllocsPerSlot > GateAllocsPerSlot {
+			return fmt.Errorf("perf: allocation gate failed: %q at %.4f allocs/slot (max %.4f) — the steady-state per-slot path regressed",
+				gate.Key, gate.AllocsPerSlot, GateAllocsPerSlot)
+		}
 	}
 	return nil
 }

@@ -23,8 +23,20 @@ func TestCasesDeterministicAndUnique(t *testing.T) {
 			}
 			seen[k] = true
 		}
-		if !seen[GateKey(scale)] {
-			t.Fatalf("%s: gate cell %q not in grid", scale, GateKey(scale))
+		for _, key := range GateKeys(scale) {
+			if !seen[key] {
+				t.Fatalf("%s: gate cell %q not in grid", scale, key)
+			}
+		}
+		// Every protocol the committed sweep grid runs is timed here too.
+		for _, proto := range []string{"dba", "beb", "genie", "mw"} {
+			found := false
+			for _, c := range a {
+				found = found || c.Protocol == proto
+			}
+			if !found {
+				t.Fatalf("%s: grid has no %s cell", scale, proto)
+			}
 		}
 	}
 	// Full scale must reach the large-batch regime the tentpole targets.
@@ -153,15 +165,17 @@ func TestCheckRejects(t *testing.T) {
 	if err := Check(&dup, Quick); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Fatalf("duplicate cell accepted: %v", err)
 	}
-	gated := *art
-	gated.Cells = append([]Measurement(nil), art.Cells...)
-	for i := range gated.Cells {
-		if gated.Cells[i].Key == GateKey(Quick) {
-			gated.Cells[i].AllocsPerSlot = 1.5
+	for _, key := range GateKeys(Quick) {
+		gated := *art
+		gated.Cells = append([]Measurement(nil), art.Cells...)
+		for i := range gated.Cells {
+			if gated.Cells[i].Key == key {
+				gated.Cells[i].AllocsPerSlot = 1.5
+			}
 		}
-	}
-	if err := Check(&gated, Quick); err == nil || !strings.Contains(err.Error(), "allocation gate") {
-		t.Fatalf("alloc regression accepted: %v", err)
+		if err := Check(&gated, Quick); err == nil || !strings.Contains(err.Error(), "allocation gate") {
+			t.Fatalf("alloc regression in %s accepted: %v", key, err)
+		}
 	}
 	if err := Check(nil, Quick); err == nil {
 		t.Fatal("nil artifact accepted")

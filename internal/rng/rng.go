@@ -234,6 +234,22 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 // order.  It runs in O(k+1) expected time where k is the number selected,
 // using geometric skipping.  It returns the extended slice.
 func (r *Rand) SampleIndices(dst []int, n int, p float64) []int {
+	return r.SampleIndicesLog(dst, n, p, math.Log1p(-p))
+}
+
+// skipMargin is the relative slack the fast skip in SampleIndicesLog
+// keeps below the Bernoulli bound; it dwarfs the few-ulp error of the
+// exact formula (DESIGN.md §9.8).
+const skipMargin = 1 - 1e-9
+
+// SampleIndicesLog is SampleIndices with lq = math.Log1p(-p) supplied by
+// the caller, for callers that sample repeatedly at a few fixed
+// probabilities; lq is ignored unless 0 < p < 1.  It consumes the
+// generator exactly as a loop of Geometric(p) skips would — one uniform
+// per skip, including the final skip that runs past the end — and
+// selects the same indices, but it settles that final skip without a
+// logarithm whenever the bound in skipsPast proves it.
+func (r *Rand) SampleIndicesLog(dst []int, n int, p, lq float64) []int {
 	if p <= 0 || n == 0 {
 		return dst
 	}
@@ -243,12 +259,38 @@ func (r *Rand) SampleIndices(dst []int, n int, p float64) []int {
 		}
 		return dst
 	}
-	i := r.Geometric(p)
-	for i < int64(n) {
-		dst = append(dst, int(i))
-		i += 1 + r.Geometric(p)
+	for next := 0; ; {
+		u := r.Float64()
+		for u == 0 {
+			u = r.Float64()
+		}
+		left := n - next
+		if skipsPast(u, left, p) {
+			return dst
+		}
+		g := math.Floor(math.Log(u) / lq)
+		if g > math.MaxInt64/2 {
+			g = math.MaxInt64 / 2
+		}
+		if int64(g) >= int64(left) {
+			return dst
+		}
+		next += int(g)
+		dst = append(dst, next)
+		next++
 	}
-	return dst
+}
+
+// skipsPast reports that a geometric skip drawn from uniform u certainly
+// covers all m remaining positions, i.e. floor(Log(u)/Log1p(-p)) ≥ m.
+// u < (1-p)^m implies it, and Bernoulli's inequality gives
+// (1-p)^m ≥ 1-m·p; the condition p ≤ ½ bounds m·|Log1p(-p)| below 1.39
+// so that the skipMargin slack outweighs the rounding of the exact
+// formula.  A false answer decides nothing: the caller evaluates the
+// exact formula.
+func skipsPast(u float64, m int, p float64) bool {
+	mp := float64(m) * p
+	return p <= 0.5 && mp < 1 && u < (1-mp)*skipMargin
 }
 
 // ExpFloat64 returns an exponentially distributed float64 with rate 1.

@@ -379,3 +379,130 @@ func BenchmarkSampleIndices(b *testing.B) {
 		buf = r.SampleIndices(buf[:0], 100000, 1e-3)
 	}
 }
+
+// referenceSampleIndices is SampleIndices as a plain loop of Geometric
+// skips, evaluating the exact formula for every skip: the definition the
+// fast path in SampleIndicesLog must reproduce draw for draw.
+func referenceSampleIndices(r *Rand, dst []int, n int, p float64) []int {
+	if p <= 0 || n == 0 {
+		return dst
+	}
+	if p >= 1 {
+		for i := 0; i < n; i++ {
+			dst = append(dst, i)
+		}
+		return dst
+	}
+	i := r.Geometric(p)
+	for i < int64(n) {
+		dst = append(dst, int(i))
+		i += 1 + r.Geometric(p)
+	}
+	return dst
+}
+
+// checkSampleMatchesReference runs SampleIndices and the reference from
+// identical generator states and fails unless both select the same
+// indices and leave the generator in the same state.
+func checkSampleMatchesReference(t *testing.T, seed uint64, n int, p float64, calls int) {
+	t.Helper()
+	fast, ref := New(seed), New(seed)
+	var got, want []int
+	for c := 0; c < calls; c++ {
+		got = fast.SampleIndices(got[:0], n, p)
+		want = referenceSampleIndices(ref, want[:0], n, p)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d n=%d p=%v call %d: %d indices, reference %d", seed, n, p, c, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d n=%d p=%v call %d: index %d is %d, reference %d", seed, n, p, c, i, got[i], want[i])
+			}
+		}
+		if fast.s != ref.s {
+			t.Fatalf("seed %d n=%d p=%v call %d: generator state diverged from the reference", seed, n, p, c)
+		}
+	}
+}
+
+func TestSampleIndicesMatchesReference(t *testing.T) {
+	ns := []int{0, 1, 2, 33, 100_000}
+	ps := []float64{1e-12, 1e-9, 1e-4, 0.1, 0.5, 0.5 + 1e-12, 0.9, 1}
+	for _, n := range ns {
+		for _, p := range ps {
+			calls := 200
+			if float64(n)*p > 1000 {
+				calls = 5
+			}
+			for seed := uint64(1); seed <= 4; seed++ {
+				checkSampleMatchesReference(t, seed, n, p, calls)
+			}
+		}
+	}
+}
+
+// TestSkipsPastNeverContradictsExact walks u one ulp at a time across
+// the two places the fast skip and the exact formula could disagree —
+// the fast skip's own threshold and the exact transition (1-p)^m — and
+// requires that whenever the fast skip fires, the exact skip covers all
+// m positions too.
+func TestSkipsPastNeverContradictsExact(t *testing.T) {
+	ps := []float64{1e-12, 1e-9, 3e-7, 1e-4, 0.01, 0.1, 1.0 / 3, 0.5}
+	ms := []int{1, 2, 3, 7, 33, 1000, 99_999}
+	const steps = 2000
+	for _, p := range ps {
+		lq := math.Log1p(-p)
+		for _, m := range ms {
+			if float64(m)*p >= 1 {
+				continue
+			}
+			exactPast := func(u float64) bool {
+				return math.Floor(math.Log(u)/lq) >= float64(m)
+			}
+			for _, edge := range []float64{(1 - float64(m)*p) * skipMargin, math.Pow(1-p, float64(m))} {
+				u := edge
+				for i := 0; i < steps; i++ {
+					u = math.Nextafter(u, 0)
+				}
+				fired := 0
+				for i := 0; i < 2*steps; i++ {
+					if skipsPast(u, m, p) {
+						fired++
+						if !exactPast(u) {
+							t.Fatalf("p=%v m=%d u=%v: fast skip fired but exact skip %v < m",
+								p, m, u, math.Floor(math.Log(u)/lq))
+						}
+					}
+					u = math.Nextafter(u, 1)
+				}
+				if edge < math.Pow(1-p, float64(m)) && fired == 0 {
+					t.Fatalf("p=%v m=%d: fast skip never fired below its own threshold %v", p, m, edge)
+				}
+			}
+		}
+	}
+	// The bound is a one-sided proof: never claimed for p > 1/2 or m·p ≥ 1.
+	if skipsPast(1e-300, 1, 0.5+1e-12) || skipsPast(1e-300, 10, 0.1) {
+		t.Fatal("fast skip fired outside its proven range")
+	}
+}
+
+// FuzzSampleIndicesMatchesReference cross-checks SampleIndices against
+// the repeated-Geometric reference on fuzzer-chosen seeds, sizes and
+// probabilities: same indices, same generator state afterwards.
+func FuzzSampleIndicesMatchesReference(f *testing.F) {
+	f.Add(uint64(1), uint32(33), 0.1)
+	f.Add(uint64(7), uint32(1), 0.5)
+	f.Add(uint64(2022), uint32(100_000), 1e-9)
+	f.Add(uint64(3), uint32(2), 0.5+1e-12)
+	f.Fuzz(func(t *testing.T, seed uint64, n uint32, p float64) {
+		if math.IsNaN(p) {
+			t.Skip()
+		}
+		size := int(n % 200_001)
+		if float64(size)*math.Min(math.Max(p, 0), 1) > 20_000 {
+			size = 20_000
+		}
+		checkSampleMatchesReference(t, seed, size, p, 3)
+	})
+}
