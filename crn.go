@@ -462,10 +462,13 @@ const DefaultSweepLeaseTTL = sweep.DefaultLeaseTTL
 
 // RunSweepWorker drains the spec's grid as one work-stealing worker
 // against the shared backend in opts.Cache: load-or-claim-and-execute
-// per cell, waiting out neighbors' leases at the end.  Any number of
-// workers — concurrent, killed, restarted — converge on the same
-// store contents; AssembleSweep then rebuilds the grid byte-identical
-// to RunSweep's.  Cancel ctx to stop between cells.
+// per cell, claiming a cell whenever one of opts.Parallelism trial
+// slots is free, and waiting out neighbors' leases at the end.  Any
+// number of workers — concurrent, killed, restarted — converge on the
+// same store contents; AssembleSweep then rebuilds the grid
+// byte-identical to RunSweep's.  Cancel ctx to stop claiming and
+// starting trials: trials in flight finish and their completed cells
+// persist, while a partly run cell's lease lapses as after a kill.
 func RunSweepWorker(ctx context.Context, spec SweepSpec, opts SweepOptions) (*SweepWorkerResult, error) {
 	return sweep.RunWorker(ctx, spec, opts)
 }

@@ -56,17 +56,22 @@ func (s *Store) Claim(id, owner string, ttl time.Duration) (bool, error) {
 	if ttl <= 0 {
 		return false, fmt.Errorf("cache: non-positive lease ttl %v", ttl)
 	}
-	if _, err := os.Stat(s.Path(id)); err == nil {
-		return false, nil // already complete; nothing to claim
-	} else if !os.IsNotExist(err) {
-		return false, fmt.Errorf("cache: %w", err)
-	}
+	// The lease is read before the record is looked for.  Put renames the
+	// record into place before it removes the lease, so a lease missing
+	// because of a Put means the record is visible below; checked the
+	// other way round, a whole Put could land between the two checks and
+	// grant a claim on a completed cell.
 	if data, err := os.ReadFile(s.leasePath(id)); err == nil {
 		var l lease
 		if json.Unmarshal(data, &l) == nil && l.Owner != owner && time.Now().UnixNano() < l.Expires {
 			return false, nil // live foreign lease
 		}
 		// Corrupt, expired, or our own: fall through and (re)write.
+	} else if !os.IsNotExist(err) {
+		return false, fmt.Errorf("cache: %w", err)
+	}
+	if _, err := os.Stat(s.Path(id)); err == nil {
+		return false, nil // already complete; nothing to claim
 	} else if !os.IsNotExist(err) {
 		return false, fmt.Errorf("cache: %w", err)
 	}

@@ -3,8 +3,7 @@ package sweep
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
+	"sort"
 	"time"
 
 	"repro/internal/cache"
@@ -17,7 +16,11 @@ const protoSeedSalt = 0x70726f746f636f6c // "protocol"
 
 // Options tunes sweep execution.  The zero value is ready to use.
 type Options struct {
-	// Parallelism bounds concurrent trials (0 = GOMAXPROCS).
+	// Parallelism is the number of trial slots (0 = GOMAXPROCS).  Trials
+	// of successive cells share the slots: the next cell starts as soon
+	// as a slot frees, so every slot stays busy while work is left.  A
+	// work-stealing worker claims a cell only into a free slot, so it
+	// never holds more than Parallelism unfinished leases.
 	Parallelism int
 	// Workers sets sim.Config.Workers (the staged intra-trial engine)
 	// for trials whose spec leaves its own Workers unset.  It is an
@@ -26,10 +29,12 @@ type Options struct {
 	// enters cell identities or artifacts.
 	Workers int
 	// OnCell, if set, is called as each selected cell completes —
-	// executed, or (under Resume) loaded from the cache — with the number
-	// of completed cells and the selected total.  Calls are serialized;
-	// cached cells are reported first in grid order, executed cells in
-	// scheduling order.
+	// executed, or loaded from the cache (under Resume, or by a worker) —
+	// with the number of completed cells and the selected total.  Calls
+	// are serialized.  Executed cells report in completion order, which
+	// need not be grid order since cells overlap; Run reports its loaded
+	// cells first, in grid order, while a worker's loaded cells may
+	// interleave with its executed ones.
 	OnCell func(done, total int, cell *CellSummary, cached bool)
 	// Cache, if non-nil, persists every completed cell as a
 	// content-addressed record keyed by cell identity, so a later Resume
@@ -47,9 +52,8 @@ type Options struct {
 	Owner string
 	// LeaseTTL bounds how long a claimed-but-unfinished cell stays
 	// unstealable after its worker dies (RunWorker only; 0 =
-	// DefaultLeaseTTL).  It must exceed the worst-case single-cell
-	// execution time, or live workers will duplicate each other's work —
-	// harmlessly (records are content-addressed) but wastefully.
+	// DefaultLeaseTTL).  A live worker re-claims each of its unfinished
+	// cells at half the TTL, so a cell slower than the TTL stays owned.
 	LeaseTTL time.Duration
 	// Poll is how long a worker waits between scans when every missing
 	// cell is leased to someone else (RunWorker only; 0 = 100ms).
@@ -107,46 +111,25 @@ func putCell(b cache.Backend, id string, index int, key string, cell CellSummary
 	})
 }
 
-// execCell runs one cell's trials — bounded by parallelism, with the
-// staged engine at the given worker width — and folds them into the
-// cell's summary.  The seeds come from the full grid's flattened seed
-// list, so the summary is bit-identical to what an unsharded run
-// computes for the same cell, whichever scheduling policy asked for it.
-func execCell(spec *Spec, sc Scenario, seeds []uint64, parallelism, workers int) CellSummary {
-	outs := make([]trialOut, len(seeds))
-	sim.RunSeededTrials(seeds, parallelism, func(job int, seed uint64) *sim.Result {
-		var errCount int64
-		proto := spec.buildProtocol(sc, seed^protoSeedSalt, &errCount)
-		cfg := spec.config(sc, seed)
-		if cfg.Workers == 0 {
-			cfg.Workers = workers
-		}
-		res := sim.Run(cfg, proto, spec.buildArrival(sc))
-		outs[job] = trialOut{res: res, errEpochs: errCount}
-		return res
-	})
-	return summarize(sc, outs)
-}
-
-// Run expands the spec and executes every (cell, trial) pair, fanning
-// the flattened trial list out over the engine's trial runner.  Trial
-// seeds derive deterministically from spec.Seed in canonical cell
-// order, so the resulting Grid is identical for any parallelism — and,
-// with Options.Cache/Resume, for any interruption point: completed
-// cells are re-loaded, missing ones re-executed, and the artifact is
-// byte-identical to an uninterrupted run.  Cancel ctx to stop early:
-// in-flight trials finish (and completed cells stay cached), then Run
-// returns the context's error.
+// Run expands the spec and executes every (cell, trial) pair over
+// Options.Parallelism trial slots.  Trial seeds derive deterministically
+// from spec.Seed in canonical cell order, so the resulting Grid is
+// identical for any parallelism — and, with Options.Cache/Resume, for
+// any interruption point: completed cells are re-loaded, missing ones
+// re-executed, and the artifact is byte-identical to an uninterrupted
+// run.  Cancel ctx to stop early: in-flight trials finish (and completed
+// cells stay cached), then Run returns the context's error.  The first
+// Cache error likewise stops new trials and is returned.
 func Run(ctx context.Context, spec Spec, opts Options) (*Grid, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	cells := spec.Expand()
-	out, err := runCells(ctx, &spec, cells, Shard{}.Indices(len(cells)), opts)
+	p := newPlan(&spec)
+	out, err := runCells(ctx, p, Shard{}.Indices(len(p.cells)), opts)
 	if err != nil {
 		return nil, err
 	}
-	grid := &Grid{Spec: spec, Cells: make([]CellSummary, len(cells))}
+	grid := &Grid{Spec: spec, Cells: make([]CellSummary, len(p.cells))}
 	for i := range out {
 		grid.Cells[out[i].Index] = out[i].Cell
 	}
@@ -170,8 +153,8 @@ func RunShard(ctx context.Context, spec Spec, sh Shard, opts Options) (*ShardRes
 	if err != nil {
 		return nil, err
 	}
-	cells := spec.Expand()
-	out, err := runCells(ctx, &spec, cells, sh.Indices(len(cells)), opts)
+	p := newPlan(&spec)
+	out, err := runCells(ctx, p, sh.Indices(len(p.cells)), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -180,152 +163,65 @@ func RunShard(ctx context.Context, spec Spec, sh Shard, opts Options) (*ShardRes
 		SpecHash:      hash,
 		Spec:          spec,
 		Shard:         sh,
-		TotalCells:    len(cells),
+		TotalCells:    len(p.cells),
 		Cells:         out,
 	}, nil
 }
 
-// runCells executes (or, under Resume, loads) the selected cells of an
-// expanded grid — the static scheduling policy: the caller decides up
-// front which cells this process owns (a shard's round-robin slice, or
-// the whole grid) and every other cell is someone else's problem.  The
+// runCells executes (or, under Resume, loads) the selected cells of a
+// plan — the static scheduling policy: the caller decides up front
+// which cells this process owns (a shard's round-robin slice, or the
+// whole grid) and every other cell is someone else's problem.  The
 // work-stealing policy in steal.go instead claims cells from the shared
-// backend at run time; both funnel through the same loadCell / execCell
-// / putCell primitives, so the policies differ only in who executes a
-// cell, never in what the cell contains.
-//
-// spec must be validated; selected holds ascending positions into
-// cells.  Every trial's seed comes from the full grid's flattened seed
-// list, so any subset executes exactly as it would inside an unsharded,
-// uninterrupted run.
-func runCells(ctx context.Context, spec *Spec, cells []Scenario, selected []int, opts Options) ([]IndexedCell, error) {
+// backend at run time; both feed the same executor, so the policies
+// differ only in who executes a cell, never in what the cell contains.
+// selected holds ascending positions into the plan's cells.
+func runCells(ctx context.Context, p *plan, selected []int, opts Options) ([]IndexedCell, error) {
 	if opts.Resume && opts.Cache == nil {
 		return nil, fmt.Errorf("sweep: Resume requires a Cache")
 	}
-	allSeeds := spec.jobSeeds(len(cells))
+	e := newExecutor(p, &opts, len(selected))
 	out := make([]IndexedCell, len(selected))
-	var pending []int // positions in selected that need execution
+	var pending []int // grid positions that need execution
 	for si, ci := range selected {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		sc := cells[ci]
-		out[si] = IndexedCell{Index: ci, ID: cellID(sc, spec, allSeeds[ci*spec.Trials:(ci+1)*spec.Trials])}
-		hit := false
+		out[si] = IndexedCell{Index: ci, ID: p.ids[ci]}
 		if opts.Resume {
 			// The identity hash names the record, but trust nothing: a
 			// record is reused only if its stored identity agrees with the
 			// one this spec derives for this cell (loadCell re-checks).
-			cell, ok, err := loadCell(opts.Cache, out[si].ID, sc.Key())
+			cell, ok, err := loadCell(opts.Cache, p.ids[ci], p.cells[ci].Key())
 			if err != nil {
 				return nil, err
 			}
 			if ok {
+				// Cache hits report first, in grid order; executed cells
+				// follow as they land.
 				out[si].Cell = cell
-				hit = true
+				e.report(&cell, true)
+				continue
 			}
 		}
-		if !hit {
-			pending = append(pending, si)
-		}
+		pending = append(pending, ci)
 	}
-
-	var progress struct {
-		sync.Mutex
-		done    int
-		saveErr error
+	e.next = func(context.Context) (int, bool) {
+		if len(pending) == 0 {
+			return 0, false
+		}
+		ci := pending[0]
+		pending = pending[1:]
+		return ci, true
 	}
-	finish := func(si int, cached bool) {
-		// Persist outside the progress mutex: records are distinct files
-		// keyed by unique identities, so concurrent Puts need no mutual
-		// exclusion, and a slow disk must not serialize cell completion.
-		var putErr error
-		if opts.Cache != nil && !cached {
-			putErr = putCell(opts.Cache, out[si].ID, out[si].Index, cells[out[si].Index].Key(), out[si].Cell)
-		}
-		progress.Lock()
-		defer progress.Unlock()
-		if putErr != nil && progress.saveErr == nil {
-			progress.saveErr = putErr
-		}
-		progress.done++
-		if opts.OnCell != nil {
-			opts.OnCell(progress.done, len(selected), &out[si].Cell, cached)
-		}
+	e.keep = func(ci int, cell *CellSummary) {
+		out[sort.SearchInts(selected, ci)].Cell = *cell
 	}
-	// Report cache hits first, in grid order; executed cells follow as
-	// they land.
-	for si := range out {
-		if isPending(pending, si) {
-			continue
-		}
-		finish(si, true)
-	}
-
-	if len(pending) > 0 {
-		jobs := len(pending) * spec.Trials
-		jobSeeds := make([]uint64, jobs)
-		for p, si := range pending {
-			ci := out[si].Index
-			copy(jobSeeds[p*spec.Trials:], allSeeds[ci*spec.Trials:(ci+1)*spec.Trials])
-		}
-		// Trials self-collect per cell so a cell can be summarized (and
-		// persisted, and progress reported) the moment its last trial
-		// lands, while other cells are still running.  Each slot is
-		// written by exactly one goroutine; the atomic countdown orders
-		// those writes before the summarizing goroutine's reads.
-		outs := make([]trialOut, jobs)
-		remaining := make([]int32, len(pending))
-		for i := range remaining {
-			remaining[i] = int32(spec.Trials)
-		}
-		sim.RunSeededTrials(jobSeeds, opts.Parallelism, func(job int, seed uint64) *sim.Result {
-			// Cancellation is between trials: an in-flight trial always
-			// finishes (so its cell can complete and persist), but no new
-			// trial starts once ctx is done.
-			if ctx.Err() != nil {
-				return nil
-			}
-			p := job / spec.Trials
-			si := pending[p]
-			sc := cells[out[si].Index]
-			var errCount int64
-			proto := spec.buildProtocol(sc, seed^protoSeedSalt, &errCount)
-			cfg := spec.config(sc, seed)
-			if cfg.Workers == 0 {
-				cfg.Workers = opts.Workers
-			}
-			res := sim.Run(cfg, proto, spec.buildArrival(sc))
-			outs[job] = trialOut{res: res, errEpochs: errCount}
-			if atomic.AddInt32(&remaining[p], -1) == 0 {
-				out[si].Cell = summarize(sc, outs[p*spec.Trials:(p+1)*spec.Trials])
-				finish(si, false)
-			}
-			return res
-		})
-	}
-	if progress.saveErr != nil {
-		return nil, progress.saveErr
+	if err := e.run(ctx); err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	return out, nil
-}
-
-// isPending reports whether si is in the ascending pending list.
-func isPending(pending []int, si int) bool {
-	lo, hi := 0, len(pending)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch {
-		case pending[mid] < si:
-			lo = mid + 1
-		case pending[mid] > si:
-			hi = mid
-		default:
-			return true
-		}
-	}
-	return false
 }

@@ -224,8 +224,8 @@ func Merge(shards []*ShardResult) (*Grid, error) {
 		return nil, fmt.Errorf("sweep: shard %s spec hash %.12s does not match its own spec (%.12s): artifact tampered or stale",
 			first.Shard, first.SpecHash, wantHash)
 	}
-	cells := spec.Expand()
-	seeds := spec.jobSeeds(len(cells))
+	p := newPlan(&spec)
+	cells := p.cells
 	merged := make([]CellSummary, len(cells))
 	seen := make([]bool, len(cells))
 	for _, sh := range shards {
@@ -249,8 +249,7 @@ func Merge(shards []*ShardResult) (*Grid, error) {
 			if seen[c.Index] {
 				return nil, fmt.Errorf("sweep: cell %d appears in more than one shard (overlapping or duplicate shard files)", c.Index)
 			}
-			want := cellID(cells[c.Index], &spec, seeds[c.Index*spec.Trials:(c.Index+1)*spec.Trials])
-			if c.ID != want {
+			if want := p.ids[c.Index]; c.ID != want {
 				return nil, fmt.Errorf("sweep: shard %s cell %d (%s) identity %.12s… does not match the spec's %.12s…",
 					sh.Shard, c.Index, cells[c.Index].Key(), c.ID, want)
 			}

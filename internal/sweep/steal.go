@@ -20,11 +20,6 @@ const DefaultLeaseTTL = 2 * time.Minute
 // to another worker.
 const defaultPoll = 100 * time.Millisecond
 
-// execDelay is a test hook run after a cell is claimed and before it is
-// executed (deliberately slow cells for lease-renewal tests).  Always
-// nil outside tests.
-var execDelay func(owner string, cell int)
-
 // WorkerResult summarizes one work-stealing worker's participation in
 // draining a grid.  It is a progress report, not a merge artifact: the
 // grid itself is assembled from the shared backend (Assemble), which is
@@ -45,19 +40,22 @@ type WorkerResult struct {
 // policy: instead of being assigned a static slice of the expansion
 // (the -shard policy), the worker scans the grid for cells whose
 // content-addressed records are missing from the shared backend, claims
-// one with a TTL lease, executes it, and persists the record.  Workers
-// never talk to each other — the backend's records and leases are the
-// entire coordination protocol — so any number of heterogeneous
-// machines can join, leave, or crash mid-run: a dead worker's leases
-// expire and its cells are re-claimed by whoever gets there first.
+// one with a TTL lease whenever one of its Options.Parallelism trial
+// slots is free, executes it, and persists the record.  Workers never
+// talk to each other — the backend's records and leases are the entire
+// coordination protocol — so any number of heterogeneous machines can
+// join, leave, or crash mid-run: a dead worker's leases expire and its
+// cells are re-claimed by whoever gets there first.
 //
 // The function returns when every cell of the grid has a valid record
 // in the backend (some computed here, the rest observed), or when ctx
-// is cancelled, or on the first backend error.  Cell identities, trial
-// seeds, skip rules, and summaries are exactly those of sweep.Run —
-// scheduling policy decides who computes a cell, never what it
-// contains — so Assemble over the drained backend is byte-identical to
-// an unsharded run.
+// is cancelled, or on the first backend error.  Cancellation and errors
+// stop new claims and trials; trials in flight finish and their
+// completed cells persist, while a partly run cell's lease is left to
+// lapse.  Cell identities, trial seeds, skip rules, and summaries are
+// exactly those of sweep.Run — scheduling policy decides who computes a
+// cell, never what it contains — so Assemble over the drained backend
+// is byte-identical to an unsharded run.
 func RunWorker(ctx context.Context, spec Spec, opts Options) (*WorkerResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -78,101 +76,77 @@ func RunWorker(ctx context.Context, spec Spec, opts Options) (*WorkerResult, err
 		poll = defaultPoll
 	}
 
-	cells := spec.Expand()
-	allSeeds := spec.jobSeeds(len(cells))
-	ids := make([]string, len(cells))
-	keys := make([]string, len(cells))
-	for i, sc := range cells {
-		ids[i] = cellID(sc, &spec, allSeeds[i*spec.Trials:(i+1)*spec.Trials])
-		keys[i] = sc.Key()
-	}
-
-	res := &WorkerResult{Owner: owner, Total: len(cells)}
-	done := make([]bool, len(cells))
-	remaining := len(cells)
-	finish := func(i int, cell *CellSummary, cached bool) {
-		done[i] = true
-		remaining--
-		if opts.OnCell != nil {
-			opts.OnCell(len(cells)-remaining, len(cells), cell, cached)
-		}
-	}
-
-	for remaining > 0 {
-		progressed := false
-		for i := range cells {
-			if done[i] {
-				continue
-			}
-			if err := ctx.Err(); err != nil {
-				return res, err
-			}
-			cell, ok, err := loadCell(opts.Cache, ids[i], keys[i])
-			if err != nil {
-				return res, err
-			}
-			if ok {
-				res.Loaded++
-				finish(i, &cell, true)
-				progressed = true
-				continue
-			}
-			claimed, err := opts.Cache.Claim(ids[i], owner, ttl)
-			if err != nil {
-				return res, err
-			}
-			if !claimed {
-				// Another owner holds the lease (or just completed the
-				// cell; the next scan will load it).  Move on — there may
-				// be unclaimed cells further along.
-				continue
-			}
-			// A worker killed here — after the claim, before the record —
-			// is the preemption case: its lease expires after ttl and the
-			// cell is re-claimed by a surviving worker.
-			if err := ctx.Err(); err != nil {
-				return res, err
-			}
-			// A cell slower than the TTL must not look dead: re-claim (the
-			// backend extends a holder's own lease) at half the TTL until
-			// the record lands.  Renewal failures are deliberately ignored —
-			// losing the lease costs at worst a duplicate execution, which
-			// content-addressed records absorb.
-			stopRenew := make(chan struct{})
-			go func(id string) {
-				t := time.NewTicker(ttl / 2)
-				defer t.Stop()
-				for {
-					select {
-					case <-stopRenew:
-						return
-					case <-t.C:
-						_, _ = opts.Cache.Claim(id, owner, ttl)
-					}
+	p := newPlan(&spec)
+	e := newExecutor(p, &opts, len(p.cells))
+	e.owner, e.ttl = owner, ttl
+	// The scan: taken marks cells loaded from the backend or claimed
+	// here.  Each call resumes where the last one stopped; a pass that
+	// takes nothing means every missing cell is leased elsewhere.
+	taken := make([]bool, len(p.cells))
+	left := len(p.cells)
+	scan, progressed := 0, false
+	e.next = func(ctx context.Context) (int, bool) {
+		for {
+			for ; scan < len(taken); scan++ {
+				if taken[scan] {
+					continue
 				}
-			}(ids[i])
-			if execDelay != nil {
-				execDelay(owner, i)
+				if e.stopped(ctx) {
+					return 0, false
+				}
+				id := p.ids[scan]
+				cell, ok, err := loadCell(opts.Cache, id, p.cells[scan].Key())
+				if err != nil {
+					e.fail(err)
+					return 0, false
+				}
+				if ok {
+					taken[scan], left, progressed = true, left-1, true
+					e.report(&cell, true)
+					continue
+				}
+				claimed, err := opts.Cache.Claim(id, owner, ttl)
+				if err != nil {
+					e.fail(err)
+					return 0, false
+				}
+				if claimed {
+					// A worker killed from here until the record lands is
+					// the preemption case: its lease expires after ttl and
+					// the cell is re-claimed by a surviving worker.
+					taken[scan], left, progressed = true, left-1, true
+					scan++
+					return scan - 1, true
+				}
+				// Another owner holds the lease (or just completed the
+				// cell; the next pass will load it).  Move on — there may
+				// be unclaimed cells further along.
 			}
-			summary := execCell(&spec, cells[i], allSeeds[i*spec.Trials:(i+1)*spec.Trials], opts.Parallelism, opts.Workers)
-			err = putCell(opts.Cache, ids[i], i, keys[i], summary)
-			close(stopRenew)
-			if err != nil {
-				return res, err
+			if left == 0 {
+				return 0, false // every cell is loaded or in flight here
 			}
-			res.Executed++
-			finish(i, &summary, false)
-			progressed = true
+			if !progressed {
+				// Every missing cell is leased to another live worker:
+				// wait for their records to land or their leases to
+				// expire.
+				select {
+				case <-ctx.Done():
+					return 0, false
+				case <-e.failed:
+					return 0, false
+				case <-time.After(poll):
+				}
+			}
+			scan, progressed = 0, false
 		}
-		if remaining > 0 && !progressed {
-			// Every missing cell is leased to another live worker: wait
-			// for their records to land or their leases to expire.
-			select {
-			case <-ctx.Done():
-				return res, ctx.Err()
-			case <-time.After(poll):
-			}
-		}
+	}
+	err := e.run(ctx)
+	res := &WorkerResult{Owner: owner, Total: len(p.cells), Executed: e.executed, Loaded: e.loaded}
+	if err != nil {
+		return res, err
+	}
+	if e.done < len(p.cells) {
+		return res, ctx.Err()
 	}
 	return res, nil
 }
@@ -192,16 +166,14 @@ func Assemble(ctx context.Context, spec Spec, backend cache.Backend) (*Grid, err
 	if backend == nil {
 		return nil, fmt.Errorf("sweep: assemble needs a backend")
 	}
-	cells := spec.Expand()
-	allSeeds := spec.jobSeeds(len(cells))
-	grid := &Grid{Spec: spec, Cells: make([]CellSummary, len(cells))}
+	p := newPlan(&spec)
+	grid := &Grid{Spec: spec, Cells: make([]CellSummary, len(p.cells))}
 	firstMissing, missing := -1, 0
-	for i, sc := range cells {
+	for i, sc := range p.cells {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		id := cellID(sc, &spec, allSeeds[i*spec.Trials:(i+1)*spec.Trials])
-		cell, ok, err := loadCell(backend, id, sc.Key())
+		cell, ok, err := loadCell(backend, p.ids[i], sc.Key())
 		if err != nil {
 			return nil, err
 		}
@@ -216,7 +188,7 @@ func Assemble(ctx context.Context, spec Spec, backend cache.Backend) (*Grid, err
 	}
 	if missing > 0 {
 		return nil, fmt.Errorf("sweep: backend holds %d of %d cells; first missing cell %d (%s) — workers still running, or not enough ran",
-			len(cells)-missing, len(cells), firstMissing, cells[firstMissing].Key())
+			len(p.cells)-missing, len(p.cells), firstMissing, p.cells[firstMissing].Key())
 	}
 	return grid, nil
 }

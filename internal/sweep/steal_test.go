@@ -175,16 +175,17 @@ func TestDuplicateCompletionByteIdentical(t *testing.T) {
 	spec := smallSpec()
 	cells := spec.Expand()
 	seeds := spec.jobSeeds(len(cells))
-	sc := cells[0]
-	id := cellID(sc, &spec, seeds[:spec.Trials])
+	id := cellID(cells[0], &spec, seeds[:spec.Trials])
 	store, err := cache.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A one-cell shard without Resume executes cell 0 afresh each time
+	// and writes its record, as each of two racing workers would.
+	only0 := Shard{Index: 1, Count: len(cells)}
 	var first []byte
 	for attempt := 0; attempt < 2; attempt++ {
-		summary := execCell(&spec, sc, seeds[:spec.Trials], 0, 0)
-		if err := putCell(store, id, 0, sc.Key(), summary); err != nil {
+		if _, err := RunShard(context.Background(), spec, only0, Options{Cache: store}); err != nil {
 			t.Fatal(err)
 		}
 		data, err := os.ReadFile(store.Path(id))
@@ -238,15 +239,24 @@ func TestWorkStealingOverHTTPBackend(t *testing.T) {
 	}
 }
 
+// workerOutcome carries a RunWorker call's returns across goroutines.
+type workerOutcome struct {
+	res *WorkerResult
+	err error
+}
+
 // countingBackend wraps a Backend to observe the lease traffic a
-// worker generates: successful claims per (owner, id) and record writes
-// per id, plus a one-shot signal when a chosen owner first claims a
+// worker generates: successful claims per (owner, id), record writes
+// per id, each owner's high-water mark of claimed cells still without a
+// record, plus a one-shot signal when a chosen owner first claims a
 // chosen cell.
 type countingBackend struct {
 	cache.Backend
 	mu       sync.Mutex
-	claims   map[string]int // owner + "\x00" + id → successful claims
-	puts     map[string]int // id → Put calls
+	claims   map[string]int             // owner + "\x00" + id → successful claims
+	puts     map[string]int             // id → Put calls
+	held     map[string]map[string]bool // owner → claimed ids not yet Put
+	maxHeld  map[string]int             // owner → most ids held at once
 	watchID  string
 	watchOwn string
 	claimed  chan struct{}
@@ -258,6 +268,8 @@ func newCountingBackend(inner cache.Backend, watchOwner, watchID string) *counti
 		Backend:  inner,
 		claims:   make(map[string]int),
 		puts:     make(map[string]int),
+		held:     make(map[string]map[string]bool),
+		maxHeld:  make(map[string]int),
 		watchID:  watchID,
 		watchOwn: watchOwner,
 		claimed:  make(chan struct{}),
@@ -269,6 +281,13 @@ func (c *countingBackend) Claim(id, owner string, ttl time.Duration) (bool, erro
 	if ok {
 		c.mu.Lock()
 		c.claims[owner+"\x00"+id]++
+		if c.held[owner] == nil {
+			c.held[owner] = make(map[string]bool)
+		}
+		c.held[owner][id] = true
+		if n := len(c.held[owner]); n > c.maxHeld[owner] {
+			c.maxHeld[owner] = n
+		}
 		c.mu.Unlock()
 		if owner == c.watchOwn && id == c.watchID {
 			c.once.Do(func() { close(c.claimed) })
@@ -280,6 +299,9 @@ func (c *countingBackend) Claim(id, owner string, ttl time.Duration) (bool, erro
 func (c *countingBackend) Put(id string, v interface{}) error {
 	c.mu.Lock()
 	c.puts[id]++
+	for _, ids := range c.held {
+		delete(ids, id)
+	}
 	c.mu.Unlock()
 	return c.Backend.Put(id, v)
 }
@@ -296,11 +318,18 @@ func (c *countingBackend) putCount(id string) int {
 	return c.puts[id]
 }
 
+func (c *countingBackend) maxHeldBy(owner string) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.maxHeld[owner]
+}
+
 // TestLeaseRenewalKeepsSlowCellOwned is the renewal contract: a cell
 // whose execution outlives the lease TTL must not look dead.  The slow
-// worker's renewal goroutine re-claims at TTL/2 while an eager
-// competitor races through the rest of the grid; the eager worker must
-// never win the slow cell, and exactly one record lands for it.
+// worker's renewal goroutine re-claims at TTL/2 while its other trial
+// slot keeps dispatching cells and an eager competitor races through
+// the rest of the grid; the eager worker must never win the slow cell,
+// and exactly one record lands for it.
 func TestLeaseRenewalKeepsSlowCellOwned(t *testing.T) {
 	spec := smallSpec()
 	store, err := cache.Open(t.TempDir())
@@ -312,23 +341,24 @@ func TestLeaseRenewalKeepsSlowCellOwned(t *testing.T) {
 	slowID := cellID(cells[0], &spec, seeds[:spec.Trials])
 	backend := newCountingBackend(store, "slow", slowID)
 
-	// Cell 0 takes ~3× the lease TTL under the slow owner; everything
-	// else runs at full speed.
+	// Cell 0's first trial takes ~3× the lease TTL under the slow owner;
+	// everything else runs at full speed.
 	const ttl = 250 * time.Millisecond
-	execDelay = func(owner string, cell int) {
-		if owner == "slow" && cell == 0 {
+	execDelay = func(owner string, cell, trial int) {
+		if owner == "slow" && cell == 0 && trial == 0 {
 			time.Sleep(3 * ttl)
 		}
 	}
 	defer func() { execDelay = nil }()
 
-	slowDone := make(chan error, 1)
+	slowDone := make(chan workerOutcome, 1)
 	go func() {
 		opts := stealOptions("slow", backend)
+		opts.Parallelism = 2
 		opts.LeaseTTL = ttl
 		opts.Poll = 20 * time.Millisecond
-		_, err := RunWorker(context.Background(), spec, opts)
-		slowDone <- err
+		res, err := RunWorker(context.Background(), spec, opts)
+		slowDone <- workerOutcome{res, err}
 	}()
 
 	// Only start the eager worker once the slow one holds cell 0, so the
@@ -339,14 +369,16 @@ func TestLeaseRenewalKeepsSlowCellOwned(t *testing.T) {
 		t.Fatal("slow worker never claimed cell 0")
 	}
 	opts := stealOptions("eager", backend)
+	opts.Parallelism = 2
 	opts.LeaseTTL = ttl
 	opts.Poll = 20 * time.Millisecond
 	eager, err := RunWorker(context.Background(), spec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := <-slowDone; err != nil {
-		t.Fatal(err)
+	slow := <-slowDone
+	if slow.err != nil {
+		t.Fatal(slow.err)
 	}
 
 	if n := backend.claimCount("slow", slowID); n < 2 {
@@ -357,6 +389,9 @@ func TestLeaseRenewalKeepsSlowCellOwned(t *testing.T) {
 	}
 	if n := backend.putCount(slowID); n != 1 {
 		t.Errorf("slow cell was written %d times, want exactly 1", n)
+	}
+	if slow.res.Executed < 2 {
+		t.Errorf("slow worker executed %d cells, want the slow one plus others dispatched beside it", slow.res.Executed)
 	}
 	if eager.Executed == 0 || eager.Executed >= spec.Cells() {
 		t.Errorf("eager worker executed %d cells, want a strict nonzero share", eager.Executed)
@@ -397,5 +432,49 @@ func TestAssembleReportsMissingCells(t *testing.T) {
 	}
 	if got := assembledJSON(t, spec, store); !bytes.Equal(unshardedJSON(t, spec), got) {
 		t.Fatal("shard-filled assemble differs from the unsharded run")
+	}
+}
+
+// BenchmarkRunWorkerDrain times one work-stealing worker at two trial
+// slots draining smallSpec's 16-cell grid, through the filesystem store
+// and through the HTTP client against an in-process crnserve handler,
+// and reports cells/s.  Each iteration reseeds the spec, so every cell
+// identity is new to the store and the whole grid executes.
+//
+//	go test -run '^$' -bench RunWorkerDrain -cpu 2 ./internal/sweep/
+func BenchmarkRunWorkerDrain(b *testing.B) {
+	for _, bk := range []struct {
+		name string
+		open func(b *testing.B, store *cache.Store) cache.Backend
+	}{
+		{"store", func(b *testing.B, store *cache.Store) cache.Backend { return store }},
+		{"http", func(b *testing.B, store *cache.Store) cache.Backend {
+			srv := httptest.NewServer(httpstore.NewServer(store))
+			b.Cleanup(srv.Close)
+			client, err := httpstore.NewClient(srv.URL)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return client
+		}},
+	} {
+		b.Run(bk.name, func(b *testing.B) {
+			store, err := cache.Open(b.TempDir())
+			if err != nil {
+				b.Fatal(err)
+			}
+			backend := bk.open(b, store)
+			spec := smallSpec()
+			cells := 0
+			for b.Loop() {
+				spec.Seed++
+				res, err := RunWorker(context.Background(), spec, Options{Parallelism: 2, Cache: backend, Owner: "bench"})
+				if err != nil {
+					b.Fatal(err)
+				}
+				cells += res.Executed
+			}
+			b.ReportMetric(float64(cells)/b.Elapsed().Seconds(), "cells/s")
+		})
 	}
 }
