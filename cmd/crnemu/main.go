@@ -103,9 +103,9 @@ func emitResult(res *sim.Result, asJSON bool) {
 // statsLine renders one transport's counters the way the ticker and the
 // final summary both print them.
 func statsLine(label string, s emu.ConnStats) string {
-	return fmt.Sprintf("%s frames=%d/%d bytes=%d/%d segs=%d/%d retrans=%d dup=%d faultDrop=%d faultDup=%d q=%d/%d rtt=%.2fms",
+	return fmt.Sprintf("%s frames=%d/%d bytes=%d/%d segs=%d/%d acks=%d/%d retrans=%d dup=%d faultDrop=%d faultDup=%d q=%d/%d rtt=%.2fms",
 		label, s.FramesSent, s.FramesRecv, s.BytesSent, s.BytesRecv,
-		s.SegsSent, s.SegsRecv, s.Retransmits, s.DupSegs,
+		s.SegsSent, s.SegsRecv, s.AcksSent, s.AcksRecv, s.Retransmits, s.DupSegs,
 		s.FaultDrops, s.FaultDups, s.SendQueue, s.RecvQueue, s.RTTMillis)
 }
 

@@ -441,6 +441,9 @@ func Coordinate(ctx context.Context, cfg Config, links []Transport) (*sim.Result
 	m := l.Medium()
 	pending := 0
 	var txs []channel.PacketID
+	// One frame per broadcast, rewritten every slot: Send keeps no
+	// reference to it.
+	var begin, fbFrame Frame
 
 	// collect gathers one answer frame of the wanted type per station,
 	// in station order, failing loudly (with the offending station) on
@@ -473,7 +476,7 @@ func Coordinate(ctx context.Context, cfg Config, links []Transport) (*sim.Result
 
 		// Slot barrier, first round trip: Begin → Decide.  Packet IDs are
 		// issued sequentially, so (first, count) broadcasts the batch.
-		begin := Frame{Type: FrameBegin, Slot: now}
+		begin = Frame{Type: FrameBegin, Slot: now}
 		if ids := l.InjectNow(); len(ids) > 0 {
 			begin.InjFirst = int64(ids[0])
 			begin.InjN = int32(len(ids))
@@ -497,7 +500,7 @@ func Coordinate(ctx context.Context, cfg Config, links []Transport) (*sim.Result
 		fb := l.Observe(ev)
 
 		// Second round trip: Feedback → Report.
-		fbFrame := Frame{Type: FrameFeedback, Slot: now, Silent: fb.Silent, Collision: fb.Collision}
+		fbFrame = Frame{Type: FrameFeedback, Slot: now, Silent: fb.Silent, Collision: fb.Collision}
 		if fb.Event != nil {
 			fbFrame.HasEvent = true
 			fbFrame.EvSlot = fb.Event.Slot
@@ -598,6 +601,9 @@ func RunStation(t Transport, timeout time.Duration) error {
 
 	var buf []channel.PacketID
 	var ids []channel.PacketID
+	// One frame per answer, rewritten every slot: Send keeps no
+	// reference to it.
+	var decide, rep Frame
 	for {
 		f, err := t.Recv(timeout)
 		if err != nil {
@@ -621,7 +627,8 @@ func RunStation(t Transport, timeout time.Duration) error {
 					mine = append(mine, id)
 				}
 			}
-			if err := t.Send(&Frame{Type: FrameDecide, Slot: f.Slot, Txs: mine}); err != nil {
+			decide = Frame{Type: FrameDecide, Slot: f.Slot, Txs: mine}
+			if err := t.Send(&decide); err != nil {
 				return err
 			}
 		case FrameFeedback:
@@ -630,7 +637,7 @@ func RunStation(t Transport, timeout time.Duration) error {
 				fb.Event = &channel.Event{Slot: f.EvSlot, WindowStart: f.WindowStart, Packets: f.Txs}
 			}
 			proto.Observe(fb)
-			rep := Frame{Type: FrameReport, Slot: f.Slot, Pending: int64(proto.Pending())}
+			rep = Frame{Type: FrameReport, Slot: f.Slot, Pending: int64(proto.Pending())}
 			// NextWake may lazily rewrite protocol state, so replicas call
 			// it exactly when the simulator's advance would: non-empty
 			// backlog on a Waker protocol.

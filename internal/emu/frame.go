@@ -208,6 +208,16 @@ func (d *decoder) i64() int64 {
 	return v
 }
 
+// flags reads a flag byte, rejecting bits outside known: the encoder
+// never sets them, so accepting one would break decode∘encode.
+func (d *decoder) flags(known byte) byte {
+	v := d.u8()
+	if d.err == nil && v&^known != 0 {
+		d.err = fmt.Errorf("emu: unknown frame flags %#x", v&^known)
+	}
+	return v
+}
+
 func (d *decoder) fail() {
 	if d.err == nil {
 		d.err = fmt.Errorf("emu: truncated frame")
@@ -241,7 +251,7 @@ func (f *Frame) Decode(b []byte) error {
 		f.Txs = d.packetList()
 	case FrameFeedback:
 		f.Slot = d.i64()
-		flags := d.u8()
+		flags := d.flags(flagSilent | flagCollision | flagHasEvent)
 		f.Silent = flags&flagSilent != 0
 		f.Collision = flags&flagCollision != 0
 		f.HasEvent = flags&flagHasEvent != 0
@@ -253,7 +263,7 @@ func (f *Frame) Decode(b []byte) error {
 	case FrameReport:
 		f.Slot = d.i64()
 		f.Pending = d.i64()
-		f.HasWake = d.u8()&flagHasWake != 0
+		f.HasWake = d.flags(flagHasWake)&flagHasWake != 0
 		if f.HasWake {
 			f.NextWake = d.i64()
 		}

@@ -78,6 +78,19 @@ func TestFrameDecodeRejectsCorruption(t *testing.T) {
 	if err := got.Decode(nil); err == nil {
 		t.Fatal("empty buffer accepted")
 	}
+	// Flag bits the encoder never sets must be rejected, or decode∘encode
+	// would not be a fixed point.  The flag byte follows the slot.
+	for _, f := range []Frame{{Type: FrameFeedback, Slot: 1}, {Type: FrameReport, Slot: 1}} {
+		buf := f.Append(nil)
+		at := 9
+		if f.Type == FrameReport {
+			at = 17
+		}
+		buf[at] |= 0x40
+		if err := got.Decode(buf); err == nil {
+			t.Fatalf("%s: unknown flag bit accepted", f.Type)
+		}
+	}
 	// A hostile list length must be rejected before allocation.
 	hostile := []byte{byte(FrameDecide)}
 	hostile = appendI64(hostile, 1)

@@ -19,6 +19,7 @@ import (
 type Transport interface {
 	// Send encodes and delivers one frame, blocking while the send
 	// queue is full (backpressure).  It fails once the link is closed.
+	// Send does not keep f after it returns, so callers may reuse it.
 	Send(f *Frame) error
 
 	// Recv returns the next frame in order.  timeout 0 blocks forever;
@@ -49,9 +50,12 @@ type ConnStats struct {
 	FramesSent, FramesRecv uint64
 	// BytesSent/BytesRecv count encoded frame payload bytes.
 	BytesSent, BytesRecv uint64
-	// SegsSent/SegsRecv count wire datagram segments (UDP only; the
-	// pipe moves whole frames).
+	// SegsSent/SegsRecv count data segments (UDP only; the pipe moves
+	// whole frames).  Retransmissions are counted in Retransmits.
 	SegsSent, SegsRecv uint64
+	// AcksSent/AcksRecv count standalone ack datagrams (UDP only); acks
+	// riding on data segments are not counted.
+	AcksSent, AcksRecv uint64
 	// Retransmits counts segments re-sent on ack timeout.
 	Retransmits uint64
 	// DupSegs counts received segments discarded as duplicate or
@@ -80,6 +84,7 @@ type pipe struct {
 	out, in chan []byte
 	closed  chan struct{}
 	once    *sync.Once
+	wait    recvTimer // Recv's deadline; the receiver's alone
 
 	mu    sync.Mutex
 	stats ConnStats
@@ -115,39 +120,41 @@ func (p *pipe) Send(f *Frame) error {
 }
 
 func (p *pipe) Recv(timeout time.Duration) (*Frame, error) {
-	var timer <-chan time.Time
-	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		timer = t.C
-	}
 	select {
 	case buf := <-p.in:
-		f := new(Frame)
-		if err := f.Decode(buf); err != nil {
-			return nil, err
-		}
-		p.mu.Lock()
-		p.stats.FramesRecv++
-		p.stats.BytesRecv += uint64(len(buf))
-		p.mu.Unlock()
-		return f, nil
-	case <-timer:
+		return p.decode(buf)
+	default:
+	}
+	expired := p.wait.arm(timeout)
+	defer p.wait.stop()
+	select {
+	case buf := <-p.in:
+		return p.decode(buf)
+	case <-expired:
 		return nil, ErrTimeout
 	case <-p.closed:
 		// Drain anything already queued before reporting closure, so a
 		// final Done is never lost to a racing Close.
 		select {
 		case buf := <-p.in:
-			f := new(Frame)
-			if err := f.Decode(buf); err != nil {
-				return nil, err
-			}
-			return f, nil
+			return p.decode(buf)
 		default:
 			return nil, ErrClosed
 		}
 	}
+}
+
+// decode turns one received encoding into a frame and counts it.
+func (p *pipe) decode(buf []byte) (*Frame, error) {
+	f := new(Frame)
+	if err := f.Decode(buf); err != nil {
+		return nil, err
+	}
+	p.mu.Lock()
+	p.stats.FramesRecv++
+	p.stats.BytesRecv += uint64(len(buf))
+	p.mu.Unlock()
+	return f, nil
 }
 
 func (p *pipe) Stats() ConnStats {
@@ -162,4 +169,31 @@ func (p *pipe) Stats() ConnStats {
 func (p *pipe) Close() error {
 	p.once.Do(func() { close(p.closed) })
 	return nil
+}
+
+// recvTimer is a receiver's reusable Recv deadline: one timer per
+// endpoint, re-armed for each wait instead of made anew.  Since Go 1.23
+// a Reset or Stop discards any expiry not yet received, so a stale
+// fire never ends a later wait early.
+type recvTimer struct{ t *time.Timer }
+
+// arm starts a wait of d and returns the channel that fires when it
+// ends, or nil for d ≤ 0 (wait forever).  Pair it with stop.
+func (r *recvTimer) arm(d time.Duration) <-chan time.Time {
+	if d <= 0 {
+		return nil
+	}
+	if r.t == nil {
+		r.t = time.NewTimer(d)
+	} else {
+		r.t.Reset(d)
+	}
+	return r.t.C
+}
+
+// stop ends the current wait.
+func (r *recvTimer) stop() {
+	if r.t != nil {
+		r.t.Stop()
+	}
 }

@@ -3,6 +3,7 @@ package emu
 import (
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 
@@ -11,7 +12,7 @@ import (
 
 // Wire segment layout (one UDP datagram each):
 //
-//	data: [kindData][seq u32 LE][fin u8][payload ≤ maxSegPayload]
+//	data: [kindData][seq u32 LE][ack u32 LE][fin u8][payload ≤ maxSegPayload]
 //	ack:  [kindAck][cumulative ack u32 LE]
 //
 // Frames are split into ≤ maxSegPayload data segments (fin marks the
@@ -23,11 +24,26 @@ import (
 // backpressure) and retransmits the window when the oldest segment
 // outlives the RTO, which adapts to a smoothed RTT (Karn's rule:
 // retransmitted segments never feed the estimator).
+//
+// Every data segment carries its sender's cumulative ack, applied
+// exactly like a standalone ack.  The slot barrier answers every frame
+// but Done with a frame, so the ack for a segment that completes a
+// frame is deferred to ride on the next data segment out; if none goes
+// out first, the retransmit tick sends it standalone within retransTick
+// (under minRTO, so a deferred ack never trips the peer's RTO), and
+// Close sends it too.  Every other segment — mid-frame, duplicate or
+// out of order — is acked at once, so multi-segment frames and
+// go-back-N recovery never wait for the tick.  Deferral puts the peer's
+// turnaround into the RTT samples its answers ack.
 const (
-	kindData = 0x01
+	// kindData marks a data segment.  The layout without the ack field
+	// used kind 0x01, so a segment from a build that sends it is dropped
+	// as an unknown kind instead of misparsed.
+	kindData = 0x03
 	kindAck  = 0x02
 
-	dataHeader    = 6
+	dataHeader    = 10
+	ackLen        = 5
 	maxSegPayload = 1024
 	sendWindow    = 64
 
@@ -36,7 +52,8 @@ const (
 	maxRTO     = 500 * time.Millisecond
 	// rttAlpha is the EWMA weight of a new RTT sample.
 	rttAlpha = 0.125
-	// retransTick is how often the retransmit loop inspects the window.
+	// retransTick is how often the retransmit loop inspects the window
+	// and flushes a deferred ack.
 	retransTick = 5 * time.Millisecond
 )
 
@@ -65,24 +82,35 @@ type wseg struct {
 // function and the pump feeding handle() are supplied by the endpoint
 // (dialer or listener), so the protocol logic is transport-socket
 // agnostic — and directly testable against an in-memory lossy pair.
+// writeRaw must not keep the datagram it is handed: the link reuses
+// every datagram buffer.
 type udpLink struct {
 	writeRaw func([]byte) error
 	onClose  func()
 
-	mu       sync.Mutex
-	space    *sync.Cond // window space freed, or closed
-	closed   bool
-	sendSeq  uint32
-	sendBase uint32
-	window   []wseg
-	srtt     float64 // milliseconds; 0 until first sample
-	rto      time.Duration
-	backoff  int
+	mu      sync.Mutex
+	space   *sync.Cond // window space freed, or closed
+	closed  bool
+	sendSeq uint32
+	// window holds the unacked segments, oldest first, compacted in
+	// place.  free recycles acked segments' buffers; a buffer is made
+	// only when free is empty, so at most sendWindow ever exist.
+	window  []wseg
+	free    [][]byte
+	enc     []byte  // the frame Send is segmenting
+	srtt    float64 // milliseconds; 0 until first sample
+	rto     time.Duration
+	backoff int
 
 	recvNext uint32
 	partial  []byte
+	// ackOwed is set when a completed frame's ack is deferred, and
+	// cleared by any datagram that carries recvNext.
+	ackOwed bool
+	ackPkt  [ackLen]byte
 
 	frames chan *Frame
+	wait   recvTimer // Recv's deadline; the receiver's alone
 	stats  ConnStats
 
 	frng  *rng.Rand
@@ -95,11 +123,14 @@ func newUDPLink(write func([]byte) error, fault Fault, onClose func()) *udpLink 
 	l := &udpLink{
 		writeRaw: write,
 		onClose:  onClose,
+		window:   make([]wseg, 0, sendWindow),
+		free:     make([][]byte, 0, sendWindow),
 		rto:      initialRTO,
 		frames:   make(chan *Frame, 256),
 		fault:    fault,
 		closeCh:  make(chan struct{}),
 	}
+	l.ackPkt[0] = kindAck
 	l.space = sync.NewCond(&l.mu)
 	if fault.active() {
 		l.frng = rng.New(fault.Seed)
@@ -123,16 +154,27 @@ func (l *udpLink) transmit(pkt []byte) {
 	_ = l.writeRaw(pkt)
 }
 
+// ackNowLocked sends the cumulative ack as a standalone datagram,
+// settling any deferred one.  Callers hold mu.
+func (l *udpLink) ackNowLocked() {
+	l.ackOwed = false
+	putU32(l.ackPkt[1:], l.recvNext)
+	l.stats.AcksSent++
+	l.transmit(l.ackPkt[:])
+}
+
 // Send splits the frame into data segments and queues each into the
 // go-back-N window, blocking for space — the tru-style send-queue
-// backpressure — and transmitting immediately.
+// backpressure — and transmitting immediately.  Each segment carries
+// the current cumulative ack.
 func (l *udpLink) Send(f *Frame) error {
-	buf := f.Append(nil)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return ErrClosed
 	}
+	l.enc = f.Append(l.enc[:0])
+	buf := l.enc
 	l.stats.FramesSent++
 	l.stats.BytesSent += uint64(len(buf))
 	for off := 0; ; {
@@ -148,11 +190,19 @@ func (l *udpLink) Send(f *Frame) error {
 		if l.closed {
 			return ErrClosed
 		}
-		pkt := make([]byte, 0, dataHeader+end-off)
+		var pkt []byte
+		if n := len(l.free); n > 0 {
+			pkt = l.free[n-1]
+			l.free = l.free[:n-1]
+		} else {
+			pkt = make([]byte, 0, dataHeader+maxSegPayload)
+		}
 		pkt = append(pkt, kindData)
 		pkt = appendU32(pkt, l.sendSeq)
+		pkt = appendU32(pkt, l.recvNext)
 		pkt = append(pkt, fin)
 		pkt = append(pkt, buf[off:end]...)
+		l.ackOwed = false
 		l.window = append(l.window, wseg{seq: l.sendSeq, pkt: pkt, firstSent: time.Now()})
 		l.sendSeq++
 		l.stats.SegsSent++
@@ -170,7 +220,7 @@ func (l *udpLink) handle(pkt []byte) {
 	if len(pkt) < 1 {
 		return
 	}
-	var done []*Frame
+	var done *Frame
 	l.mu.Lock()
 	switch pkt[0] {
 	case kindData:
@@ -178,56 +228,55 @@ func (l *udpLink) handle(pkt []byte) {
 			break
 		}
 		seq := leU32(pkt[1:5])
-		fin := pkt[5]
+		l.ackLocked(leU32(pkt[5:9]))
+		fin := pkt[9]
 		l.stats.SegsRecv++
-		if seq == l.recvNext {
-			l.recvNext++
-			l.partial = append(l.partial, pkt[dataHeader:]...)
-			if fin == 1 {
-				f := new(Frame)
-				if err := f.Decode(l.partial); err == nil {
-					l.stats.FramesRecv++
-					l.stats.BytesRecv += uint64(len(l.partial))
-					done = append(done, f)
-				}
-				l.partial = l.partial[:0]
-			}
-		} else {
+		if seq != l.recvNext {
 			// Duplicate or out-of-order: go-back-N keeps only the in-order
-			// prefix; the cumulative re-ack below tells the sender where
-			// to resume.
+			// prefix; the cumulative re-ack tells the sender where to
+			// resume.
 			l.stats.DupSegs++
-		}
-		ack := []byte{kindAck, 0, 0, 0, 0}
-		putU32(ack[1:5], l.recvNext)
-		l.transmit(ack)
-	case kindAck:
-		if len(pkt) < 5 {
+			l.ackNowLocked()
 			break
 		}
+		l.recvNext++
+		l.partial = append(l.partial, pkt[dataHeader:]...)
+		if fin != 1 {
+			l.ackNowLocked()
+			break
+		}
+		f := new(Frame)
+		if err := f.Decode(l.partial); err == nil {
+			l.stats.FramesRecv++
+			l.stats.BytesRecv += uint64(len(l.partial))
+			done = f
+		}
+		l.partial = l.partial[:0]
+		l.ackOwed = true
+	case kindAck:
+		if len(pkt) < ackLen {
+			break
+		}
+		l.stats.AcksRecv++
 		l.ackLocked(leU32(pkt[1:5]))
 	}
 	closed := l.closed
 	l.mu.Unlock()
-	for _, f := range done {
-		if closed {
-			return
-		}
-		select {
-		case l.frames <- f:
-		case <-l.closeCh:
-			return
-		}
+	if done == nil || closed {
+		return
+	}
+	select {
+	case l.frames <- done:
+	case <-l.closeCh:
 	}
 }
 
-// ackLocked advances the send window to the cumulative ack.
+// ackLocked advances the send window to the cumulative ack.  An ack at
+// or behind the window's base frees nothing.
 func (l *udpLink) ackLocked(ack uint32) {
-	freed := false
-	for len(l.window) > 0 && int32(l.window[0].seq-ack) < 0 {
-		seg := l.window[0]
-		l.window = l.window[1:]
-		freed = true
+	n := 0
+	for ; n < len(l.window) && int32(l.window[n].seq-ack) < 0; n++ {
+		seg := &l.window[n]
 		if !seg.retrans {
 			// Karn's rule: only never-retransmitted segments sample RTT.
 			sample := float64(time.Since(seg.firstSent)) / float64(time.Millisecond)
@@ -238,13 +287,17 @@ func (l *udpLink) ackLocked(ack uint32) {
 			}
 			l.stats.RTTMillis = l.srtt
 		}
+		l.free = append(l.free, seg.pkt[:0])
 	}
-	if freed {
-		l.sendBase = ack
-		l.backoff = 0
-		l.rto = clampRTO(time.Duration(2 * l.srtt * float64(time.Millisecond)))
-		l.space.Broadcast()
+	if n == 0 {
+		return
 	}
+	kept := copy(l.window, l.window[n:])
+	clear(l.window[kept:])
+	l.window = l.window[:kept]
+	l.backoff = 0
+	l.rto = clampRTO(time.Duration(2 * l.srtt * float64(time.Millisecond)))
+	l.space.Broadcast()
 }
 
 func clampRTO(d time.Duration) time.Duration {
@@ -259,7 +312,8 @@ func clampRTO(d time.Duration) time.Duration {
 
 // retransmitLoop watches the window and, when its oldest segment
 // outlives the RTO, resends every unacked segment (go-back-N) with
-// exponential RTO backoff until acks resume.
+// exponential RTO backoff until acks resume.  It also sends any ack
+// still deferred since the last tick.
 func (l *udpLink) retransmitLoop() {
 	ticker := time.NewTicker(retransTick)
 	defer ticker.Stop()
@@ -289,21 +343,25 @@ func (l *udpLink) retransmitLoop() {
 				l.window[0].firstSent = time.Now()
 			}
 		}
+		if l.ackOwed {
+			l.ackNowLocked()
+		}
 		l.mu.Unlock()
 	}
 }
 
 func (l *udpLink) Recv(timeout time.Duration) (*Frame, error) {
-	var timer <-chan time.Time
-	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		timer = t.C
-	}
 	select {
 	case f := <-l.frames:
 		return f, nil
-	case <-timer:
+	default:
+	}
+	expired := l.wait.arm(timeout)
+	defer l.wait.stop()
+	select {
+	case f := <-l.frames:
+		return f, nil
+	case <-expired:
 		return nil, ErrTimeout
 	case <-l.closeCh:
 		select {
@@ -324,11 +382,16 @@ func (l *udpLink) Stats() ConnStats {
 	return s
 }
 
+// Close tears the link down, first sending any deferred ack so the
+// peer's last frame does not wait out an RTO.
 func (l *udpLink) Close() error {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		return nil
+	}
+	if l.ackOwed {
+		l.ackNowLocked()
 	}
 	l.closed = true
 	l.space.Broadcast()
@@ -352,7 +415,8 @@ func putU32(b []byte, v uint32) {
 }
 
 // DialUDP connects a station to a coordinator's UDP listener and
-// returns the reliable frame link over it.
+// returns the reliable frame link over it.  Both ends must run the same
+// build: the segment layout is not negotiated.
 func DialUDP(addr string, fault Fault) (Transport, error) {
 	conn, err := net.Dial("udp", addr)
 	if err != nil {
@@ -384,7 +448,7 @@ type Listener struct {
 	fault Fault
 
 	mu     sync.Mutex
-	links  map[string]*udpLink
+	links  map[netip.AddrPort]*udpLink
 	nlinks uint64
 	closed bool
 
@@ -406,7 +470,7 @@ func ListenUDP(addr string, fault Fault) (*Listener, error) {
 	ln := &Listener{
 		conn:    conn,
 		fault:   fault,
-		links:   make(map[string]*udpLink),
+		links:   make(map[netip.AddrPort]*udpLink),
 		accept:  make(chan Transport, 64),
 		closeCh: make(chan struct{}),
 	}
@@ -420,32 +484,30 @@ func (ln *Listener) Addr() string { return ln.conn.LocalAddr().String() }
 func (ln *Listener) pump() {
 	buf := make([]byte, 64<<10)
 	for {
-		n, raddr, err := ln.conn.ReadFromUDP(buf)
+		n, peer, err := ln.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return
 		}
-		key := raddr.String()
 		ln.mu.Lock()
-		l, ok := ln.links[key]
+		l, ok := ln.links[peer]
 		if !ok && !ln.closed {
-			peer := *raddr
 			fault := ln.fault
 			// Decorrelate each link's fault stream; a shared stream
 			// would make one link's traffic perturb another's losses.
 			fault.Seed = ln.fault.Seed ^ (0x9e3779b97f4a7c15 * (ln.nlinks + 1))
 			ln.nlinks++
 			l = newUDPLink(
-				func(b []byte) error { _, err := ln.conn.WriteToUDP(b, &peer); return err },
+				func(b []byte) error { _, err := ln.conn.WriteToUDPAddrPort(b, peer); return err },
 				fault,
 				nil,
 			)
-			ln.links[key] = l
+			ln.links[peer] = l
 			select {
 			case ln.accept <- l:
 			default:
 				// Accept backlog full: refuse the link rather than block
 				// the pump.
-				delete(ln.links, key)
+				delete(ln.links, peer)
 				l.Close()
 				l = nil
 			}
