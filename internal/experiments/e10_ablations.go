@@ -97,15 +97,20 @@ func E10Ablations(scale Scale, seed uint64) *Output {
 			"variant", "late mean backlog", "final backlog", "delivered frac", "error epochs")
 		for _, v := range variants {
 			v := v
-			var errEpochs int64
+			// Trials run concurrently: each writes its own slot, summed after.
+			errs := make([]int64, trials)
 			results := sim.RunTrials(trials, seed+uint64(len(v.name))*7, 0,
 				func(trial int, s uint64) *sim.Result {
 					d := core.New(kappa, rng.New(s^0xB10), v.opts...)
 					res := sim.Run(sim.Config{Kappa: kappa, Horizon: horizon, Seed: s},
 						d, sc.mk())
-					errEpochs += d.Stats().ErrorEpochs
+					errs[trial] = d.Stats().ErrorEpochs
 					return res
 				})
+			var errEpochs int64
+			for _, n := range errs {
+				errEpochs += n
+			}
 			late := sim.Aggregate(results, func(r *sim.Result) float64 {
 				return r.SegmentMeanBacklog(0.7, 1.0)
 			})

@@ -41,16 +41,21 @@ func E13Jamming(scale Scale, seed uint64) *Output {
 		"jam rate", "(1-rate)", "delivered frac", "final backlog", "throughput", "overfull epochs")
 	for _, rate := range []float64{0, 0.05, 0.10, 0.20, 0.35, 0.50} {
 		rate := rate
-		var overfull int64
+		// Trials run concurrently: each writes its own slot, summed after.
+		overfulls := make([]int64, trials)
 		results := sim.RunTrials(trials, seed+uint64(rate*1000), 0,
 			func(trial int, s uint64) *sim.Result {
 				d := core.New(kappa, rng.New(s^0xE13))
 				res := sim.Run(sim.Config{Kappa: kappa, Horizon: horizon, Drain: true,
 					Seed: s, Jammer: &jam.Random{Rate: rate}},
 					d, arrival.NewEvenPaced(load))
-				overfull += d.Stats().OverfullEpochs
+				overfulls[trial] = d.Stats().OverfullEpochs
 				return res
 			})
+		var overfull int64
+		for _, n := range overfulls {
+			overfull += n
+		}
 		frac := sim.Aggregate(results, func(r *sim.Result) float64 {
 			return float64(r.Delivered) / float64(r.Arrivals)
 		})
