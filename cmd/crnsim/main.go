@@ -43,7 +43,6 @@ func main() {
 	alohaP := flag.Float64("aloha-p", 0.001, "static ALOHA transmission probability (protocol=aloha)")
 	adversaryDesc := flag.String("adversary", "none", "adversary: none, random:RATE, burst:B/GAP, reactive:TRIGGER/BURST, sigmarho:SIGMA/RHO")
 	latencySamples := flag.Int("latency-samples", 0, "latency reservoir capacity for quantiles (0 = default, -1 = off)")
-	workers := flag.Int("workers", 0, "staged-engine goroutines per run (0 = serial engine; results identical)")
 	plot := flag.Bool("plot", true, "render the backlog time series")
 	tracePath := flag.String("trace", "", "write the backlog time series to this CSV file")
 	flag.Parse()
@@ -129,7 +128,6 @@ func main() {
 		LatencySamples: *latencySamples,
 		Medium:         med,
 		Adversary:      adv,
-		Workers:        *workers,
 	}, proto, arr)
 
 	fmt.Printf("protocol:   %s\n", res.Protocol)

@@ -99,7 +99,6 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	latencySamples := fs.Int("latency-samples", 0, "per-trial latency reservoir capacity (0 = engine default, -1 = off)")
 	seed := fs.Uint64("seed", 1, "base random seed")
 	parallelism := fs.Int("parallelism", 0, "concurrent trials (0 = GOMAXPROCS)")
-	workers := fs.Int("workers", 0, "staged-engine goroutines per trial (0 = serial engine; results and cell identities identical at any value)")
 	shardFlag := fs.String("shard", "", "run only slice k/N of the grid (e.g. 2/4) and write a mergeable shard artifact")
 	cacheDir := fs.String("cache-dir", "", "persist each completed cell as a content-addressed record in this directory")
 	resume := fs.Bool("resume", false, "with -cache-dir: load already-cached cells and execute only the missing ones")
@@ -226,7 +225,7 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	opts := sweep.Options{Parallelism: *parallelism, Workers: *workers, Resume: *resume}
+	opts := sweep.Options{Parallelism: *parallelism, Resume: *resume}
 	if *backendURL != "" {
 		client, err := httpstore.NewClient(*backendURL)
 		if err != nil {

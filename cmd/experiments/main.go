@@ -86,9 +86,9 @@ func main() {
 	grandStart := time.Now()
 
 	// Experiments run concurrently on the engine's shared worker pool
-	// (sim.ForEach, the same fan-out the staged slot engine and the trial
-	// runner use); each output streams to stdout in index order as soon
-	// as it and its predecessors are done, so a serial run keeps the old
+	// (sim.ForEach, the same fan-out the trial runner uses); each output
+	// streams to stdout in index order as soon as it and its
+	// predecessors are done, so a serial run keeps the old
 	// print-as-you-go behavior.  Experiments are internally deterministic
 	// given scale and seed, so concurrency never changes the simulated
 	// results (only E12's wall-clock benchmark column varies run to run).

@@ -40,27 +40,13 @@ type Protocol = protocol.Protocol
 // NewWindowBurst, and friends.
 type Arrivals = arrival.Process
 
-// Config parametrizes a simulation run.  Config.Workers ≥ 1 selects the
-// staged shard/step/reduce engine, fanning one trial's per-slot station
-// work out over worker goroutines when the protocol implements
-// Partitioned; results are bit-identical at every worker count.
+// Config parametrizes a simulation run.  One run executes on one
+// goroutine; RunTrials and the sweep layer spread independent trials
+// over cores.
 type Config = sim.Config
 
 // Result holds the measurements of a run.
 type Result = sim.Result
-
-// Partitioned is the optional protocol interface the staged engine
-// (Config.Workers ≥ 1) parallelizes: per-packet state splits into a
-// fixed shard set with centralized prepare/reduce stages, so staged
-// execution is bit-identical to the serial reference.  The in-repo
-// implementations are the Decodable Backoff core and the backoff
-// baselines.
-type Partitioned = protocol.Partitioned
-
-// PartitionedWaker combines Partitioned with per-shard wake times, so
-// the staged engine fast-forwards idle stretches to exactly the slots
-// the serial path would.
-type PartitionedWaker = protocol.PartitionedWaker
 
 // NoWindowCap disables the decoding-window length cap in Config.MaxWindow.
 const NoWindowCap = sim.NoWindowCap

@@ -49,10 +49,7 @@ type Backoff struct {
 	failures arena.Index[int64]
 	inFlight []channel.PacketID
 	pending  int
-	// shardPending counts pending packets per engine shard (keyed by
-	// id mod NumShards) so the staged engine can audit shard ownership.
-	shardPending [protocol.NumShards]int
-	stats        BEBStats
+	stats    BEBStats
 }
 
 // ExponentialBackoff is the name the rest of the repository uses for the
@@ -61,7 +58,6 @@ type ExponentialBackoff = Backoff
 
 var _ protocol.Protocol = (*Backoff)(nil)
 var _ protocol.Waker = (*Backoff)(nil)
-var _ protocol.PartitionedWaker = (*Backoff)(nil)
 
 // NewExponentialBackoff returns binary exponential backoff (initial
 // window 1, doubling) using the given random stream.
@@ -155,7 +151,6 @@ func (e *Backoff) Inject(now int64, ids []channel.PacketID) {
 		}
 		e.failures.Put(int64(id), 0)
 		e.pending++
-		e.shardPending[int(id)%protocol.NumShards]++
 		e.sched.push(txEntry{slot: now + 1 + e.rand.Int63n(e.windows[0]), id: id})
 	}
 }
@@ -163,18 +158,6 @@ func (e *Backoff) Inject(now int64, ids []channel.PacketID) {
 // Transmitters implements protocol.Protocol: pops every packet scheduled
 // for this slot.
 func (e *Backoff) Transmitters(now int64, buf []channel.PacketID) []channel.PacketID {
-	e.PrepareSlot(now)
-	return append(buf, e.inFlight...)
-}
-
-// Shards implements protocol.Partitioned.
-func (e *Backoff) Shards() int { return protocol.NumShards }
-
-// PrepareSlot implements protocol.Partitioned: pops every packet
-// scheduled for this slot into the in-flight list.  The heap is shared
-// state, so the pops are centralized here; the shard stage only reads
-// chunks of the resulting list.
-func (e *Backoff) PrepareSlot(now int64) {
 	e.inFlight = e.inFlight[:0]
 	for len(e.sched) > 0 && e.sched[0].slot <= now {
 		entry := e.sched.pop()
@@ -184,35 +167,7 @@ func (e *Backoff) PrepareSlot(now int64) {
 		e.inFlight = append(e.inFlight, entry.id)
 	}
 	e.stats.Transmissions += int64(len(e.inFlight))
-}
-
-// ShardTransmitters implements protocol.Partitioned: shard `shard`
-// emits its contiguous chunk of the in-flight list, so the shard-order
-// concatenation reproduces Transmitters exactly.
-func (e *Backoff) ShardTransmitters(now int64, shard int, buf []channel.PacketID) []channel.PacketID {
-	lo, hi := protocol.ShardRange(len(e.inFlight), shard, protocol.NumShards)
-	return append(buf, e.inFlight[lo:hi]...)
-}
-
-// ShardObserve implements protocol.Partitioned.  Rescheduling draws
-// from the shared RNG in in-flight order, so it must stay centralized
-// in ReduceSlot; the per-shard stage has nothing to do.
-func (e *Backoff) ShardObserve(shard int, fb channel.Feedback) {}
-
-// ReduceSlot implements protocol.Partitioned.
-func (e *Backoff) ReduceSlot(fb channel.Feedback) { e.Observe(fb) }
-
-// ShardPending implements protocol.Partitioned.
-func (e *Backoff) ShardPending(shard int) int { return e.shardPending[int(shard)] }
-
-// ShardNextWake implements protocol.PartitionedWaker.  The schedule is
-// one shared heap, so shard 0 answers for everyone and the other shards
-// report no wake-up; the engine's min-reduce then equals NextWake.
-func (e *Backoff) ShardNextWake(now int64, shard int) int64 {
-	if shard != 0 {
-		return -1
-	}
-	return e.NextWake(now)
+	return append(buf, e.inFlight...)
 }
 
 // Observe implements protocol.Protocol: deliveries remove packets;
@@ -222,7 +177,6 @@ func (e *Backoff) Observe(fb channel.Feedback) {
 		for _, id := range fb.Event.Packets {
 			if _, ok := e.failures.Delete(int64(id)); ok {
 				e.pending--
-				e.shardPending[int(id)%protocol.NumShards]--
 				e.stats.Delivered++
 			}
 		}

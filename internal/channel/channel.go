@@ -162,9 +162,7 @@ type Channel struct {
 	// may skip classification.
 	lastBad bool
 
-	// sdup and flat serve StepSharded (chunked transmitter input from
-	// the staged engine).
-	sdup ShardedDup
+	// flat is StepSharded's reused concatenation buffer.
 	flat []PacketID
 }
 
@@ -246,38 +244,21 @@ func (c *Channel) StepRepeat(now int64) (SlotClass, *Event) {
 	return Bad, nil
 }
 
-// StepSharded is Step for a transmitter list delivered as ordered
-// chunks — the staged engine's per-shard buffers — with identical
-// semantics and statistics to Step(now, concatenation of chunks).
-// Good slots (at most κ transmitters) flatten and take the serial
-// path; the O(transmitters) duplicate validation of large bad slots
-// runs as per-shard partials scheduled through fan and merged in shard
-// order, so the result (including which duplicate a protocol bug
-// panics on) is identical at every worker count.  A nil fan runs the
-// partials inline.
-func (c *Channel) StepSharded(now int64, chunks [][]PacketID, fan FanOut) (SlotClass, *Event) {
-	total := 0
-	for _, ch := range chunks {
-		total += len(ch)
-	}
-	switch {
-	case total == 0:
-		c.stats.SilentSlots++
-		c.lastBad = false
-		return Silent, nil
-	case total > c.kappa:
-		c.sdup.Check("channel", chunks, fan)
-		c.stats.BadSlots++
-		c.lastBad = true
-		return Bad, nil
-	}
+// FanOut schedules n independent tasks f(0)..f(n-1) and returns when
+// all have finished.  It survives only in the medium.Sharded signature.
+type FanOut func(n int, f func(int))
+
+// StepSharded is Step on the concatenation of ordered transmitter
+// chunks, built in a reused buffer.  No engine path calls it: it serves
+// the benchmark's traced replay of the retired staged slot cycle (via
+// medium.Sharded), and goes when a later benchmark change retires that
+// replay.
+func (c *Channel) StepSharded(now int64, chunks [][]PacketID) (SlotClass, *Event) {
 	c.flat = c.flat[:0]
 	for _, ch := range chunks {
 		c.flat = append(c.flat, ch...)
 	}
-	c.checkDuplicates(c.flat)
-	c.lastBad = false
-	return Good, c.goodSlot(now, c.flat)
+	return c.Step(now, c.flat)
 }
 
 // goodSlot runs the good-slot pipeline: prune the window cap, record
@@ -538,7 +519,6 @@ func (c *Channel) Reset() {
 	c.stats = Stats{}
 	c.prevTxs = c.prevTxs[:0]
 	c.lastBad = false
-	c.sdup.Reset()
 }
 
 // PendingGoodSlots returns the number of good slots currently tracked

@@ -21,10 +21,9 @@ func permute(g *rng.Rand, txs []PacketID) []PacketID {
 
 // stepEqual drives one slot through both channels — canonical order
 // into ref, permuted order into alt — and fails if the slot class, the
-// decoding event, or the running stats diverge.  This is the invariant
-// the staged engine's shard fan-out rests on: a slot's outcome depends
-// on the set of transmitters, never on the order shard concatenation
-// happens to produce.
+// decoding event, or the running stats diverge: a slot's outcome
+// depends on the set of transmitters, never on the order a protocol
+// happens to list them in.
 func stepEqual(t *testing.T, now int64, ref, alt *Channel, canonical, permuted []PacketID) {
 	t.Helper()
 	rc, re := ref.Step(now, canonical)

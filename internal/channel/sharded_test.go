@@ -6,9 +6,9 @@ import (
 )
 
 // chunkify splits txs into nc chunks whose sizes follow a deterministic
-// uneven pattern (including empty chunks), mimicking the per-shard
-// transmitter buffers the staged engine hands to StepSharded.  The
-// concatenation in chunk order always equals txs.
+// uneven pattern (including empty chunks), the ordered chunks
+// StepSharded takes.  The concatenation in chunk order always equals
+// txs.
 func chunkify(txs []PacketID, nc int, skew int) [][]PacketID {
 	chunks := make([][]PacketID, nc)
 	i := 0
@@ -28,22 +28,12 @@ func chunkify(txs []PacketID, nc int, skew int) [][]PacketID {
 	return chunks
 }
 
-// reverseFan executes the fanned stages in reverse index order, single
-// threaded.  StepSharded's contract says stage order cannot matter —
-// each stage index writes disjoint state — so results must be identical
-// to the inline ascending fan.
-func reverseFan(n int, f func(int)) {
-	for i := n - 1; i >= 0; i-- {
-		f(i)
-	}
-}
-
 // stepBothEqual drives one slot through ref.Step(flat) and
 // shard.StepSharded(chunks) and fails on any observable divergence.
-func stepBothEqual(t *testing.T, now int64, ref, shard *Channel, txs []PacketID, chunks [][]PacketID, fan FanOut) {
+func stepBothEqual(t *testing.T, now int64, ref, shard *Channel, txs []PacketID, chunks [][]PacketID) {
 	t.Helper()
 	rc, re := ref.Step(now, txs)
-	sc, se := shard.StepSharded(now, chunks, fan)
+	sc, se := shard.StepSharded(now, chunks)
 	if rc != sc {
 		t.Fatalf("slot %d (%v): class %v (Step) vs %v (StepSharded)", now, txs, rc, sc)
 	}
@@ -65,13 +55,13 @@ func stepBothEqual(t *testing.T, now int64, ref, shard *Channel, txs []PacketID,
 	}
 }
 
-// FuzzStepShardedAgainstStep pins the pre-reduce contract: feeding the
-// staged engine's per-shard chunks through StepSharded is observably
-// identical to feeding their concatenation through Step — for any chunk
-// boundaries, any fan execution order, and schedules spanning silence,
-// decoding events, and overfull bad slots.  Encoding matches
-// FuzzChannelAgainstReference: byte 0 picks κ, byte 1 the window cap,
-// byte 2 the chunk count and skew; each following byte is one slot.
+// FuzzStepShardedAgainstStep pins StepSharded's contract: feeding
+// ordered chunks through StepSharded is observably identical to feeding
+// their concatenation through Step — for any chunk boundaries, and
+// schedules spanning silence, decoding events, and overfull bad slots.
+// Encoding matches FuzzChannelAgainstReference: byte 0 picks κ, byte 1
+// the window cap, byte 2 the chunk count and skew; each following byte
+// is one slot.
 func FuzzStepShardedAgainstStep(f *testing.F) {
 	f.Add([]byte{0x03, 0x08, 0x05, 0x02, 0x13, 0x00, 0x21, 0x01})
 	f.Add([]byte{0x00, 0x00, 0x01, 0x01, 0x01})
@@ -87,10 +77,6 @@ func FuzzStepShardedAgainstStep(f *testing.F) {
 		skew := int(data[2] >> 4)
 		ref := New(kappa, maxWindow)
 		shard := New(kappa, maxWindow)
-		fan := FanOut(nil) // nil fan = inline ascending, per the contract
-		if skew%2 == 1 {
-			fan = reverseFan
-		}
 		txs := make([]PacketID, 0, 16)
 		for now, b := range data[3:] {
 			n := int(b & 0x0f)
@@ -99,7 +85,7 @@ func FuzzStepShardedAgainstStep(f *testing.F) {
 			for i := 0; i < n; i++ {
 				txs = append(txs, PacketID((off+i)%24))
 			}
-			stepBothEqual(t, int64(now), ref, shard, txs, chunkify(txs, nc, skew+now), fan)
+			stepBothEqual(t, int64(now), ref, shard, txs, chunkify(txs, nc, skew+now))
 		}
 	})
 }
@@ -117,11 +103,11 @@ func TestStepShardedSparseIDs(t *testing.T) {
 	// Overfull slot: all sparse IDs at once (bad), then replay, then
 	// drip them in singletons so decoding events deliver them.
 	all := append([]PacketID(nil), ids...)
-	stepBothEqual(t, now, ref, shard, all, chunkify(all, 3, 1), nil)
+	stepBothEqual(t, now, ref, shard, all, chunkify(all, 3, 1))
 	now++
 	for _, id := range ids {
 		one := []PacketID{id}
-		stepBothEqual(t, now, ref, shard, one, chunkify(one, 2, 0), nil)
+		stepBothEqual(t, now, ref, shard, one, chunkify(one, 2, 0))
 		now++
 	}
 	if ref.Stats().Delivered == 0 {
@@ -194,34 +180,32 @@ func TestStepRepeatPanicsWithoutBad(t *testing.T) {
 	}
 }
 
-// TestStepShardedDuplicatePanic pins which duplicate the sharded dup
-// check reports: the panic message must be deterministic at any fan,
-// naming a duplicated packet regardless of chunk boundaries.
+// TestStepShardedDuplicatePanic pins which duplicate StepSharded
+// reports: the panic message must name the same duplicated packet
+// regardless of chunk boundaries.
 func TestStepShardedDuplicatePanic(t *testing.T) {
 	txs := make([]PacketID, 0, 40)
 	for i := 0; i < 19; i++ {
 		txs = append(txs, PacketID(i))
 	}
-	txs = append(txs, 7, 3) // two duplicates; shard merge order picks the winner
+	txs = append(txs, 7, 3) // two duplicates
 	var msgs []string
 	for _, nc := range []int{1, 3, 16} {
-		for _, fan := range []FanOut{nil, reverseFan} {
-			c := New(2, 0)
-			func() {
-				defer func() {
-					r := recover()
-					if r == nil {
-						t.Fatalf("nc=%d: duplicate transmitter should panic", nc)
-					}
-					msgs = append(msgs, fmt.Sprint(r))
-				}()
-				c.StepSharded(0, chunkify(txs, nc, 0), fan)
+		c := New(2, 0)
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("nc=%d: duplicate transmitter should panic", nc)
+				}
+				msgs = append(msgs, fmt.Sprint(r))
 			}()
-		}
+			c.StepSharded(0, chunkify(txs, nc, 0))
+		}()
 	}
 	for _, m := range msgs[1:] {
 		if m != msgs[0] {
-			t.Fatalf("duplicate panic message depends on chunking/fan: %q vs %q", m, msgs[0])
+			t.Fatalf("duplicate panic message depends on chunking: %q vs %q", m, msgs[0])
 		}
 	}
 }

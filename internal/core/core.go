@@ -146,8 +146,8 @@ type DecodableBackoff struct {
 	loc arena.Index[location]
 
 	active int // packets currently in buckets (excludes joiners and inactive)
-	// shardPending counts pending packets per engine shard (keyed by
-	// id mod NumShards) so the staged engine can audit shard ownership.
+	// shardPending counts pending packets per shard (id mod NumShards)
+	// for ShardPending, which only the benchmark's traced replay reads.
 	shardPending [protocol.NumShards]int
 
 	inEpoch      bool
@@ -423,13 +423,16 @@ func (d *DecodableBackoff) Transmitters(now int64, buf []channel.PacketID) []cha
 	return buf
 }
 
-// Shards implements protocol.Partitioned.
+// Shards implements protocol.Partitioned.  The Partitioned methods are
+// called by no engine path; they serve only the benchmark's traced
+// replay of the retired staged cycle, and go when a later change to the
+// benchmark retires that replay.
 func (d *DecodableBackoff) Shards() int { return protocol.NumShards }
 
 // PrepareSlot implements protocol.Partitioned: the slot's only
 // centralized decision is starting a new epoch (which consumes the RNG
 // for joiner selection), so everything RNG-dependent happens here and
-// the shard stages are pure reads.
+// the shard stages are pure reads.  Transmitters runs it too.
 func (d *DecodableBackoff) PrepareSlot(now int64) {
 	if !d.inEpoch {
 		d.startEpoch(now)

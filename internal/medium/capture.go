@@ -29,15 +29,12 @@ type Capture struct {
 
 	ev   channel.Event
 	pkts []channel.PacketID // reused event storage, ≤ κ entries
-	flat []channel.PacketID // sharded small-slot flatten scratch
 
 	lastBad bool
-	sdup    channel.ShardedDup
 }
 
 var (
 	_ Medium   = (*Capture)(nil)
-	_ Sharded  = (*Capture)(nil)
 	_ Repeater = (*Capture)(nil)
 )
 
@@ -73,27 +70,6 @@ func (c *Capture) Step(now int64, txs []channel.PacketID) (channel.SlotClass, *c
 		c.dup.check(txs)
 		return c.collide(now)
 	}
-}
-
-// StepSharded implements Sharded.  Only slots above the threshold carry
-// O(transmitters) work (the duplicate validation), and that runs as
-// per-shard partials; decodable slots hold at most κ packets and take
-// the serial path on their shard-order concatenation, so class, event,
-// and any duplicate panic match Step exactly.
-func (c *Capture) StepSharded(now int64, chunks [][]channel.PacketID, fan channel.FanOut) (channel.SlotClass, *channel.Event) {
-	total := 0
-	for _, ch := range chunks {
-		total += len(ch)
-	}
-	if total > c.kappa {
-		c.sdup.Check("medium", chunks, fan)
-		return c.collide(now)
-	}
-	c.flat = c.flat[:0]
-	for _, ch := range chunks {
-		c.flat = append(c.flat, ch...)
-	}
-	return c.Step(now, c.flat)
 }
 
 // StepRepeat implements Repeater: a destroyed slot leaves no state
@@ -156,5 +132,4 @@ func (c *Capture) Reset() {
 	c.stats = channel.Stats{}
 	c.last = channel.Feedback{}
 	c.lastBad = false
-	c.sdup.Reset()
 }

@@ -108,9 +108,6 @@ func TestCaptureDuplicatePanics(t *testing.T) {
 	mustPanic("destroyed slot", func() {
 		NewCapture(1).Step(0, []channel.PacketID{5, 6, 5})
 	})
-	mustPanic("sharded destroyed slot", func() {
-		NewCapture(1).StepSharded(0, [][]channel.PacketID{{5, 6}, {5}}, nil)
-	})
 	mustPanic("zero kappa", func() { NewCapture(0) })
 }
 

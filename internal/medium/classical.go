@@ -86,12 +86,10 @@ type Classical struct {
 	pkt [1]channel.PacketID
 
 	lastBad bool
-	sdup    channel.ShardedDup
 }
 
 var (
 	_ Medium   = (*Classical)(nil)
-	_ Sharded  = (*Classical)(nil)
 	_ Repeater = (*Classical)(nil)
 )
 
@@ -126,33 +124,6 @@ func (c *Classical) Step(now int64, txs []channel.PacketID) (channel.SlotClass, 
 		return c.success(now, txs[0])
 	default:
 		c.dup.check(txs)
-		return c.collide(now)
-	}
-}
-
-// StepSharded implements Sharded: only the duplicate validation of
-// collided slots is O(transmitters), and it runs as per-shard partials.
-func (c *Classical) StepSharded(now int64, chunks [][]channel.PacketID, fan channel.FanOut) (channel.SlotClass, *channel.Event) {
-	total := 0
-	for _, ch := range chunks {
-		total += len(ch)
-	}
-	switch total {
-	case 0:
-		c.lastBad = false
-		c.stats.SilentSlots++
-		c.setLast(now, channel.Silent, nil)
-		return channel.Silent, nil
-	case 1:
-		c.lastBad = false
-		for _, ch := range chunks {
-			if len(ch) > 0 {
-				return c.success(now, ch[0])
-			}
-		}
-		panic("medium: unreachable")
-	default:
-		c.sdup.Check("medium", chunks, fan)
 		return c.collide(now)
 	}
 }
@@ -222,5 +193,4 @@ func (c *Classical) Reset() {
 	c.stats = channel.Stats{}
 	c.last = channel.Feedback{}
 	c.lastBad = false
-	c.sdup.Reset()
 }

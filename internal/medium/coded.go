@@ -41,11 +41,10 @@ func (c *Coded) Step(now int64, txs []channel.PacketID) (channel.SlotClass, *cha
 	return class, ev
 }
 
-// StepSharded implements Sharded by delegating to the detector's
-// chunked entry point: large bad slots validate their transmitters as
-// per-shard partials, good slots flatten onto the serial path.
-func (c *Coded) StepSharded(now int64, chunks [][]channel.PacketID, fan channel.FanOut) (channel.SlotClass, *channel.Event) {
-	class, ev := c.ch.StepSharded(now, chunks, fan)
+// StepSharded implements Sharded.  fan is unused: the detector steps the
+// concatenated chunks serially.  No engine path calls it (see Sharded).
+func (c *Coded) StepSharded(now int64, chunks [][]channel.PacketID, _ channel.FanOut) (channel.SlotClass, *channel.Event) {
+	class, ev := c.ch.StepSharded(now, chunks)
 	c.last = channel.Feedback{Slot: now, Silent: class == channel.Silent, Event: ev}
 	return class, ev
 }

@@ -10,9 +10,8 @@ import (
 // decoded with the same encoding as the channel package's fuzz target,
 // through the optimized Capture medium and the naive CaptureReference
 // oracle, asserting identical classes, events, feedback, and stats on
-// every slot.  A sharded twin stepped through StepSharded (chunks split
-// from the same slot) and a repeater twin replaying destroyed slots
-// via StepRepeat are cross-checked alongside.
+// every slot.  A repeater twin replaying destroyed slots via StepRepeat
+// is cross-checked alongside.
 //
 // Schedule encoding: byte 0 picks κ ∈ [1, 8]; each following byte is
 // one slot, low nibble the transmitter count n ∈ [0, 15] and high
@@ -28,7 +27,6 @@ func FuzzCaptureAgainstReference(f *testing.F) {
 		}
 		kappa := 1 + int(data[0]%8)
 		fast := NewCapture(kappa)
-		sharded := NewCapture(kappa)
 		repeat := NewCapture(kappa)
 		ref := NewCaptureReference(kappa)
 
@@ -71,21 +69,6 @@ func FuzzCaptureAgainstReference(f *testing.F) {
 				t.Fatalf("slot %d: feedback %+v vs reference %+v", now, fbFast, fbRef)
 			}
 
-			// Sharded twin: the same slot split into uneven chunks must
-			// produce the same verdict through StepSharded.
-			chunks := [][]channel.PacketID{txs[:n/3], txs[n/3 : n/3*2], txs[n/3*2:]}
-			sc, se := sharded.StepSharded(now, chunks, nil)
-			if sc != fc || (se == nil) != (fe == nil) {
-				t.Fatalf("slot %d: sharded class %v ev %v vs serial %v %v", now, sc, se, fc, fe)
-			}
-			if se != nil {
-				for i := range se.Packets {
-					if se.Packets[i] != fe.Packets[i] {
-						t.Fatalf("slot %d: sharded delivers %v vs serial %v", now, se.Packets, fe.Packets)
-					}
-				}
-			}
-
 			// Repeater twin: a destroyed slot directly following another
 			// replays through StepRepeat (the engine coasts bad slots this
 			// way) and must keep stats and feedback aligned with a re-step.
@@ -100,9 +83,6 @@ func FuzzCaptureAgainstReference(f *testing.F) {
 		}
 		if fast.Stats() != ref.Stats() {
 			t.Fatalf("stats %+v, reference %+v", fast.Stats(), ref.Stats())
-		}
-		if sharded.Stats() != ref.Stats() {
-			t.Fatalf("sharded stats %+v, reference %+v", sharded.Stats(), ref.Stats())
 		}
 		if repeat.Stats() != ref.Stats() {
 			t.Fatalf("repeater stats %+v, reference %+v", repeat.Stats(), ref.Stats())

@@ -52,9 +52,6 @@ type Jammed struct {
 	// back to a full Step.
 	repValid bool
 
-	sdup channel.ShardedDup
-	flat []channel.PacketID
-
 	// collisionOnJam: to a device with ternary collision detection,
 	// jamming energy is indistinguishable from a collision.
 	collisionOnJam bool
@@ -62,7 +59,6 @@ type Jammed struct {
 
 var (
 	_ Medium   = (*Jammed)(nil)
-	_ Sharded  = (*Jammed)(nil)
 	_ Repeater = (*Jammed)(nil)
 )
 
@@ -114,33 +110,6 @@ func (m *Jammed) Step(now int64, txs []channel.PacketID) (channel.SlotClass, *ch
 	}
 	m.lastJammed = false
 	class, ev := m.inner.Step(now, txs)
-	m.repValid = class == channel.Bad
-	return class, ev
-}
-
-// StepSharded implements Sharded.  Jammed slots still validate the
-// transmitters (as partials — the inner detector never sees them);
-// clear slots forward chunked when the inner medium is Sharded and
-// flatten otherwise.
-func (m *Jammed) StepSharded(now int64, chunks [][]channel.PacketID, fan channel.FanOut) (channel.SlotClass, *channel.Event) {
-	m.r.Seed(m.seed ^ uint64(now)*0x9e3779b97f4a7c15)
-	if m.jammer.Jams(now, &m.r) {
-		m.sdup.Check("medium", chunks, fan)
-		m.repValid = false
-		return m.jamSlot(now)
-	}
-	m.lastJammed = false
-	var class channel.SlotClass
-	var ev *channel.Event
-	if sm, ok := m.inner.(Sharded); ok {
-		class, ev = sm.StepSharded(now, chunks, fan)
-	} else {
-		m.flat = m.flat[:0]
-		for _, ch := range chunks {
-			m.flat = append(m.flat, ch...)
-		}
-		class, ev = m.inner.Step(now, m.flat)
-	}
 	m.repValid = class == channel.Bad
 	return class, ev
 }
@@ -214,5 +183,4 @@ func (m *Jammed) Reset() {
 	m.lastJammed = false
 	m.repValid = false
 	m.last = channel.Feedback{}
-	m.sdup.Reset()
 }

@@ -84,14 +84,12 @@ type Medium interface {
 	Reset()
 }
 
-// Sharded is an optional Medium capability: a medium that consumes the
-// staged engine's per-shard transmitter chunks directly, running its
-// O(transmitters) pre-reduce — duplicate validation and transmitter
-// counting — as data-parallel partials before the (tiny) serial event
-// check.  StepSharded must be observably identical to
-// Step(now, concatenation of chunks) at every FanOut, including which
-// duplicate a protocol bug panics on: partials record findings and a
-// serial merge visits shards in index order.
+// Sharded is a medium that accepts a slot's transmitters as ordered
+// chunks; StepSharded must be observably identical to Step(now,
+// concatenation of chunks).  Only Coded implements it.  No engine path
+// calls it: it exists for the benchmark's traced replay of the retired
+// staged slot cycle (crnperf's dba-batch), and goes when a later change
+// to the benchmark retires that replay.
 type Sharded interface {
 	StepSharded(now int64, chunks [][]channel.PacketID, fan channel.FanOut) (channel.SlotClass, *channel.Event)
 }

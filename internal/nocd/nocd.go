@@ -23,13 +23,9 @@
 // perform on their own arrival.  Within a busy period the schedule uses
 // no global knowledge.
 //
-// Both schemes implement protocol.Partitioned: the schedule advance and
-// the slot's sampling are centralized in PrepareSlot (they consume the
-// protocol's RNG), shards emit contiguous chunks of the sampled
-// in-flight list, and feedback reduces centrally — bit-identical at
-// every sim.Config.Workers count.  Neither implements protocol.Waker,
-// so the engine fast-forwards only across provably empty stretches and
-// the gap-equals-silence contract holds trivially.
+// Neither scheme implements protocol.Waker, so the engine fast-forwards
+// only across provably empty stretches and the gap-equals-silence
+// contract holds trivially.
 package nocd
 
 import (
@@ -125,23 +121,14 @@ type Scheme struct {
 	name  string
 	sched schedule
 
-	ids []channel.PacketID
-	loc map[channel.PacketID]int
-	// inFlight is the slot's sampled transmitter list, built by
-	// PrepareSlot and read (in contiguous chunks) by the shard stage.
-	inFlight []channel.PacketID
-	// shardPending counts pending packets per engine shard (keyed by
-	// id mod NumShards) so the staged engine can audit shard ownership.
-	shardPending [protocol.NumShards]int
-	stats        Stats
-	scratch      []int
-	evSort       []channel.PacketID
+	ids     []channel.PacketID
+	loc     map[channel.PacketID]int
+	stats   Stats
+	scratch []int
+	evSort  []channel.PacketID
 }
 
-var (
-	_ protocol.Protocol    = (*Scheme)(nil)
-	_ protocol.Partitioned = (*Scheme)(nil)
-)
+var _ protocol.Protocol = (*Scheme)(nil)
 
 // NewUnbounded returns the unknown-n geometric back-on scheme.
 func NewUnbounded(r *rng.Rand) *Scheme {
@@ -178,57 +165,27 @@ func (s *Scheme) Inject(now int64, ids []channel.PacketID) {
 		}
 		s.loc[id] = len(s.ids)
 		s.ids = append(s.ids, id)
-		s.shardPending[int(id)%protocol.NumShards]++
 	}
 }
 
-// Transmitters implements protocol.Protocol.
+// Transmitters implements protocol.Protocol: every pending packet
+// transmits independently with the schedule's current probability.
+// Empty slots (nothing pending) leave the schedule and the RNG
+// untouched, which keeps the stream aligned with the engine's
+// fast-forwarding across empty stretches.
 func (s *Scheme) Transmitters(now int64, buf []channel.PacketID) []channel.PacketID {
-	s.PrepareSlot(now)
-	return append(buf, s.inFlight...)
-}
-
-// Shards implements protocol.Partitioned.
-func (s *Scheme) Shards() int { return protocol.NumShards }
-
-// PrepareSlot implements protocol.Partitioned: the schedule advance and
-// the independent per-packet sampling both live here — the schedule is
-// shared state and the sampler consumes the protocol's RNG, so neither
-// may run per shard.  Empty slots (nothing pending) leave the schedule
-// and the RNG untouched, which keeps the stream aligned with the
-// engine's fast-forwarding across empty stretches.
-func (s *Scheme) PrepareSlot(now int64) {
-	s.inFlight = s.inFlight[:0]
 	n := len(s.ids)
 	if n == 0 {
-		return
+		return buf
 	}
 	p := s.sched.advance()
 	s.scratch = s.rand.SampleIndices(s.scratch[:0], n, p)
 	for _, idx := range s.scratch {
-		s.inFlight = append(s.inFlight, s.ids[idx])
+		buf = append(buf, s.ids[idx])
 	}
-	s.stats.Transmissions += int64(len(s.inFlight))
+	s.stats.Transmissions += int64(len(s.scratch))
+	return buf
 }
-
-// ShardTransmitters implements protocol.Partitioned: shard `shard`
-// emits its contiguous chunk of the sampled in-flight list, so the
-// shard-order concatenation reproduces Transmitters exactly.
-func (s *Scheme) ShardTransmitters(now int64, shard int, buf []channel.PacketID) []channel.PacketID {
-	lo, hi := protocol.ShardRange(len(s.inFlight), shard, protocol.NumShards)
-	return append(buf, s.inFlight[lo:hi]...)
-}
-
-// ShardObserve implements protocol.Partitioned.  Removal compacts the
-// shared ids slice, so it stays centralized in ReduceSlot; the
-// per-shard stage has nothing to do.
-func (s *Scheme) ShardObserve(shard int, fb channel.Feedback) {}
-
-// ReduceSlot implements protocol.Partitioned.
-func (s *Scheme) ReduceSlot(fb channel.Feedback) { s.Observe(fb) }
-
-// ShardPending implements protocol.Partitioned.
-func (s *Scheme) ShardPending(shard int) int { return s.shardPending[shard] }
 
 // Observe implements protocol.Protocol: only deliveries matter — a
 // no-CD station hears nothing else.  Delivered packets are removed in
@@ -237,7 +194,6 @@ func (s *Scheme) ShardPending(shard int) int { return s.shardPending[shard] }
 // event-packet ordering (fuzz-verified).  When the last pending packet
 // leaves, the schedule rewinds for the next busy period.
 func (s *Scheme) Observe(fb channel.Feedback) {
-	s.inFlight = s.inFlight[:0]
 	if fb.Event == nil {
 		return
 	}
@@ -256,7 +212,6 @@ func (s *Scheme) Observe(fb channel.Feedback) {
 			s.loc[moved] = idx
 		}
 		delete(s.loc, id)
-		s.shardPending[int(id)%protocol.NumShards]--
 		s.stats.Delivered++
 	}
 	if len(s.ids) == 0 {

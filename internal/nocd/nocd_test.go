@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/channel"
-	"repro/internal/protocol"
 	"repro/internal/rng"
 )
 
@@ -67,81 +66,6 @@ func TestScheduleOverflowCap(t *testing.T) {
 	s.advance()
 	if s.left < 0 {
 		t.Fatalf("saw dwell overflowed: left = %d", s.left)
-	}
-}
-
-// TestSchemePartitionedContract checks the Partitioned invariants on
-// both no-CD schemes: two same-seed instances — one driven through the
-// monolithic cycle, one through the staged cycle — stay in lockstep
-// (transmitter lists and pendings) through a full batch drain.
-func TestSchemePartitionedContract(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		build func(r *rng.Rand) *Scheme
-	}{
-		{"unbounded", NewUnbounded},
-		{"robust", NewRobust},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			const kappa = 8
-			mono := tc.build(rng.New(9))
-			staged := tc.build(rng.New(9))
-			chM := channel.New(kappa, 4*kappa)
-			chS := channel.New(kappa, 4*kappa)
-
-			ids := make([]channel.PacketID, 60)
-			for i := range ids {
-				ids[i] = channel.PacketID(i)
-			}
-			mono.Inject(0, ids)
-			staged.Inject(0, ids)
-
-			for now := int64(1); now < 1<<20 && mono.Pending() > 0; now++ {
-				txM := mono.Transmitters(now, nil)
-
-				staged.PrepareSlot(now)
-				var txS []channel.PacketID
-				for sh := 0; sh < staged.Shards(); sh++ {
-					txS = staged.ShardTransmitters(now, sh, txS)
-				}
-				if len(txM) != len(txS) {
-					t.Fatalf("slot %d: staged %d transmitters, monolithic %d", now, len(txS), len(txM))
-				}
-				for i := range txM {
-					if txM[i] != txS[i] {
-						t.Fatalf("slot %d: transmitter order diverges at %d", now, i)
-					}
-				}
-
-				classM, evM := chM.Step(now, txM)
-				mono.Observe(channel.Feedback{Slot: now, Silent: classM == channel.Silent, Event: evM})
-
-				classS, evS := chS.Step(now, txS)
-				fbS := channel.Feedback{Slot: now, Silent: classS == channel.Silent, Event: evS}
-				for sh := 0; sh < staged.Shards(); sh++ {
-					staged.ShardObserve(sh, fbS)
-				}
-				staged.ReduceSlot(fbS)
-
-				sum := 0
-				for sh := 0; sh < staged.Shards(); sh++ {
-					sum += staged.ShardPending(sh)
-				}
-				if sum != staged.Pending() || staged.Pending() != mono.Pending() {
-					t.Fatalf("slot %d: shard sum %d, staged pending %d, monolithic pending %d",
-						now, sum, staged.Pending(), mono.Pending())
-				}
-			}
-			if mono.Pending() != 0 {
-				t.Fatalf("batch not drained: %d pending", mono.Pending())
-			}
-			if staged.Shards() != protocol.NumShards {
-				t.Fatalf("Shards() = %d, want %d", staged.Shards(), protocol.NumShards)
-			}
-			if st := mono.Stats(); st.Delivered != int64(len(ids)) {
-				t.Fatalf("Stats().Delivered = %d, want %d", st.Delivered, len(ids))
-			}
-		})
 	}
 }
 

@@ -51,21 +51,12 @@ type Case struct {
 	Kappa     int     `json:"kappa"`
 	N         int     `json:"n"`    // batch size, or horizon for steady workloads
 	Rate      float64 `json:"rate"` // steady arrival rate (0 for batch)
-	// Workers selects the staged intra-trial engine (sim.Config.Workers);
-	// 0 times the serial reference.  Simulation outcomes are identical,
-	// only timing differs — the axis exists to record the staged engine's
-	// scaling trajectory.
-	Workers int `json:"workers,omitempty"`
 }
 
 // Key renders the cell coordinates; it is the artifact's join key.
 func (c Case) Key() string {
-	key := fmt.Sprintf("%s/%s/adv=%s/%s/k=%d/n=%d",
+	return fmt.Sprintf("%s/%s/adv=%s/%s/k=%d/n=%d",
 		c.Protocol, c.Model, c.Adversary, c.Workload, c.Kappa, c.N)
-	if c.Workers > 0 {
-		key += fmt.Sprintf("/w=%d", c.Workers)
-	}
-	return key
 }
 
 // combo is a protocol/model pairing with its per-protocol sizing: the
@@ -117,16 +108,6 @@ func Cases(scale Scale) []Case {
 		cases = append(cases, Case{Protocol: cb.protocol, Model: cb.model,
 			Adversary: "none", Workload: fmt.Sprintf("steady:%.2f", cb.steadyRate),
 			Kappa: cb.kappa, N: steadyN, Rate: cb.steadyRate})
-	}
-	// Workers axis: the staged engine on the largest dba/coded batch the
-	// scale runs — the Theorem 16 cell intra-trial parallelism exists
-	// for.  The serial (workers-unset) twin is already in the batch grid
-	// above, so these cells record the staged engine's scaling
-	// trajectory next to it.
-	workersN := batchNs[len(batchNs)-1]
-	for _, w := range []int{1, 4} {
-		cases = append(cases, Case{Protocol: "dba", Model: "coded", Adversary: "none",
-			Workload: "batch", Kappa: 64, N: workersN, Workers: w})
 	}
 	return cases
 }
@@ -257,7 +238,7 @@ func measure(c Case, seed uint64, trials int) Measurement {
 // build constructs one trial's engine inputs.  Components are stateful:
 // every trial gets fresh instances.
 func build(c Case, seed uint64) (sim.Config, protocol.Protocol, arrival.Process) {
-	cfg := sim.Config{Kappa: c.Kappa, Seed: seed, Workers: c.Workers}
+	cfg := sim.Config{Kappa: c.Kappa, Seed: seed}
 	if c.Model != "coded" {
 		med, err := medium.New(c.Model, c.Kappa, 0)
 		if err != nil {

@@ -53,7 +53,7 @@ type Waker interface {
 // (inclusive, ≥ now) through which the protocol guarantees its
 // transmitter set is frozen: every slot in (now, CoastUntil(now)] would
 // see Transmitters return exactly the list just collected, with no RNG
-// consumption and no PrepareSlot work — and the guarantee must hold
+// consumption and no other state change — and the guarantee must hold
 // even across arrivals injected in that range (arrivals must not alter
 // the current transmitter set, only future ones).
 //
@@ -68,91 +68,68 @@ type Coaster interface {
 }
 
 // NumShards is the fixed shard count of every Partitioned protocol in
-// this repository.  The count is deliberately a constant, independent of
-// how many worker goroutines the engine runs: the shard structure (which
-// packet belongs to which shard, how per-slot output chunks) is part of
-// a protocol's deterministic execution, so it must not vary with the
-// machine or the Config.Workers knob.  Workers only decides how many
-// goroutines sweep the fixed shards; results are bit-identical at any
-// worker count by construction.
+// this repository.
 const NumShards = 16
 
-// Partitioned is an optional interface for protocols whose per-slot
-// station work can fan out across NumShards shards, letting the staged
-// engine (sim.Config.Workers ≥ 1) parallelize one huge trial.
+// Partitioned is a protocol whose per-slot station work splits across a
+// fixed shard set, in the staged cycle
 //
-// The staged per-slot cycle is
-//
-//	PrepareSlot(now)                     // centralized decisions, serial
-//	ShardTransmitters(now, 0..S-1, ...)  // fan-out, any order/concurrency
+//	PrepareSlot(now)                     // centralized decisions
+//	ShardTransmitters(now, 0..S-1, ...)  // per-shard transmitter chunks
 //	          ... medium Step ...
-//	ShardObserve(0..S-1, fb)             // fan-out, any order/concurrency
-//	ReduceSlot(fb)                       // centralized reduce, serial
+//	ShardObserve(0..S-1, fb)             // per-shard feedback
+//	ReduceSlot(fb)                       // centralized reduce
 //
-// and the contract is bit-exactness: with the engine concatenating the
-// ShardTransmitters outputs in shard order, the cycle must leave the
-// protocol in exactly the state (including its RNG stream position) the
-// monolithic Transmitters/Observe cycle would, and emit exactly the same
-// transmitter list in the same order.  The discipline that makes this
-// achievable: every state update that consumes randomness or touches
-// shared structures lives in PrepareSlot/ReduceSlot (serial stages);
-// ShardTransmitters and ShardObserve only read shared state and write
-// shard-local state.  Implementations must keep ShardTransmitters and
-// ShardObserve free of data races when called concurrently for distinct
-// shards.
+// The contract is bit-exactness: with the ShardTransmitters outputs
+// concatenated in shard order, the cycle must emit exactly the
+// transmitters, in the same order, and leave the protocol in exactly
+// the state (RNG stream position included) that the
+// Transmitters/Observe cycle would.
+//
+// No engine path calls it: sim.Run drives every protocol through one
+// serial loop.  It exists only for the benchmark's traced replay of the
+// retired staged cycle (crnperf's dba-batch), and goes when a later
+// change to the benchmark retires that replay.  Only the Decodable
+// Backoff core implements it.
 type Partitioned interface {
 	Protocol
 
-	// Shards returns the shard count (NumShards for every in-repo
-	// implementation).  It must be constant over the protocol's lifetime.
+	// Shards returns the shard count; constant over the lifetime.
 	Shards() int
 
-	// PrepareSlot runs the slot's centralized decision step — epoch
-	// start, joiner selection, schedule pops: everything that consumes
-	// the protocol's RNG or rewrites shared state.  The engine calls it
-	// exactly once per stepped slot, before any ShardTransmitters call.
+	// PrepareSlot runs the slot's centralized decision step (everything
+	// that consumes the RNG or rewrites shared state), once per stepped
+	// slot, before any ShardTransmitters call.
 	PrepareSlot(now int64)
 
 	// ShardTransmitters appends shard `shard`'s transmitters for slot
-	// `now` to buf and returns it.  Concatenated in increasing shard
-	// order, the shard outputs must equal what Transmitters would have
-	// returned after the same PrepareSlot.  Safe for concurrent calls
-	// with distinct shards; must not mutate shared state.
+	// `now` to buf and returns it.  It must not mutate shared state.
 	ShardTransmitters(now int64, shard int, buf []channel.PacketID) []channel.PacketID
 
 	// ShardObserve delivers the slot's feedback to shard `shard`'s local
-	// state.  Safe for concurrent calls with distinct shards; must not
-	// mutate shared state.  Protocols whose feedback handling is
-	// inherently centralized (all in-repo ones) implement it as a no-op
-	// and do the work in ReduceSlot.
+	// state.  It must not mutate shared state.
 	ShardObserve(shard int, fb channel.Feedback)
 
 	// ReduceSlot runs the slot's centralized feedback reduce after every
-	// ShardObserve call returned.  After it, the protocol's state must be
-	// bit-identical to what Observe(fb) would have produced on the serial
-	// path.
+	// ShardObserve call; afterwards the state must equal what Observe(fb)
+	// would have produced.
 	ReduceSlot(fb channel.Feedback)
 
-	// ShardPending returns the number of pending packets owned by shard
-	// `shard`; the sum over all shards must equal Pending().  Ownership
-	// is by packet ID (id mod Shards()) for every in-repo implementation.
+	// ShardPending returns the pending packets owned by shard `shard`
+	// (by packet ID mod Shards()); the sum over shards equals Pending().
 	ShardPending(shard int) int
 }
 
-// PartitionedWaker is the sharded counterpart of Waker: the staged
-// engine computes a fast-forward target by reducing per-shard wake
-// times with min (ignoring negative "no wake" answers), and that reduce
-// must equal NextWake.  ShardNextWake is called from the serial advance
-// stage, so — unlike ShardTransmitters/ShardObserve — it may touch
-// shared state (e.g. lazily popping dead schedule entries).
+// PartitionedWaker is the sharded counterpart of Waker: the min of the
+// non-negative ShardNextWake answers must equal NextWake.  Like
+// Partitioned it exists only for the benchmark's traced replay, which
+// type-asserts it; no in-repo protocol implements it.
 type PartitionedWaker interface {
 	Partitioned
 	Waker
 
 	// ShardNextWake returns the next slot at or after now at which shard
-	// `shard` may transmit, or -1 if it never will.  min over the
-	// non-negative answers must equal NextWake(now) (or every shard
-	// answers -1 exactly when NextWake has no wake-up to report).
+	// `shard` may transmit, or -1 if it never will.
 	ShardNextWake(now int64, shard int) int64
 }
 

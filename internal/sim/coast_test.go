@@ -12,10 +12,10 @@ import (
 	"repro/internal/rng"
 )
 
-// plainMedium hides a medium's optional Sharded and Repeater
-// capabilities, forcing the engine onto the legacy full-Step path for
-// every slot.  Runs through it are the executable definition of what
-// the coast fast-forward and the sharded pre-reduce must reproduce.
+// plainMedium hides a medium's optional Repeater capability, forcing
+// the engine onto the full-Step path for every slot.  Runs through it
+// are the executable definition of what the coast fast-forward must
+// reproduce.
 type plainMedium struct {
 	inner medium.Medium
 }
@@ -33,9 +33,9 @@ func (p *plainMedium) Stats() channel.Stats          { return p.inner.Stats() }
 func (p *plainMedium) Reset()                        { p.inner.Reset() }
 
 // TestCoastMatchesFullStep pins the coast fast-forward (Coaster ×
-// Repeater) and the sharded pre-reduce against the legacy path: every
-// scenario must produce byte-identical Results whether the medium
-// advertises the fast capabilities or has them hidden.  Scenarios are
+// Repeater) against the full-step path: every scenario must produce
+// byte-identical Results whether the medium advertises Repeater or has
+// it hidden.  Scenarios are
 // chosen to spend most of their slots in overfull DBA epochs — exactly
 // the regime the coast optimizes — with and without a jammer spoiling
 // slots mid-coast (the Jammed.StepRepeat fallback).
@@ -72,20 +72,12 @@ func TestCoastMatchesFullStep(t *testing.T) {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			t.Parallel()
-			for _, w := range []int{0, 3} {
-				fastCfg := sc.cfg
-				fastCfg.Workers = w
-				fast := resultDump(t, sc.run(fastCfg))
-
-				plainCfg := sc.cfg
-				plainCfg.Workers = w
-				plainCfg.Medium = &plainMedium{inner: medium.NewCoded(sc.cfg.Kappa, plainCfg.maxWindow())}
-				plain := resultDump(t, sc.run(plainCfg))
-
-				if fast != plain {
-					t.Errorf("workers=%d: coast/sharded path diverged from full-step reference\nfast:  %s\nplain: %s",
-						w, fast, plain)
-				}
+			fast := sc.run(sc.cfg)
+			plainCfg := sc.cfg
+			plainCfg.Medium = &plainMedium{inner: medium.NewCoded(sc.cfg.Kappa, plainCfg.maxWindow())}
+			plain := sc.run(plainCfg)
+			if resultDigest(fast) != resultDigest(plain) {
+				t.Errorf("coast path diverged from full-step reference\nfast:  %v\nplain: %v", fast, plain)
 			}
 		})
 	}

@@ -125,11 +125,15 @@ func checkResultInvariants(t *testing.T, res *Result) {
 }
 
 // TestConformanceGrid drives every registered protocol through every
-// channel model, adversary, and arrival shape in a compact grid, at
-// Workers 0 and 4, and holds each run to the shared invariants — via
-// the Result alone, and (when the run has no adversary injector) via an
-// independent arrival-side probe that re-derives the bookkeeping from
-// the feedback stream and must agree with the Result exactly.
+// channel model, adversary, and arrival shape in a compact grid and
+// holds each run to the shared invariants — via the Result alone, and
+// (when the run has no adversary injector) via an independent
+// arrival-side probe that re-derives the bookkeeping from the feedback
+// stream and must agree with the Result exactly.  Each cell runs twice
+// over: w0 once, w4 as four identical trials on four concurrent trial
+// workers (ForEach, as RunTrials and sweeps run them), whose digests
+// must agree — so state shared between trials shows up as a broken
+// invariant, a moved digest or, under -race, a data race.
 func TestConformanceGrid(t *testing.T) {
 	type advCase struct {
 		name     string
@@ -172,51 +176,15 @@ func TestConformanceGrid(t *testing.T) {
 						name := fmt.Sprintf("%s/%s/%s/%s/w%d", info.Name, model, adv.name, arr.name, workers)
 						t.Run(name, func(t *testing.T) {
 							t.Parallel()
-							med, err := medium.New(model, kappa, 0)
-							if err != nil {
-								t.Fatal(err)
-							}
-							cfg := Config{
-								Kappa:   med.Kappa(),
-								Horizon: 2000,
-								Drain:   true,
-								Seed:    31,
-								Workers: workers,
-								Medium:  med,
-							}
-							adv.config(&cfg)
-							proto := protocol.Build(info.Name, protocol.Params{
-								Kappa: med.Kappa(), Rand: rng.New(41), AlohaP: 0.05,
+							runs := max(workers, 1)
+							digests := make([]string, runs)
+							ForEach(runs, runs, func(i int) {
+								digests[i] = conformanceRun(t, info.Name, model, kappa, adv.config, !adv.injects, arr.build)
 							})
-							var probe *arrivalProbe
-							var process arrival.Process = arr.build()
-							if !adv.injects {
-								probe = newArrivalProbe(t, process)
-								process = probe
-							}
-							res := Run(cfg, proto, process)
-							checkResultInvariants(t, res)
-							if probe == nil {
-								return
-							}
-							if probe.injected != res.Arrivals {
-								t.Errorf("probe saw %d arrivals, result %d", probe.injected, res.Arrivals)
-							}
-							if len(probe.inject) != res.Pending {
-								t.Errorf("probe holds %d undelivered, result pending %d", len(probe.inject), res.Pending)
-							}
-							if probe.delivered != res.Delivered {
-								t.Errorf("probe saw %d deliveries, result %d", probe.delivered, res.Delivered)
-							}
-							if probe.events != res.Channel.Events {
-								t.Errorf("probe saw %d events, channel stats %d", probe.events, res.Channel.Events)
-							}
-							if probe.peak != res.PeakInFlight {
-								t.Errorf("probe in-flight peak %d, result %d", probe.peak, res.PeakInFlight)
-							}
-							if probe.silent > res.Channel.SilentSlots {
-								t.Errorf("probe heard %d silent slots, channel stats only %d",
-									probe.silent, res.Channel.SilentSlots)
+							for i, d := range digests {
+								if d != digests[0] {
+									t.Errorf("trial %d of %d diverged from trial 0", i, runs)
+								}
 							}
 						})
 					}
@@ -224,4 +192,57 @@ func TestConformanceGrid(t *testing.T) {
 			}
 		}
 	}
+}
+
+// conformanceRun runs one conformance cell, checks it, and returns its
+// digest.  It reports through t.Errorf only, so concurrent trial
+// workers may call it.
+func conformanceRun(t *testing.T, proto, model string, kappa int, disrupt func(*Config), probed bool, arr func() arrival.Process) string {
+	med, err := medium.New(model, kappa, 0)
+	if err != nil {
+		t.Error(err)
+		return ""
+	}
+	cfg := Config{
+		Kappa:   med.Kappa(),
+		Horizon: 2000,
+		Drain:   true,
+		Seed:    31,
+		Medium:  med,
+	}
+	disrupt(&cfg)
+	p := protocol.Build(proto, protocol.Params{
+		Kappa: med.Kappa(), Rand: rng.New(41), AlohaP: 0.05,
+	})
+	var probe *arrivalProbe
+	process := arr()
+	if probed {
+		probe = newArrivalProbe(t, process)
+		process = probe
+	}
+	res := Run(cfg, p, process)
+	checkResultInvariants(t, res)
+	if probe == nil {
+		return resultDigest(res)
+	}
+	if probe.injected != res.Arrivals {
+		t.Errorf("probe saw %d arrivals, result %d", probe.injected, res.Arrivals)
+	}
+	if len(probe.inject) != res.Pending {
+		t.Errorf("probe holds %d undelivered, result pending %d", len(probe.inject), res.Pending)
+	}
+	if probe.delivered != res.Delivered {
+		t.Errorf("probe saw %d deliveries, result %d", probe.delivered, res.Delivered)
+	}
+	if probe.events != res.Channel.Events {
+		t.Errorf("probe saw %d events, channel stats %d", probe.events, res.Channel.Events)
+	}
+	if probe.peak != res.PeakInFlight {
+		t.Errorf("probe in-flight peak %d, result %d", probe.peak, res.PeakInFlight)
+	}
+	if probe.silent > res.Channel.SilentSlots {
+		t.Errorf("probe heard %d silent slots, channel stats only %d",
+			probe.silent, res.Channel.SilentSlots)
+	}
+	return resultDigest(res)
 }

@@ -80,17 +80,6 @@ type Config struct {
 	// stateful: construct one per run, never share across concurrent
 	// runs.
 	Adversary adversary.Adversary
-	// Workers selects the execution path for the per-slot station work.
-	// 0 runs the serial legacy slot loop, which stays the reference.
-	// W ≥ 1 runs the staged shard/step/reduce engine, fanning the
-	// per-shard transmit-collect and feedback stages out over up to W
-	// goroutines when the protocol implements protocol.Partitioned (a
-	// non-partitioned protocol falls back to the serial path regardless).
-	// Results are bit-identical for every value — the Partitioned
-	// contract pins the RNG stream and the transmitter order to the
-	// serial cycle — so Workers is a pure wall-clock knob: it is
-	// deliberately excluded from sweep cell identities.
-	Workers int
 }
 
 // NoWindowCap disables the decoding-window length cap.
@@ -242,11 +231,11 @@ func (f *inflight) take(id channel.PacketID) int64 {
 
 // Run simulates one execution: the Loop adjudicates each slot (medium
 // composition, arrivals, feedback, accounting, fast-forward) while Run
-// executes the protocol through the serial or staged stepper.
+// drives the protocol through Inject, Transmitters, Observe and Pending,
+// plus the optional Coaster and Waker capabilities.
 func Run(cfg Config, proto protocol.Protocol, arr arrival.Process) *Result {
 	l := NewLoop(cfg, proto.Name(), arr)
 	m := l.Medium()
-	st := newStepper(cfg.Workers, proto)
 
 	// Event-driven fast-forward through runs of identical bad slots:
 	// when a slot classifies Bad and the protocol guarantees its
@@ -256,48 +245,54 @@ func Run(cfg Config, proto protocol.Protocol, arr arrival.Process) *Result {
 	// coasted slot still runs arrivals, feedback, Observe, and per-slot
 	// accounting, so results — including RNG streams — are unchanged.
 	rep, _ := m.(medium.Repeater)
+	co, _ := proto.(protocol.Coaster)
+	var wake func(int64) int64
+	if w, ok := proto.(protocol.Waker); ok {
+		wake = w.NextWake
+	}
 	coastEnd := int64(-1)
+	var txs []channel.PacketID
 
-	for l.Running(st.pending()) {
+	for l.Running(proto.Pending()) {
 		now := l.Now()
 		// Arrivals (only before the horizon).
 		if ids := l.InjectNow(); len(ids) > 0 {
 			proto.Inject(now, ids)
 		}
-		// One channel slot: prepare + transmit-collect and the medium step
-		// (or an O(1) replay while coasting through repeated bad slots),
-		// then feedback fan-out + reduce.
+		// One channel slot: collect the transmitters and step the medium
+		// (or replay in O(1) while coasting through repeated bad slots),
+		// then broadcast the feedback.
 		var class channel.SlotClass
 		var ev *channel.Event
 		if rep != nil && now <= coastEnd && rep.StepRepeat(now) {
 			class, ev = channel.Bad, nil
 		} else {
-			class, ev = st.step(now, m)
+			txs = proto.Transmitters(now, txs[:0])
+			class, ev = m.Step(now, txs)
 		}
-		st.observe(l.Observe(ev))
-		backlog := st.pending()
+		proto.Observe(l.Observe(ev))
+		backlog := proto.Pending()
 		l.Record(backlog)
 
 		// Arm (or re-arm) the coast.  Checked after the slot's observe so
 		// the protocol's epoch state is current; any non-Bad slot kills the
 		// coast, because only bad slots leave detector state untouched.
-		if class == channel.Bad && rep != nil {
-			coastEnd = st.coastUntil(now)
-		} else {
-			coastEnd = now
+		coastEnd = now
+		if class == channel.Bad && rep != nil && co != nil {
+			coastEnd = co.CoastUntil(now)
 		}
 
 		// Advance, fast-forwarding when provably nothing happens; the
 		// protocol's wake declaration only counts while not coasting.
-		var wake func(int64) int64
-		if coastEnd <= now && st.hasWaker() {
-			wake = st.nextWake
+		advWake := wake
+		if coastEnd > now {
+			advWake = nil
 		}
-		if !l.Advance(backlog, wake) {
+		if !l.Advance(backlog, advWake) {
 			break
 		}
 	}
-	return l.Finish(st.pending())
+	return l.Finish(proto.Pending())
 }
 
 // String summarizes the result in one line.

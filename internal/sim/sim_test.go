@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/jam"
 	"repro/internal/medium"
+	"repro/internal/nocd"
 	"repro/internal/protocol"
 	"repro/internal/rng"
 )
@@ -329,6 +330,105 @@ func TestRunTrialsEdgeCases(t *testing.T) {
 	}
 }
 
+// workerGrid is a protocol × medium × adversary scenario set spanning
+// the engine's paths: the DBA core (coast), both backoff shapes (Waker
+// fast-forward), classical and capture media, legacy jammers, adaptive
+// jammers, arrival adversaries, and the no-CD schemes.
+var workerGrid = []struct {
+	name string
+	run  func() *Result
+}{
+	{"dba/coded/batch", func() *Result {
+		return Run(Config{Kappa: 16, Horizon: 1, Drain: true, Seed: 11},
+			core.New(16, rng.New(101)), &arrival.Batch{At: 0, N: 3000})
+	}},
+	{"dba/coded/bernoulli+random-jam", func() *Result {
+		return Run(Config{Kappa: 16, Horizon: 20000, Drain: true, Seed: 12,
+			Jammer: &jam.Random{Rate: 0.2}},
+			core.New(16, rng.New(102)), &arrival.Bernoulli{Rate: 0.3})
+	}},
+	{"dba/coded/reactive-adaptive", func() *Result {
+		return Run(Config{Kappa: 16, Horizon: 15000, Drain: true, Seed: 13,
+			Adversary: adversary.NewReactive(1, 16)},
+			core.New(16, rng.New(103)), &arrival.Bernoulli{Rate: 0.25})
+	}},
+	{"dba/coded/sigma-rho", func() *Result {
+		return Run(Config{Kappa: 16, Horizon: 15000, Drain: true, Seed: 14,
+			Adversary: adversary.NewSigmaRho(64, 0.2)},
+			core.New(16, rng.New(104)), &arrival.Bernoulli{Rate: 0.2})
+	}},
+	{"beb/coded/batch-waker", func() *Result {
+		return Run(Config{Kappa: 8, Horizon: 1, Drain: true, Seed: 15},
+			baseline.NewExponentialBackoff(rng.New(105)), &arrival.Batch{At: 0, N: 64})
+	}},
+	{"beb/coded/periodic-jam-waker", func() *Result {
+		return Run(Config{Kappa: 8, Horizon: 4096, Drain: true, Seed: 16,
+			Jammer: &jam.Periodic{Period: 64, Burst: 8}},
+			baseline.NewExponentialBackoff(rng.New(106)), &arrival.Batch{At: 0, N: 48})
+	}},
+	{"poly/coded/batch-waker", func() *Result {
+		return Run(Config{Kappa: 8, Horizon: 1, Drain: true, Seed: 17},
+			baseline.NewPolynomialBackoff(rng.New(107), 2), &arrival.Batch{At: 0, N: 64})
+	}},
+	{"beb/classical-ternary/even", func() *Result {
+		return Run(Config{Horizon: 8192, Drain: true, Seed: 18,
+			Medium: medium.NewClassical(medium.CDTernary)},
+			baseline.NewExponentialBackoff(rng.New(108)), arrival.NewEvenPaced(0.2))
+	}},
+	{"genie/coded/serial-fallback", func() *Result {
+		return Run(Config{Kappa: 4, Horizon: 4096, Drain: true, Seed: 19},
+			baseline.NewGenieAloha(rng.New(109), 1), arrival.NewEvenPaced(0.25))
+	}},
+	{"robust/classical-none/batch", func() *Result {
+		return Run(Config{Horizon: 1, Drain: true, Seed: 20,
+			Medium: medium.NewClassical(medium.CDNone)},
+			nocd.NewRobust(rng.New(110)), &arrival.Batch{At: 0, N: 200})
+	}},
+	{"unbounded/classical-none/bernoulli", func() *Result {
+		return Run(Config{Horizon: 6000, Drain: true, Seed: 21,
+			Medium: medium.NewClassical(medium.CDNone)},
+			nocd.NewUnbounded(rng.New(111)), &arrival.Bernoulli{Rate: 0.02})
+	}},
+	{"unbounded/capture/batch", func() *Result {
+		return Run(Config{Kappa: 8, Horizon: 1, Drain: true, Seed: 22,
+			Medium: medium.NewCapture(8)},
+			nocd.NewUnbounded(rng.New(112)), &arrival.Batch{At: 0, N: 500})
+	}},
+	{"beb/capture/bernoulli+random-jam", func() *Result {
+		return Run(Config{Kappa: 4, Horizon: 8000, Drain: true, Seed: 23,
+			Medium: medium.NewCapture(4), Jammer: &jam.Random{Rate: 0.1}},
+			baseline.NewExponentialBackoff(rng.New(113)), &arrival.Bernoulli{Rate: 0.2})
+	}},
+	{"mw/capture/reactive-adaptive", func() *Result {
+		return Run(Config{Kappa: 4, Horizon: 8000, Drain: true, Seed: 24,
+			Medium: medium.NewCapture(4), Adversary: adversary.NewReactive(4, 16)},
+			baseline.NewMultiplicativeWeights(rng.New(114), baseline.DefaultMWConfig()),
+			&arrival.Bernoulli{Rate: 0.15})
+	}},
+}
+
+// TestWorkersResultEquality runs every workerGrid scenario as identical
+// trials on 1, 3 and GOMAXPROCS concurrent trial workers
+// (RunSeededTrials, the path RunTrials and sweeps take), and requires
+// every trial to reproduce the scenario's plain Run byte for byte:
+// trial-level parallelism must never leak state between runs.
+func TestWorkersResultEquality(t *testing.T) {
+	for _, sc := range workerGrid {
+		t.Run(sc.name, func(t *testing.T) {
+			t.Parallel()
+			ref := resultDigest(sc.run())
+			for _, w := range []int{1, 3, runtime.GOMAXPROCS(0)} {
+				trials := RunSeededTrials(make([]uint64, w), w, func(int, uint64) *Result { return sc.run() })
+				for i, r := range trials {
+					if resultDigest(r) != ref {
+						t.Errorf("trial %d of %d concurrent trials diverged from the serial run", i, w)
+					}
+				}
+			}
+		})
+	}
+}
+
 func TestLatencyOmittedWhenSamplingOff(t *testing.T) {
 	res := Run(Config{Kappa: 8, Horizon: 1, Drain: true, Seed: 1, LatencySamples: LatencySamplesOff},
 		core.New(8, rng.New(1)), &arrival.Batch{At: 0, N: 10})
@@ -392,12 +492,9 @@ func TestLargeBatchBoundedBookkeeping(t *testing.T) {
 	// complete with per-packet bookkeeping bounded by the backlog peak
 	// (== n for a batch) and latency retention bounded by the reservoir —
 	// the scales the former O(arrivals) Latencies slice made impractical.
-	// Workers: GOMAXPROCS runs the staged shard/step/reduce path at scale
-	// (this batch crosses the fan-out grain), so the CI -race job drives
-	// the parallel shard sweep through a full Theorem 16 regime run.
 	const n, kappa = 1_000_000, 64
 	res := Run(Config{Kappa: kappa, Horizon: 1, Drain: true,
-		DrainLimit: 8*n + 1<<20, Seed: 5, Workers: runtime.GOMAXPROCS(0)},
+		DrainLimit: 8*n + 1<<20, Seed: 5},
 		core.New(kappa, rng.New(6)), &arrival.Batch{At: 0, N: n})
 	if res.Delivered != n || res.Pending != 0 {
 		t.Fatalf("delivered %d of %d (pending %d)", res.Delivered, n, res.Pending)

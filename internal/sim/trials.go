@@ -57,9 +57,9 @@ func RunSeededTrials(seeds []uint64, parallelism int, f TrialFunc) []*Result {
 // ForEach invokes fn(i) for every i in [0, n), fanning the calls out
 // over up to `parallelism` goroutines (0 = GOMAXPROCS), and returns
 // once all calls have completed.  It is the repository's one
-// worker-pool implementation: trial fan-out, the experiments runner,
-// and the staged engine's shard stages all go through it.  fn must be
-// safe for concurrent calls with distinct i.
+// worker-pool implementation: trial fan-out and the experiments runner
+// both go through it.  fn must be safe for concurrent calls with
+// distinct i.
 func ForEach(n, parallelism int, fn func(i int)) {
 	if n <= 0 {
 		return

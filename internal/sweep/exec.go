@@ -152,8 +152,5 @@ func (s *Spec) config(sc Scenario, seed uint64) sim.Config {
 		Jammer:         jammer,
 		Adversary:      adv,
 		Medium:         buildMedium(sc),
-		// Workers is result-neutral (bit-identical at any value), so it
-		// rides outside the cell identity; see cellID.
-		Workers: s.Workers,
 	}
 }

@@ -195,9 +195,6 @@ func (e *executor) runTrial(c *cellRun, t int) {
 	var errCount int64
 	proto := e.spec.buildProtocol(sc, seed^protoSeedSalt, &errCount)
 	cfg := e.spec.config(sc, seed)
-	if cfg.Workers == 0 {
-		cfg.Workers = e.opts.Workers
-	}
 	c.trials[t] = trialOut{res: sim.Run(cfg, proto, e.spec.buildArrival(sc)), errEpochs: errCount}
 	// Each slot of c.trials has one writer; the countdown orders every
 	// write before the landing goroutine's reads.

@@ -22,12 +22,6 @@ type Options struct {
 	// work-stealing worker claims a cell only into a free slot, so it
 	// never holds more than Parallelism unfinished leases.
 	Parallelism int
-	// Workers sets sim.Config.Workers (the staged intra-trial engine)
-	// for trials whose spec leaves its own Workers unset.  It is an
-	// execution-side knob of the machine running the sweep: results are
-	// bit-identical at any value, so — like Parallelism — it never
-	// enters cell identities or artifacts.
-	Workers int
 	// OnCell, if set, is called as each selected cell completes —
 	// executed, or loaded from the cache (under Resume, or by a worker) —
 	// with the number of completed cells and the selected total.  Calls

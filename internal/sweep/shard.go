@@ -127,14 +127,6 @@ func (s *Spec) jobSeeds(cellCount int) []uint64 {
 // the base seed, the trial count, and the cell's position in the grid —
 // so reshaping the grid (which reseeds trials) invalidates exactly the
 // cells whose seeds moved, and a schema bump invalidates everything.
-//
-// Spec.Workers is deliberately NOT part of the identity: the staged
-// engine is bit-identical to the serial reference at every worker count
-// (the Partitioned contract; regression-tested in sim and in
-// TestWorkersCellIdentityNeutral), so a cached cell computed at one
-// worker count is exactly the cell any other worker count would
-// compute.  Folding it in would only force pointless re-execution when
-// a sweep moves between machines of different widths.
 func cellID(sc Scenario, spec *Spec, seeds []uint64) string {
 	h := sha256.New()
 	sep := []byte{0}

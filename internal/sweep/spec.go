@@ -111,14 +111,6 @@ type Spec struct {
 	LatencySamples int `json:"latency_samples,omitempty"`
 	// Seed drives all randomness; cell and trial seeds derive from it.
 	Seed uint64 `json:"seed"`
-	// Workers selects the engine's intra-trial execution path (see
-	// sim.Config.Workers): 0 the serial reference loop, W ≥ 1 the staged
-	// shard/step/reduce engine with up to W goroutines per trial.
-	// Results are bit-identical for every value, so Workers is a pure
-	// wall-clock knob: it is deliberately excluded from cell identities
-	// (see cellID) and, via omitempty, from the hash of specs that leave
-	// it unset.
-	Workers int `json:"workers,omitempty"`
 
 	// BatchN overrides the batch arrival size (0 = rate×Horizon).
 	BatchN int `json:"batch_n,omitempty"`
@@ -262,9 +254,6 @@ func (s *Spec) Validate() error {
 	}
 	if s.LatencySamples < -1 {
 		return fmt.Errorf("sweep: latency samples %d < -1 (0 = engine default, -1 = off)", s.LatencySamples)
-	}
-	if s.Workers < 0 {
-		return fmt.Errorf("sweep: workers %d < 0 (0 = serial engine)", s.Workers)
 	}
 	if s.BatchN < 0 {
 		return fmt.Errorf("sweep: batch n %d < 0", s.BatchN)

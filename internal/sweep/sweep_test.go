@@ -353,9 +353,16 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 }
 
 func TestParseSpecRejectsUnknownFields(t *testing.T) {
-	_, err := ParseSpec([]byte(`{"protocols":["dba"],"arrivalz":["batch"]}`))
-	if err == nil || !strings.Contains(err.Error(), "arrivalz") {
-		t.Fatalf("typo not rejected: %v", err)
+	for field, spec := range map[string]string{
+		// A typo.
+		"arrivalz": `{"protocols":["dba"],"arrivalz":["batch"]}`,
+		// The retired staged-engine knob: rejected by name, not ignored.
+		"workers": `{"protocols":["dba"],"arrivals":["batch"],"kappas":[8],"rates":[0.5],"trials":1,"horizon":10,"workers":2}`,
+	} {
+		_, err := ParseSpec([]byte(spec))
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("unknown field %q not rejected by name: %v", field, err)
+		}
 	}
 }
 
