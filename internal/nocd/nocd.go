@@ -33,6 +33,7 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/arena"
 	"repro/internal/channel"
 	"repro/internal/protocol"
 	"repro/internal/rng"
@@ -121,8 +122,11 @@ type Scheme struct {
 	name  string
 	sched schedule
 
-	ids     []channel.PacketID
-	loc     map[channel.PacketID]int
+	ids []channel.PacketID
+	// loc maps each pending packet's ID to its index in ids.  Arrival
+	// order keeps live IDs in a dense band, which the paged arena
+	// indexes directly.
+	loc     arena.Index[int]
 	stats   Stats
 	scratch []int
 	evSort  []channel.PacketID
@@ -145,7 +149,7 @@ func newScheme(r *rng.Rand, name string, sched schedule) *Scheme {
 		panic("nocd: nil rng")
 	}
 	sched.reset()
-	return &Scheme{rand: r, name: name, sched: sched, loc: make(map[channel.PacketID]int)}
+	return &Scheme{rand: r, name: name, sched: sched}
 }
 
 // Name implements protocol.Protocol.
@@ -160,10 +164,10 @@ func (s *Scheme) Pending() int { return len(s.ids) }
 // Inject implements protocol.Protocol.
 func (s *Scheme) Inject(now int64, ids []channel.PacketID) {
 	for _, id := range ids {
-		if _, dup := s.loc[id]; dup {
+		if s.loc.Has(int64(id)) {
 			panic(fmt.Sprintf("nocd: duplicate injection of packet %d", id))
 		}
-		s.loc[id] = len(s.ids)
+		s.loc.Put(int64(id), len(s.ids))
 		s.ids = append(s.ids, id)
 	}
 }
@@ -200,7 +204,7 @@ func (s *Scheme) Observe(fb channel.Feedback) {
 	s.evSort = append(s.evSort[:0], fb.Event.Packets...)
 	slices.Sort(s.evSort)
 	for _, id := range s.evSort {
-		idx, ok := s.loc[id]
+		idx, ok := s.loc.Delete(int64(id))
 		if !ok {
 			continue
 		}
@@ -209,9 +213,8 @@ func (s *Scheme) Observe(fb channel.Feedback) {
 		s.ids[idx] = moved
 		s.ids = s.ids[:last]
 		if idx != last {
-			s.loc[moved] = idx
+			s.loc.Put(int64(moved), idx)
 		}
-		delete(s.loc, id)
 		s.stats.Delivered++
 	}
 	if len(s.ids) == 0 {
