@@ -100,8 +100,19 @@ func (x *Index[V]) Has(key int64) bool {
 	return p != nil && p.occ[s>>6]&(1<<uint(s&63)) != 0
 }
 
-// Put stores v under key, inserting or overwriting.
-func (x *Index[V]) Put(key int64, v V) { x.Swap(key, v) }
+// Put stores v under key, inserting or overwriting.  Unlike Swap it
+// never reads the old value, which on a cold page is the cost of the
+// whole call.
+func (x *Index[V]) Put(key int64, v V) {
+	p, s := x.ensure(key)
+	w, b := s>>6, uint64(1)<<uint(s&63)
+	if p.occ[w]&b == 0 {
+		p.occ[w] |= b
+		p.live++
+		x.n++
+	}
+	p.vals[s] = v
+}
 
 // Swap stores v under key and returns the previous value, if any.
 func (x *Index[V]) Swap(key int64, v V) (V, bool) {
@@ -192,6 +203,14 @@ func (x *Index[V]) ensure(key int64) (*page[V], int64) {
 // it, trimming vacated edge pages first so a sliding key window (the
 // engine's sequential IDs) reuses a bounded page table.  It reports
 // false when the live span plus kp would exceed maxSpanPages.
+//
+// The window is the table's whole capacity.  The live pages slide within
+// it when the new span fits, anchored at the bottom when the window moves
+// up and at the top when it moves down, so a window sliding one way has
+// the whole spare capacity ahead of it; the table is reallocated, at
+// twice the span, only when the span outgrows it.  Overflow pages the
+// new window covers move into the table, so no page number is ever
+// mapped in both.
 func (x *Index[V]) fitWindow(kp int64) bool {
 	lo, hi := 0, len(x.pages)
 	for lo < hi && x.pages[lo] == nil {
@@ -200,38 +219,36 @@ func (x *Index[V]) fitWindow(kp int64) bool {
 	for hi > lo && x.pages[hi-1] == nil {
 		hi--
 	}
-	if lo == hi {
-		// Window fully vacated: restart it at kp.
-		x.pages = append(x.pages[:0], nil)
-		x.basePage = kp
-		return true
-	}
-	base := x.basePage + int64(lo)
-	top := x.basePage + int64(hi) // exclusive
-	newBase, newTop := base, top
-	if kp < newBase {
-		newBase = kp
-	}
-	if kp+1 > newTop {
-		newTop = kp + 1
-	}
-	if newTop-newBase > maxSpanPages {
-		return false
-	}
-	if newBase == x.basePage {
-		// Pure top growth: extend in place (amortized append, bounded
-		// by maxSpanPages).
-		x.pages = x.pages[:hi]
-		for int64(len(x.pages)) < newTop-x.basePage {
-			x.pages = append(x.pages, nil)
+	base, top := kp, kp+1 // live page span once kp is mapped
+	if lo < hi {
+		base = min(base, x.basePage+int64(lo))
+		top = max(top, x.basePage+int64(hi))
+		if top-base > maxSpanPages {
+			return false
 		}
-		return true
 	}
-	span := newTop - newBase
-	dst := make([]*page[V], span)
-	copy(dst[base-newBase:], x.pages[lo:hi])
-	x.pages = dst
+	tbl := x.pages[:cap(x.pages)]
+	if span := int(top - base); span > len(tbl) {
+		tbl = make([]*page[V], min(2*span, maxSpanPages))
+	}
+	newBase := base
+	if kp < x.basePage {
+		newBase = top - int64(len(tbl))
+	}
+	if lo < hi { // else every slot is already nil
+		off := int(x.basePage + int64(lo) - newBase)
+		n := copy(tbl[off:], x.pages[lo:hi])
+		clear(tbl[:off])
+		clear(tbl[off+n:])
+	}
+	x.pages = tbl
 	x.basePage = newBase
+	for op, p := range x.over {
+		if pi := op - newBase; pi >= 0 && pi < int64(len(tbl)) {
+			tbl[pi] = p
+			delete(x.over, op)
+		}
+	}
 	return true
 }
 

@@ -208,3 +208,125 @@ func TestRangeOrder(t *testing.T) {
 		return true
 	})
 }
+
+// TestOverflowPageCoveredByWindow re-anchors the dense window over a
+// page that already lives in the overflow map.  The window must take
+// the page over: a lookup through the window's empty slot would report
+// the live key missing, and a later Put would map the page twice.
+func TestOverflowPageCoveredByWindow(t *testing.T) {
+	var x Index[int64]
+	const far = int64(1) << 40
+	x.Put(0, 1)
+	x.Put(far, 2) // too far from 0 for one window: overflow page
+	x.Delete(0)   // window fully vacated
+	x.Put(far+PageSize, 3)
+	x.Put(far-PageSize, 4) // window now spans far's page
+	if v, ok := x.Get(far); !ok || v != 2 {
+		t.Fatalf("Get(%d) = %d,%v want 2,true", far, v, ok)
+	}
+	x.Put(far, 5)
+	if x.Len() != 3 || x.Pages() != 3 {
+		t.Fatalf("Len=%d Pages=%d, want 3 and 3", x.Len(), x.Pages())
+	}
+	want := map[int64]int64{far - PageSize: 4, far: 5, far + PageSize: 3}
+	x.Range(func(k, v int64) bool {
+		if want[k] != v {
+			t.Fatalf("Range visited (%d,%d), want value %d", k, v, want[k])
+		}
+		delete(want, k)
+		return true
+	})
+	if len(want) != 0 {
+		t.Fatalf("Range missed %v", want)
+	}
+	for _, k := range []int64{far - PageSize, far, far + PageSize} {
+		if _, ok := x.Delete(k); !ok {
+			t.Fatalf("Delete(%d) missed", k)
+		}
+	}
+	if x.Len() != 0 || x.Pages() != 0 {
+		t.Fatalf("after deletes: Len=%d Pages=%d", x.Len(), x.Pages())
+	}
+}
+
+// TestSlidingWindowAllocations pins the page table's reuse: a window
+// sliding over N sequential keys re-anchors about N/PageSize times, and
+// each re-anchor must slide the live pages within the table instead of
+// allocating a new one, so the whole run allocates O(log N) times.
+func TestSlidingWindowAllocations(t *testing.T) {
+	const window, n = 3 * PageSize, 1 << 20
+	allocs := testing.AllocsPerRun(1, func() {
+		var x Index[int64]
+		for k := int64(0); k < n; k++ {
+			x.Put(k, k)
+			if k >= window {
+				x.Delete(k - window)
+			}
+		}
+	})
+	if allocs > 32 {
+		t.Fatalf("sliding %d keys through a %d-key window allocated %v times, want <= 32", n, window, allocs)
+	}
+}
+
+// TestDownwardSlidingWindow slides the window towards smaller keys, the
+// direction the engine never uses, checking contents and page count.
+func TestDownwardSlidingWindow(t *testing.T) {
+	var x Index[int64]
+	const window = 3 * PageSize
+	for k := int64(0); k > -40*PageSize; k-- {
+		x.Put(k, -k)
+		if k <= -window {
+			if v, ok := x.Delete(k + window); !ok || v != -(k+window) {
+				t.Fatalf("Delete(%d) = %d,%v", k+window, v, ok)
+			}
+		}
+		if p := x.Pages(); p > window/PageSize+2 {
+			t.Fatalf("at key %d: %d pages mapped for a %d-entry window", k, p, window)
+		}
+	}
+	for k := int64(-40*PageSize + 1); k < -40*PageSize+window; k++ {
+		if v, ok := x.Get(k); !ok || v != -k {
+			t.Fatalf("Get(%d) = %d,%v", k, v, ok)
+		}
+	}
+}
+
+// BenchmarkIndexSlidingWindow is the engine's in-flight pattern: keys
+// arrive in order and leave a fixed distance behind.  One op is one Put
+// and one Delete.
+func BenchmarkIndexSlidingWindow(b *testing.B) {
+	const window = 3 * PageSize
+	var x Index[int64]
+	b.ReportAllocs()
+	for k := int64(0); k < int64(b.N); k++ {
+		x.Put(k, k)
+		if k >= window {
+			x.Delete(k - window)
+		}
+	}
+}
+
+// BenchmarkIndexScatteredKeys is the coded channel's pattern: an
+// epoch's transmitters, random IDs from a wide backlog, are put and
+// then all deleted by a decoding event.  One op is 64 keys over a 2¹⁸
+// span, each put and deleted.
+func BenchmarkIndexScatteredKeys(b *testing.B) {
+	const keys, span, sets = 64, 1 << 18, 64
+	r := rng.New(3)
+	ks := make([]int64, keys*sets)
+	for i := range ks {
+		ks[i] = int64(r.Intn(span))
+	}
+	var x Index[int64]
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		set := ks[(i%sets)*keys:][:keys]
+		for _, k := range set {
+			x.Put(k, k)
+		}
+		for _, k := range set {
+			x.Delete(k)
+		}
+	}
+}

@@ -19,10 +19,12 @@
 //
 // The per-slot path is built to stay off the allocator and out of the
 // map runtime: last-occurrence tracking lives in a paged arena keyed by
-// packet ID (internal/arena), window occupancy is a uint64 bitset
-// (linalg.Bits) so detection scans words instead of entries, duplicate
-// validation sorts a reused scratch slice, and the decoding event and
-// its packet slice are reused across events.
+// packet ID (internal/arena) and names a recycled member list, not an
+// entry, so a slot that resends the previous good slot's list moves one
+// list handle; window occupancy is a uint64 bitset (linalg.Bits) so
+// detection scans words instead of entries, duplicate validation sorts
+// a reused scratch slice, and the decoding event and its packet slice
+// are reused across events.
 package channel
 
 import (
@@ -105,15 +107,32 @@ type Stats struct {
 }
 
 // goodEntry records one good slot awaiting a decoding event: the slot
-// number and the packets whose most recent broadcast was in this slot.
+// number and the member list of the packets whose most recent broadcast
+// was in this slot (noList once they have all broadcast again).
 type goodEntry struct {
-	slot    int64
-	members []PacketID
+	slot int64
+	list int32
 }
 
+// noList is the list handle of an entry without members.
+const noList = -1
+
+// memberList is one good slot's members; entry is the absolute index of
+// the goodEntry holding the list.  Lists live in Channel.lists and are
+// named by handle, so a list moves between entries without touching the
+// references of its members.
+type memberList struct {
+	entry int
+	ids   []PacketID
+}
+
+// occRef locates a packet's most recent broadcast: a member list and
+// the packet's position in it.  Both fit int32: every list in use holds
+// a distinct tracked packet, and no list outgrows one slot's
+// transmitters.
 type occRef struct {
-	abs int // absolute index of the goodEntry holding the packet
-	pos int // position within that entry's members slice
+	list int32
+	pos  int32
 }
 
 // Channel is the base station side of the Coded Radio Network Model.
@@ -125,6 +144,13 @@ type Channel struct {
 
 	entries  []goodEntry // good slots since the last decoding event
 	firstAbs int         // absolute index of entries[0]
+	// lists holds the member lists by handle, and freeLists the handles
+	// of lists no entry holds, whose storage the next good slot reuses:
+	// without recycling the steady-state per-slot path allocates one
+	// slice per good slot.  Both are bounded by the peak number of
+	// simultaneously non-empty entries.
+	lists     []memberList
+	freeLists []int32
 	// occ tracks which tracked entries still have live members (bit i ↔
 	// entries[i] non-empty) and total counts live members across them,
 	// so event detection walks only non-empty entries via word scans.
@@ -139,19 +165,13 @@ type Channel struct {
 	// protocols resend identical sets for many consecutive slots, and an
 	// equality scan is far cheaper than re-validating thousands of IDs.
 	prevTxs []PacketID
-	// prevRec/prevRecSlot remember the transmitter list of the last
-	// recorded good slot, enabling record's wholesale-move fast path when
-	// an epoch retransmits the identical set.
-	prevRec     []PacketID
-	prevRecSlot int64
+	// prevList is the handle of the list the last good slot recorded
+	// from prevTxs, or noList.  It enables record's fast path when an
+	// epoch retransmits the identical set.
+	prevList int32
 	// dupScratch is the reused sort buffer for large-slot duplicate
 	// validation.
 	dupScratch []PacketID
-	// freeMembers recycles goodEntry member storage: every good slot
-	// needs a members slice, and without recycling the steady-state
-	// per-slot path allocates one per good slot.  The pool is bounded by
-	// the peak number of simultaneously tracked entries.
-	freeMembers [][]PacketID
 
 	// ev and evPackets back the returned decoding event, reused across
 	// events so the steady-state path never allocates.
@@ -178,7 +198,7 @@ func New(kappa, maxWindow int) *Channel {
 	if maxWindow < 0 {
 		panic("channel: negative maxWindow")
 	}
-	return &Channel{kappa: kappa, maxWindow: maxWindow}
+	return &Channel{kappa: kappa, maxWindow: maxWindow, prevList: noList}
 }
 
 // Kappa returns the decoding threshold.
@@ -224,9 +244,9 @@ func (c *Channel) Step(now int64, txs []PacketID) (SlotClass, *Event) {
 		c.lastBad = true
 		return Bad, nil
 	}
-	c.checkDuplicates(txs)
+	repeat := c.checkDuplicates(txs)
 	c.lastBad = false
-	return Good, c.goodSlot(now, txs)
+	return Good, c.goodSlot(now, txs, repeat)
 }
 
 // StepRepeat replays the most recently stepped slot's transmitter
@@ -262,11 +282,12 @@ func (c *Channel) StepSharded(now int64, chunks [][]PacketID) (SlotClass, *Event
 }
 
 // goodSlot runs the good-slot pipeline: prune the window cap, record
-// the broadcast, detect a decoding event.
-func (c *Channel) goodSlot(now int64, txs []PacketID) *Event {
+// the broadcast, detect a decoding event.  repeat reports that txs is
+// the previously validated list.
+func (c *Channel) goodSlot(now int64, txs []PacketID, repeat bool) *Event {
 	c.stats.GoodSlots++
 	c.prune(now)
-	c.record(now, txs)
+	c.record(now, txs, repeat)
 	ev := c.detect(now)
 	if ev != nil {
 		c.stats.Events++
@@ -276,12 +297,12 @@ func (c *Channel) goodSlot(now int64, txs []PacketID) *Event {
 	return ev
 }
 
-func (c *Channel) checkDuplicates(txs []PacketID) {
-	if len(txs) < 2 {
-		return
-	}
+// checkDuplicates panics if txs holds a duplicate ID.  It reports
+// whether txs is identical to the previously validated list, which it
+// then need not validate again.
+func (c *Channel) checkDuplicates(txs []PacketID) bool {
 	if sameIDs(txs, c.prevTxs) {
-		return // identical to the already-validated previous slot
+		return true
 	}
 	if id, found := FindDup(txs, &c.dupScratch); found {
 		panic(fmt.Sprintf("channel: packet %d transmitted twice in one slot", id))
@@ -289,6 +310,7 @@ func (c *Channel) checkDuplicates(txs []PacketID) {
 	// Cache only lists that passed validation, so a caller that recovers
 	// from the panic cannot sneak the same invalid list past the cache.
 	c.prevTxs = append(c.prevTxs[:0], txs...)
+	return false
 }
 
 // FindDup reports a duplicated ID in txs.  Small lists use a quadratic
@@ -333,23 +355,38 @@ func sameIDs(a, b []PacketID) bool {
 	return true
 }
 
-// newMembers returns an empty member slice, reusing recycled storage
-// when available.
-func (c *Channel) newMembers(capHint int) []PacketID {
-	if n := len(c.freeMembers); n > 0 {
-		s := c.freeMembers[n-1]
-		c.freeMembers[n-1] = nil
-		c.freeMembers = c.freeMembers[:n-1]
-		return s[:0]
+// newList returns the handle of an empty member list held by entry
+// abs, reusing a freed list and its storage when one is available.
+func (c *Channel) newList(abs int) int32 {
+	var h int32
+	if n := len(c.freeLists); n > 0 {
+		h = c.freeLists[n-1]
+		c.freeLists = c.freeLists[:n-1]
+	} else {
+		h = int32(len(c.lists))
+		c.lists = append(c.lists, memberList{})
 	}
-	return make([]PacketID, 0, capHint)
+	c.lists[h].entry = abs
+	return h
 }
 
-// recycleMembers returns a member slice's storage to the pool.
-func (c *Channel) recycleMembers(s []PacketID) {
-	if cap(s) > 0 {
-		c.freeMembers = append(c.freeMembers, s[:0])
+// freeList empties list h and returns it to the free list.
+func (c *Channel) freeList(h int32) {
+	c.lists[h].ids = c.lists[h].ids[:0]
+	c.freeLists = append(c.freeLists, h)
+}
+
+// dropMembers untracks every member of entries[pos], frees its list,
+// and returns how many members it had.
+func (c *Channel) dropMembers(pos int) int {
+	h := c.entries[pos].list
+	n := len(c.lists[h].ids)
+	for _, id := range c.lists[h].ids {
+		c.lastOcc.Delete(int64(id))
 	}
+	c.freeList(h)
+	c.entries[pos].list = noList
+	return n
 }
 
 // prune drops good slots that can no longer start a window ending at or
@@ -369,14 +406,9 @@ func (c *Channel) prune(now int64) {
 		return
 	}
 	for pos := c.occ.NextSet(0); pos >= 0 && pos < drop; pos = c.occ.NextSet(pos + 1) {
-		members := c.entries[pos].members
-		for _, id := range members {
-			c.lastOcc.Delete(int64(id))
-			c.stats.PrunedPackets++
-		}
-		c.total -= len(members)
-		c.recycleMembers(members)
-		c.entries[pos].members = nil
+		n := c.dropMembers(pos)
+		c.stats.PrunedPackets += int64(n)
+		c.total -= n
 	}
 	c.entries = c.entries[drop:]
 	c.firstAbs += drop
@@ -384,70 +416,64 @@ func (c *Channel) prune(now int64) {
 }
 
 // record appends the good slot and moves each transmitter's last
-// occurrence to it.
-func (c *Channel) record(now int64, txs []PacketID) {
+// occurrence to it.  repeat reports that txs is the previously
+// validated list.
+func (c *Channel) record(now int64, txs []PacketID, repeat bool) {
 	idx := len(c.entries)
 	abs := c.firstAbs + idx
-	if idx > 0 && c.entries[idx-1].slot == c.prevRecSlot &&
-		len(c.entries[idx-1].members) == len(txs) && sameIDs(txs, c.prevRec) {
-		// Epoch fast path: the previous good slot was the last entry, its
-		// members are untouched (same length, and members only shrink),
-		// and the identical list retransmitted — every last occurrence
-		// moves wholesale.  Steal the member slice and rewrite only the
-		// entry coordinate of each reference; the previous entry empties,
-		// exactly as the general path's per-packet Swap/remove would
-		// leave it.
-		prev := &c.entries[idx-1]
-		members := prev.members
-		prev.members = nil
-		c.entries = append(c.entries, goodEntry{slot: now, members: members})
-		c.occ.EnsureBits(idx + 1)
+	c.occ.EnsureBits(idx + 1)
+	c.occ.Set(idx) // a good slot has at least one transmitter
+	if h := c.prevList; repeat && h != noList && idx > 0 && c.entries[idx-1].list == h &&
+		len(c.lists[h].ids) == len(txs) {
+		// Epoch fast path: the previous good slot recorded this very list
+		// and is the last entry, and its members are untouched (same
+		// length, and lists only shrink).  Every last occurrence moves
+		// wholesale, so the list itself moves to the new entry: the
+		// references name the list, not the entry, and stay valid.  The
+		// previous entry empties, exactly as the general path's
+		// per-packet Swap/remove would leave it.
+		c.entries[idx-1].list = noList
 		c.occ.Clear(idx - 1)
-		c.occ.Set(idx)
-		for pos, id := range members {
-			c.lastOcc.Put(int64(id), occRef{abs: abs, pos: pos})
-		}
-		c.prevRecSlot = now
+		c.lists[h].entry = abs
+		c.entries = append(c.entries, goodEntry{slot: now, list: h})
 		return
 	}
-	c.entries = append(c.entries, goodEntry{slot: now, members: c.newMembers(len(txs))})
-	c.occ.EnsureBits(idx + 1)
-	e := &c.entries[idx]
+	h := c.newList(abs)
+	c.entries = append(c.entries, goodEntry{slot: now, list: h})
+	l := &c.lists[h] // removeMember never grows c.lists
 	for _, id := range txs {
-		if ref, ok := c.lastOcc.Swap(int64(id), occRef{abs: abs, pos: len(e.members)}); ok {
+		if ref, ok := c.lastOcc.Swap(int64(id), occRef{list: h, pos: int32(len(l.ids))}); ok {
 			c.removeMember(ref)
 		}
-		e.members = append(e.members, id)
+		l.ids = append(l.ids, id)
 	}
-	c.occ.Set(idx) // a good slot has at least one transmitter
 	c.total += len(txs)
-	c.prevRec = append(c.prevRec[:0], txs...)
-	c.prevRecSlot = now
+	c.prevList = h
 }
 
-// removeMember deletes the packet at ref from its entry's member list by
+// removeMember deletes the packet at ref from its member list by
 // swapping with the last member and fixing the moved packet's reference.
 func (c *Channel) removeMember(ref occRef) {
-	idx := ref.abs - c.firstAbs
-	if idx < 0 || idx >= len(c.entries) {
-		return // entry already pruned or delivered
+	l := &c.lists[ref.list]
+	idx := l.entry - c.firstAbs
+	if idx < 0 || idx >= len(c.entries) || c.entries[idx].list != ref.list {
+		return // the list's entry was already pruned or delivered
 	}
-	m := c.entries[idx].members
-	last := len(m) - 1
-	moved := m[last]
-	m[ref.pos] = moved
-	c.entries[idx].members = m[:last]
+	last := int32(len(l.ids) - 1)
+	moved := l.ids[last]
+	l.ids[ref.pos] = moved
+	l.ids = l.ids[:last]
 	if ref.pos != last {
-		c.lastOcc.Put(int64(moved), occRef{abs: ref.abs, pos: ref.pos})
+		c.lastOcc.Put(int64(moved), ref)
 	}
 	c.total--
 	if last == 0 {
-		// The entry just emptied: clear its occupancy bit and recycle the
-		// member storage now — an entry only ever loses members, so the
-		// slice would otherwise idle until the next event.
+		// The entry just emptied: clear its occupancy bit and free the
+		// list now — an entry only ever loses members, so the list would
+		// otherwise idle until the next event.
 		c.occ.Clear(idx)
-		c.recycleMembers(m)
-		c.entries[idx].members = nil
+		c.freeList(ref.list)
+		c.entries[idx].list = noList
 	}
 }
 
@@ -476,7 +502,7 @@ func (c *Channel) detect(now int64) *Event {
 			best = prev + 1
 			break
 		}
-		prefix += len(c.entries[pos].members)
+		prefix += len(c.lists[c.entries[pos].list].ids)
 		prev = pos
 	}
 	if best < 0 {
@@ -484,7 +510,7 @@ func (c *Channel) detect(now int64) *Event {
 	}
 	packets := c.evPackets[:0]
 	for pos := c.occ.NextSet(best); pos >= 0 && pos < L; pos = c.occ.NextSet(pos + 1) {
-		packets = append(packets, c.entries[pos].members...)
+		packets = append(packets, c.lists[c.entries[pos].list].ids...)
 	}
 	slices.Sort(packets)
 	c.evPackets = packets
@@ -496,17 +522,13 @@ func (c *Channel) detect(now int64) *Event {
 // be disjoint, so nothing before an event can be reused.
 func (c *Channel) reset() {
 	for pos := c.occ.NextSet(0); pos >= 0 && pos < len(c.entries); pos = c.occ.NextSet(pos + 1) {
-		members := c.entries[pos].members
-		for _, id := range members {
-			c.lastOcc.Delete(int64(id))
-		}
-		c.recycleMembers(members)
-		c.entries[pos].members = nil
+		c.dropMembers(pos)
 	}
 	c.entries = c.entries[:0]
 	c.firstAbs = 0
 	c.total = 0
 	c.occ.Zero()
+	c.prevList = noList
 }
 
 // Reset returns the channel to its initial state: the detector forgets

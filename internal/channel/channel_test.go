@@ -1,6 +1,7 @@
 package channel
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -353,6 +354,33 @@ func BenchmarkStepGroupOf16(b *testing.B) {
 			for j := range group {
 				group[j] += 16 // fresh packets after each delivery
 			}
+		}
+	}
+}
+
+// BenchmarkStepScatteredEpoch is a Decodable Backoff epoch on a large
+// backlog: 16 joiners with IDs scattered over a 2¹⁸ span resend until
+// they decode, then a fresh draw starts the next epoch.  One op is one
+// slot.
+func BenchmarkStepScatteredEpoch(b *testing.B) {
+	const group, span = 16, 1 << 18
+	r := rng.New(5)
+	c := New(64, 256)
+	txs := make([]PacketID, group)
+	draw := func() {
+		for i := range txs {
+			id := PacketID(r.Intn(span))
+			for slices.Contains(txs[:i], id) {
+				id = PacketID(r.Intn(span))
+			}
+			txs[i] = id
+		}
+	}
+	draw()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, ev := c.Step(int64(i), txs); ev != nil {
+			draw()
 		}
 	}
 }

@@ -22,6 +22,12 @@ func FuzzChannelAgainstReference(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x01, 0x01, 0x01})
 	f.Add([]byte{0x07, 0x04, 0x0f, 0x12, 0x31, 0x02, 0x00, 0x42, 0x05})
 	f.Add(bytes.Repeat([]byte{0x12, 0x01, 0x00}, 40))
+	// κ=8, window cap 4: a list that record's fast path moved to a later
+	// entry is then pruned by the cap (6 packets pruned).
+	f.Add([]byte{0x07, 0x04, 0x06, 0x06, 0x86, 0x86, 0x86, 0x86, 0x86})
+	// κ=8, window cap 4: a repeated list, then a partly overlapping one,
+	// so removeMember runs on a list the fast path moved.
+	f.Add([]byte{0x07, 0x04, 0x06, 0x06, 0x06, 0x16, 0x16, 0x06, 0x06})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			t.Skip()

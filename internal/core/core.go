@@ -28,6 +28,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/arena"
@@ -108,10 +109,13 @@ const (
 	inJoiners
 )
 
+// location packs into 12 bytes: the core's share of a batch's time is
+// mostly cache misses on these values, so base and idx are int32, kept
+// from wrapping by moveShift and index32.
 type location struct {
+	base  int32 // bucket base when where == inBucket
+	idx   int32 // index within the containing slice
 	where where
-	base  int // bucket base when where == inBucket
-	idx   int // index within the containing slice
 }
 
 type joiner struct {
@@ -227,12 +231,15 @@ func (d *DecodableBackoff) prob(e int) float64 {
 // Inject implements protocol.Protocol.  Arrivals enter the inactive
 // stage (or activate immediately if admission control is disabled).
 func (d *DecodableBackoff) Inject(now int64, ids []channel.PacketID) {
+	if d.admission {
+		d.inactive = slices.Grow(d.inactive, len(ids))
+	}
 	for _, id := range ids {
 		if d.loc.Has(int64(id)) {
 			panic(fmt.Sprintf("core: duplicate injection of packet %d", id))
 		}
 		if d.admission {
-			d.loc.Put(int64(id), location{where: inInactive, idx: len(d.inactive)})
+			d.loc.Put(int64(id), location{where: inInactive, idx: index32(len(d.inactive))})
 			d.inactive = append(d.inactive, id)
 		} else {
 			d.addActive(id)
@@ -248,10 +255,35 @@ func (d *DecodableBackoff) Inject(now int64, ids []channel.PacketID) {
 // addActive inserts a packet into the activation bucket (exponent 0, i.e.
 // probability p0).
 func (d *DecodableBackoff) addActive(id channel.PacketID) {
-	b := d.getBucket(0 - d.shift)
-	d.loc.Put(int64(id), location{where: inBucket, base: b.base, idx: len(b.ids)})
+	d.addToBucket(d.getBucket(0-d.shift), id)
+}
+
+// addToBucket appends an active packet to bucket b.
+func (d *DecodableBackoff) addToBucket(b *bucket, id channel.PacketID) {
+	d.loc.Put(int64(id), location{where: inBucket, base: int32(b.base), idx: index32(len(b.ids))})
 	b.ids = append(b.ids, id)
 	d.active++
+}
+
+// index32 narrows a slice index for a location, panicking at the int32
+// limit instead of wrapping.
+func index32(i int) int32 {
+	if i > math.MaxInt32 {
+		panic(fmt.Sprintf("core: slice index %d exceeds the int32 limit of packet locations", i))
+	}
+	return int32(i)
+}
+
+// moveShift moves the global exponent shift by delta.  Every bucket base
+// is -shift or eCap-shift (eCap >= 0) at the shift of its creation, and
+// a location stores it as int32, so the shift may take neither out of
+// range.
+func (d *DecodableBackoff) moveShift(delta int) {
+	s := d.shift + delta
+	if -s < math.MinInt32 || d.eCap-s > math.MaxInt32 {
+		panic(fmt.Sprintf("core: probability shift %d takes bucket bases past the int32 limit of packet locations", s))
+	}
+	d.shift = s
 }
 
 // bucketAt returns the index of the bucket with the given base in the
@@ -376,7 +408,7 @@ func (d *DecodableBackoff) startEpoch(now int64) {
 			idx := d.txScratch[k]
 			id := b.ids[idx]
 			d.removeFromBucket(b, idx)
-			d.loc.Put(int64(id), location{where: inJoiners, idx: len(d.joiners)})
+			d.loc.Put(int64(id), location{where: inJoiners, idx: index32(len(d.joiners))})
 			d.joiners = append(d.joiners, joiner{id: id, base: b.base})
 		}
 	}
@@ -408,7 +440,7 @@ func (d *DecodableBackoff) removeFromBucket(b *bucket, idx int) {
 	b.ids[idx] = moved
 	b.ids = b.ids[:last]
 	if idx != last {
-		d.loc.Put(int64(moved), location{where: inBucket, base: b.base, idx: idx})
+		d.loc.Put(int64(moved), location{where: inBucket, base: int32(b.base), idx: int32(idx)})
 	}
 	d.active--
 }
@@ -507,15 +539,15 @@ func (d *DecodableBackoff) endSuccessful(fb channel.Feedback) {
 		}
 		switch l.where {
 		case inJoiners:
-			d.removeJoiner(l.idx)
+			d.removeJoiner(int(l.idx))
 		case inBucket:
 			// A straggler delivered from an earlier window; possible only
 			// with exotic channel configurations, but handle it.
-			b := d.findBucket(l.base)
-			d.removeFromBucket(b, l.idx)
+			b := d.findBucket(int(l.base))
+			d.removeFromBucket(b, int(l.idx))
 			d.dropBucketIfEmpty(b)
 		case inInactive:
-			d.removeInactive(l.idx)
+			d.removeInactive(int(l.idx))
 		}
 		d.loc.Delete(int64(id))
 		d.shardPending[int(id)%protocol.NumShards]--
@@ -539,11 +571,15 @@ func (d *DecodableBackoff) endSilent() {
 		return
 	}
 	isError := d.epochCont >= math.Pow(float64(d.kappa), 0.25)
-	d.shift++
+	d.moveShift(1)
 	d.mergeCapped()
-	for _, id := range d.inactive {
-		d.addActive(id) // overwrites the inactive location
-		d.stats.Activations++
+	if len(d.inactive) > 0 {
+		b := d.getBucket(0 - d.shift)
+		b.ids = slices.Grow(b.ids, len(d.inactive))
+		for _, id := range d.inactive {
+			d.addToBucket(b, id) // overwrites the inactive location
+		}
+		d.stats.Activations += int64(len(d.inactive))
 	}
 	d.inactive = d.inactive[:0]
 	d.stats.SilentEpochs++
@@ -554,7 +590,7 @@ func (d *DecodableBackoff) endSilent() {
 // probability drops by one factor step.
 func (d *DecodableBackoff) endOverfull() {
 	isError := d.epochCont <= math.Pow(float64(d.kappa), 0.75)
-	d.shift--
+	d.moveShift(-1)
 	d.returnJoiners(0)
 	d.stats.OverfullEpochs++
 	d.finishEpoch(protocol.EpochOverfull, isError)
@@ -577,7 +613,7 @@ func (d *DecodableBackoff) mergeCapped() {
 	dst := d.getBucket(capBase)
 	for _, b := range over {
 		for _, id := range b.ids {
-			d.loc.Put(int64(id), location{where: inBucket, base: dst.base, idx: len(dst.ids)})
+			d.loc.Put(int64(id), location{where: inBucket, base: int32(dst.base), idx: index32(len(dst.ids))})
 			dst.ids = append(dst.ids, id)
 		}
 		b.ids = b.ids[:0]
@@ -591,10 +627,7 @@ func (d *DecodableBackoff) mergeCapped() {
 // returnJoiners reinserts joiners[from:] into their buckets.
 func (d *DecodableBackoff) returnJoiners(from int) {
 	for _, j := range d.joiners[from:] {
-		b := d.getBucket(j.base)
-		d.loc.Put(int64(j.id), location{where: inBucket, base: b.base, idx: len(b.ids)})
-		b.ids = append(b.ids, j.id)
-		d.active++
+		d.addToBucket(d.getBucket(j.base), j.id)
 	}
 	d.joiners = d.joiners[:from]
 }
@@ -606,7 +639,7 @@ func (d *DecodableBackoff) removeJoiner(idx int) {
 	d.joiners[idx] = moved
 	d.joiners = d.joiners[:last]
 	if idx != last {
-		d.loc.Put(int64(moved.id), location{where: inJoiners, idx: idx})
+		d.loc.Put(int64(moved.id), location{where: inJoiners, idx: int32(idx)})
 	}
 }
 
@@ -617,7 +650,7 @@ func (d *DecodableBackoff) removeInactive(idx int) {
 	d.inactive[idx] = moved
 	d.inactive = d.inactive[:last]
 	if idx != last {
-		d.loc.Put(int64(moved), location{where: inInactive, idx: idx})
+		d.loc.Put(int64(moved), location{where: inInactive, idx: int32(idx)})
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/channel"
@@ -546,6 +547,50 @@ func TestNameAndKappa(t *testing.T) {
 	}
 	if d.Kappa() != 8 {
 		t.Fatalf("Kappa = %d", d.Kappa())
+	}
+}
+
+// TestShiftInt32Limit sets the global shift one epoch short of the
+// int32 range that packet locations store bucket bases in: the next
+// epoch end in that direction must land on the limit, and the one after
+// it must panic naming the limit rather than wrap a base.
+func TestShiftInt32Limit(t *testing.T) {
+	const kappa = 16
+	for _, c := range []struct {
+		name  string
+		shift func(d *DecodableBackoff) int // one step inside the limit
+		fb    channel.Feedback
+		slots int // epoch length that ends it with fb
+	}{
+		// A silent epoch raises the shift; a base is then -shift.
+		{"silent", func(*DecodableBackoff) int { return -math.MinInt32 - 1 }, channel.Feedback{Silent: true}, 1},
+		// An overfull epoch lowers it; the cap bucket's base is eCap-shift.
+		{"overfull", func(d *DecodableBackoff) int { return d.eCap - math.MaxInt32 + 1 }, channel.Feedback{}, kappa},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			d := New(kappa, rng.New(1))
+			d.Inject(0, []channel.PacketID{0, 1, 2})
+			d.shift = c.shift(d)
+			now := int64(0)
+			epoch := func() {
+				d.Transmitters(now, nil)
+				for i := 0; i < c.slots; i++ {
+					d.Observe(c.fb)
+					now++
+				}
+			}
+			epoch()
+			if got := d.Stats().Epochs(); got != 1 {
+				t.Fatalf("%d epochs ended, want 1", got)
+			}
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "int32") {
+					t.Fatalf("epoch past the limit: recovered %q, want a panic naming the int32 limit", msg)
+				}
+			}()
+			epoch()
+		})
 	}
 }
 

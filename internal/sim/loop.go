@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"slices"
+
 	"repro/internal/adversary"
 	"repro/internal/arrival"
 	"repro/internal/channel"
@@ -181,7 +183,7 @@ func (l *Loop) InjectNow() []channel.PacketID {
 	if n <= 0 {
 		return nil
 	}
-	l.idBuf = l.idBuf[:0]
+	l.idBuf = slices.Grow(l.idBuf[:0], n)
 	for i := 0; i < n; i++ {
 		l.idBuf = append(l.idBuf, l.nextID)
 		l.fl.add(l.nextID, l.now)

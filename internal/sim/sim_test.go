@@ -492,10 +492,25 @@ func TestLargeBatchBoundedBookkeeping(t *testing.T) {
 	// complete with per-packet bookkeeping bounded by the backlog peak
 	// (== n for a batch) and latency retention bounded by the reservoir —
 	// the scales the former O(arrivals) Latencies slice made impractical.
+	//
+	// It also bounds the bytes one batch allocates.  The bookkeeping
+	// retains O(n), but the dense index's page table used to be
+	// reallocated at every downward re-anchor, and append growth of
+	// batch-sized slices came on top: this batch allocated 536 MB, and
+	// now allocates about 71 MB.
 	const n, kappa = 1_000_000, 64
+	const maxAllocMB = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	res := Run(Config{Kappa: kappa, Horizon: 1, Drain: true,
 		DrainLimit: 8*n + 1<<20, Seed: 5},
 		core.New(kappa, rng.New(6)), &arrival.Batch{At: 0, N: n})
+	runtime.ReadMemStats(&after)
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6; mb > maxAllocMB {
+		t.Fatalf("batch of %d allocated %.1f MB, want <= %d MB", n, mb, maxAllocMB)
+	} else {
+		t.Logf("batch of %d allocated %.1f MB", n, mb)
+	}
 	if res.Delivered != n || res.Pending != 0 {
 		t.Fatalf("delivered %d of %d (pending %d)", res.Delivered, n, res.Pending)
 	}
