@@ -119,23 +119,27 @@ func TestAgainstMap(t *testing.T) {
 // TestSlidingWindowMemory models the engine's packet lifecycle: IDs
 // are assigned sequentially and freed shortly after.  The mapped page
 // count must track the live span, not the total number of keys ever
-// inserted — this is the backlog-bounded memory contract.
+// inserted — this is the backlog-bounded memory contract.  The window
+// slides up, as the engine's does, and down.
 func TestSlidingWindowMemory(t *testing.T) {
-	var x Index[int64]
-	const window = 3 * PageSize
-	for k := int64(0); k < 100*PageSize; k++ {
-		x.Put(k, k)
-		if k >= window {
-			if _, ok := x.Delete(k - window); !ok {
-				t.Fatalf("Delete(%d) missed", k-window)
+	for _, dir := range []int64{1, -1} {
+		var x Index[int64]
+		const window = 3 * PageSize
+		for i := int64(0); i < 100*PageSize; i++ {
+			k := dir * i
+			x.Put(k, k)
+			if i >= window {
+				if _, ok := x.Delete(k - dir*window); !ok {
+					t.Fatalf("Delete(%d) missed", k-dir*window)
+				}
+			}
+			if p := x.Pages(); p > window/PageSize+2 {
+				t.Fatalf("at key %d: %d pages mapped for a %d-entry window", k, p, window)
 			}
 		}
-		if p := x.Pages(); p > window/PageSize+2 {
-			t.Fatalf("at key %d: %d pages mapped for a %d-entry window", k, p, window)
+		if x.Len() != window {
+			t.Fatalf("direction %d: Len = %d, want %d", dir, x.Len(), window)
 		}
-	}
-	if x.Len() != window {
-		t.Fatalf("Len = %d, want %d", x.Len(), window)
 	}
 }
 
@@ -255,39 +259,19 @@ func TestOverflowPageCoveredByWindow(t *testing.T) {
 // allocating a new one, so the whole run allocates O(log N) times.
 func TestSlidingWindowAllocations(t *testing.T) {
 	const window, n = 3 * PageSize, 1 << 20
-	allocs := testing.AllocsPerRun(1, func() {
-		var x Index[int64]
-		for k := int64(0); k < n; k++ {
-			x.Put(k, k)
-			if k >= window {
-				x.Delete(k - window)
+	for _, dir := range []int64{1, -1} {
+		allocs := testing.AllocsPerRun(1, func() {
+			var x Index[int64]
+			for i := int64(0); i < n; i++ {
+				x.Put(dir*i, i)
+				if i >= window {
+					x.Delete(dir * (i - window))
+				}
 			}
-		}
-	})
-	if allocs > 32 {
-		t.Fatalf("sliding %d keys through a %d-key window allocated %v times, want <= 32", n, window, allocs)
-	}
-}
-
-// TestDownwardSlidingWindow slides the window towards smaller keys, the
-// direction the engine never uses, checking contents and page count.
-func TestDownwardSlidingWindow(t *testing.T) {
-	var x Index[int64]
-	const window = 3 * PageSize
-	for k := int64(0); k > -40*PageSize; k-- {
-		x.Put(k, -k)
-		if k <= -window {
-			if v, ok := x.Delete(k + window); !ok || v != -(k+window) {
-				t.Fatalf("Delete(%d) = %d,%v", k+window, v, ok)
-			}
-		}
-		if p := x.Pages(); p > window/PageSize+2 {
-			t.Fatalf("at key %d: %d pages mapped for a %d-entry window", k, p, window)
-		}
-	}
-	for k := int64(-40*PageSize + 1); k < -40*PageSize+window; k++ {
-		if v, ok := x.Get(k); !ok || v != -k {
-			t.Fatalf("Get(%d) = %d,%v", k, v, ok)
+		})
+		if allocs > 32 {
+			t.Fatalf("sliding %d keys in direction %d through a %d-key window allocated %v times, want <= 32",
+				n, dir, window, allocs)
 		}
 	}
 }
@@ -299,11 +283,13 @@ func BenchmarkIndexSlidingWindow(b *testing.B) {
 	const window = 3 * PageSize
 	var x Index[int64]
 	b.ReportAllocs()
-	for k := int64(0); k < int64(b.N); k++ {
+	k := int64(0)
+	for b.Loop() {
 		x.Put(k, k)
 		if k >= window {
 			x.Delete(k - window)
 		}
+		k++
 	}
 }
 
@@ -320,7 +306,8 @@ func BenchmarkIndexScatteredKeys(b *testing.B) {
 	}
 	var x Index[int64]
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	i := 0
+	for b.Loop() {
 		set := ks[(i%sets)*keys:][:keys]
 		for _, k := range set {
 			x.Put(k, k)
@@ -328,5 +315,6 @@ func BenchmarkIndexScatteredKeys(b *testing.B) {
 		for _, k := range set {
 			x.Delete(k)
 		}
+		i++
 	}
 }

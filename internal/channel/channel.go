@@ -165,10 +165,6 @@ type Channel struct {
 	// protocols resend identical sets for many consecutive slots, and an
 	// equality scan is far cheaper than re-validating thousands of IDs.
 	prevTxs []PacketID
-	// prevList is the handle of the list the last good slot recorded
-	// from prevTxs, or noList.  It enables record's fast path when an
-	// epoch retransmits the identical set.
-	prevList int32
 	// dupScratch is the reused sort buffer for large-slot duplicate
 	// validation.
 	dupScratch []PacketID
@@ -198,7 +194,7 @@ func New(kappa, maxWindow int) *Channel {
 	if maxWindow < 0 {
 		panic("channel: negative maxWindow")
 	}
-	return &Channel{kappa: kappa, maxWindow: maxWindow, prevList: noList}
+	return &Channel{kappa: kappa, maxWindow: maxWindow}
 }
 
 // Kappa returns the decoding threshold.
@@ -423,15 +419,18 @@ func (c *Channel) record(now int64, txs []PacketID, repeat bool) {
 	abs := c.firstAbs + idx
 	c.occ.EnsureBits(idx + 1)
 	c.occ.Set(idx) // a good slot has at least one transmitter
-	if h := c.prevList; repeat && h != noList && idx > 0 && c.entries[idx-1].list == h &&
-		len(c.lists[h].ids) == len(txs) {
-		// Epoch fast path: the previous good slot recorded this very list
-		// and is the last entry, and its members are untouched (same
-		// length, and lists only shrink).  Every last occurrence moves
+	if repeat && idx > 0 {
+		// Epoch fast path.  Step compares every non-silent slot with the
+		// last validated list, so every non-silent slot since txs was
+		// validated, that one included, was a good slot sending txs.  The
+		// last entry is one of them (entries leave only from the front),
+		// so its list was recorded from txs, and only a later record
+		// could have removed a member.  Every last occurrence moves
 		// wholesale, so the list itself moves to the new entry: the
 		// references name the list, not the entry, and stay valid.  The
 		// previous entry empties, exactly as the general path's
 		// per-packet Swap/remove would leave it.
+		h := c.entries[idx-1].list
 		c.entries[idx-1].list = noList
 		c.occ.Clear(idx - 1)
 		c.lists[h].entry = abs
@@ -448,7 +447,6 @@ func (c *Channel) record(now int64, txs []PacketID, repeat bool) {
 		l.ids = append(l.ids, id)
 	}
 	c.total += len(txs)
-	c.prevList = h
 }
 
 // removeMember deletes the packet at ref from its member list by
@@ -528,7 +526,6 @@ func (c *Channel) reset() {
 	c.firstAbs = 0
 	c.total = 0
 	c.occ.Zero()
-	c.prevList = noList
 }
 
 // Reset returns the channel to its initial state: the detector forgets

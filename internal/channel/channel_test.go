@@ -378,10 +378,12 @@ func BenchmarkStepScatteredEpoch(b *testing.B) {
 	}
 	draw()
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, ev := c.Step(int64(i), txs); ev != nil {
+	now := int64(0)
+	for b.Loop() {
+		if _, ev := c.Step(now, txs); ev != nil {
 			draw()
 		}
+		now++
 	}
 }
 
