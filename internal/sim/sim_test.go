@@ -493,11 +493,9 @@ func TestLargeBatchBoundedBookkeeping(t *testing.T) {
 	// (== n for a batch) and latency retention bounded by the reservoir —
 	// the scales the former O(arrivals) Latencies slice made impractical.
 	//
-	// It also bounds the bytes one batch allocates.  The bookkeeping
-	// retains O(n), but the dense index's page table used to be
-	// reallocated at every downward re-anchor, and append growth of
-	// batch-sized slices came on top: this batch allocated 536 MB, and
-	// now allocates about 71 MB.
+	// It also bounds the bytes the batch allocates (≈71 MB): an arena
+	// page table reallocated on every re-anchor, or batch-sized slices
+	// grown by doubling, allocate several times that.
 	const n, kappa = 1_000_000, 64
 	const maxAllocMB = 100
 	var before, after runtime.MemStats
