@@ -102,9 +102,16 @@ func BenchmarkSustainedLoadPerSlot(b *testing.B) {
 // classical collision channel, whose success events fire every few
 // slots — the stress case for the medium's reused event storage.
 func BenchmarkClassicalPerSlot(b *testing.B) {
+	spec, err := ParseMedium("classical:ternary")
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := spec.Build(0, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
-	res := Run(Config{Horizon: int64(b.N) + 1000, Seed: 1,
-		Medium: NewClassicalMedium(CDTernary)},
+	res := Run(Config{Horizon: int64(b.N) + 1000, Seed: 1, Medium: m},
 		NewGenieAloha(2, 1), NewEvenPaced(0.25))
 	if res.Delivered == 0 {
 		b.Fatal("nothing delivered")

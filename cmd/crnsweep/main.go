@@ -6,27 +6,29 @@
 // reproduce byte-identical output at any parallelism — adaptive
 // adversaries included — so sweep results are diffable across commits.
 //
-// Execution is shardable, cacheable, and resumable (DESIGN.md §6.2):
-// -shard k/N runs the k-th of N balanced slices of the grid and writes
-// a mergeable shard artifact; -cache-dir persists every completed cell
-// as a content-addressed record, and -resume re-executes only the cells
-// whose records are missing; -merge reassembles shard artifacts into
-// the full grid, verifying they cover exactly one spec.  Merged (and
-// resumed) output is byte-identical to a single-process run.
+// Execution is cacheable and resumable (DESIGN.md §6.2): -cache-dir
+// persists every completed cell as a content-addressed record, and
+// -resume re-executes only the cells whose records are missing.
+// Resumed output is byte-identical to a single-process run.
 //
-// Static shards are one scheduling policy; -worker is the other
-// (DESIGN.md §6.3): workers claim cells dynamically from a shared
-// store — a -cache-dir directory or a crnserve URL via -backend — so
-// any number of workers, started and killed at any time, drain one grid
-// together.  -assemble reads the drained store back into the full grid.
-// Both policies fill the same record namespace and produce the same
-// bytes.
+// Distributed runs (DESIGN.md §6.3) all fill that record namespace:
+// -worker processes claim cells from a store — a -cache-dir directory
+// or a crnserve URL via -backend — so any number of workers, started
+// and killed at any time, drain one grid together, and -shard k/N
+// restricts a worker to a balanced slice of the grid, for machines
+// that share no store.  -assemble reads a store back into the full
+// grid.  Static slices, work stealing, and a mix of the two produce the
+// same bytes.  Machines that share no store split a grid in three
+// steps:
+//
+//  1. run -worker -shard k/N -cache-dir DIR on each machine;
+//  2. copy the directories' *.json records into one directory;
+//  3. run -assemble -cache-dir on it.
 //
 // Usage:
 //
-//	crnsweep [-spec file.json] [grid flags] [-shard k/N] [-cache-dir dir [-resume]] [-json path] [-csv path] [-bench path]
-//	crnsweep -merge [-json path] [-csv path] [-bench path] shard1.json shard2.json ...
-//	crnsweep [-spec file.json] -worker {-backend URL | -cache-dir dir} [-owner name] [-lease-ttl d]
+//	crnsweep [-spec file.json] [grid flags] [-cache-dir dir [-resume]] [-json path] [-csv path] [-bench path]
+//	crnsweep [-spec file.json] -worker {-backend URL | -cache-dir dir} [-shard k/N] [-owner name] [-lease-ttl d]
 //	crnsweep [-spec file.json] -assemble {-backend URL | -cache-dir dir} [-json path] [-csv path] [-bench path]
 //
 // Examples:
@@ -39,9 +41,9 @@
 //	crnsweep -jammers none,random:0.2 -csv out/sweep.csv
 //	crnsweep -adversaries none,reactive:8/64,sigmarho:500/0.2  # adversary grid
 //	crnsweep -bench BENCH_sweep.json            # diffable benchmark artifact
-//	crnsweep -spec sweep.json -shard 2/4 -json shard2.json  # one of 4 shards
-//	crnsweep -merge -json full.json shard*.json # reassemble the full grid
 //	crnsweep -spec sweep.json -cache-dir .sweep-cache -resume  # redo only missing cells
+//	crnsweep -spec sweep.json -worker -shard 2/4 -cache-dir cells2  # one of 4 machines
+//	crnsweep -spec sweep.json -assemble -cache-dir all-cells -json grid.json  # after copying cells*/*.json together
 //	crnsweep -spec sweep.json -worker -backend http://coordinator:8771  # on each machine
 //	crnsweep -spec sweep.json -assemble -backend http://coordinator:8771 -json grid.json
 package main
@@ -79,7 +81,7 @@ func main() {
 }
 
 // run is main minus the process boundary, so flag handling and the
-// merge/shard/resume paths are testable in-process.
+// worker/assemble/resume paths are testable in-process.
 func run(argv []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("crnsweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -99,16 +101,15 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	latencySamples := fs.Int("latency-samples", 0, "per-trial latency reservoir capacity (0 = engine default, -1 = off)")
 	seed := fs.Uint64("seed", 1, "base random seed")
 	parallelism := fs.Int("parallelism", 0, "concurrent trials (0 = GOMAXPROCS)")
-	shardFlag := fs.String("shard", "", "run only slice k/N of the grid (e.g. 2/4) and write a mergeable shard artifact")
+	shardFlag := fs.String("shard", "", "with -worker: claim only slice k/N of the grid (e.g. 2/4)")
 	cacheDir := fs.String("cache-dir", "", "persist each completed cell as a content-addressed record in this directory")
 	resume := fs.Bool("resume", false, "with -cache-dir: load already-cached cells and execute only the missing ones")
-	merge := fs.Bool("merge", false, "merge shard artifacts (positional args) into the full grid instead of running")
 	backendURL := fs.String("backend", "", "crnserve URL of a shared cell store (work-stealing alternative to -cache-dir)")
 	worker := fs.Bool("worker", false, "drain the grid as a work-stealing worker against the shared store (-backend or -cache-dir)")
 	assemble := fs.Bool("assemble", false, "read the full grid back from the shared store instead of running anything")
 	owner := fs.String("owner", "", "with -worker: lease-owner label (default worker-<pid>)")
 	leaseTTL := fs.Duration("lease-ttl", sweep.DefaultLeaseTTL, "with -worker: how long a claimed cell stays this worker's before others may steal it")
-	jsonPath := fs.String("json", "", "write the grid (or shard artifact) as JSON to this path ('-' = stdout)")
+	jsonPath := fs.String("json", "", "write the grid as JSON to this path ('-' = stdout)")
 	csvPath := fs.String("csv", "", "write the grid as CSV to this path ('-' = stdout)")
 	benchPath := fs.String("bench", "", "write the compact benchmark artifact (per-cell headline means) to this path")
 	quiet := fs.Bool("quiet", false, "suppress the table and progress output")
@@ -124,9 +125,6 @@ func run(argv []string, stdout, stderr io.Writer) error {
 
 	if *worker && *assemble {
 		return fmt.Errorf("-worker and -assemble are different roles: workers drain the store, assemble reads it back — run them as separate invocations")
-	}
-	if *merge && (*worker || *assemble) {
-		return fmt.Errorf("-merge reassembles shard artifacts; a shared store is read back with -assemble alone")
 	}
 	if *backendURL != "" && *cacheDir != "" {
 		return fmt.Errorf("-backend and -cache-dir name two different stores; pick one")
@@ -146,24 +144,14 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	if (setFlags["owner"] || setFlags["lease-ttl"]) && !*worker {
 		return fmt.Errorf("-owner/-lease-ttl only apply to -worker")
 	}
-	if *worker && *shardFlag != "" {
-		return fmt.Errorf("-shard assigns cells statically and -worker claims them dynamically; pick one scheduling policy")
-	}
-	if *assemble && *shardFlag != "" {
-		return fmt.Errorf("-assemble reads the whole grid; shards do not apply")
+	if *shardFlag != "" && !*worker {
+		return fmt.Errorf("-shard k/N restricts a worker's claims: run -worker -shard k/N -cache-dir DIR on each machine, copy the directories' *.json records into one directory, then run -assemble -cache-dir on it")
 	}
 	if *worker && (*jsonPath != "" || *csvPath != "" || *benchPath != "") {
 		return fmt.Errorf("a worker does not own the full grid; run -assemble afterwards to emit artifacts")
 	}
-
-	if *merge {
-		if fs.NArg() == 0 {
-			return fmt.Errorf("-merge needs shard artifact files as arguments")
-		}
-		return runMerge(fs.Args(), *jsonPath, *csvPath, *benchPath, *quiet, stdout, stderr)
-	}
 	if fs.NArg() > 0 {
-		return fmt.Errorf("unexpected arguments %v (shard files are only accepted with -merge)", fs.Args())
+		return fmt.Errorf("unexpected arguments %v", fs.Args())
 	}
 	if *resume && *cacheDir == "" {
 		return fmt.Errorf("-resume needs -cache-dir (there is no cache to resume from)")
@@ -175,13 +163,6 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		if shard, err = sweep.ParseShard(*shardFlag); err != nil {
 			return err
 		}
-	}
-	sharded := !shard.IsAll()
-	if sharded && (*csvPath != "" || *benchPath != "") {
-		return fmt.Errorf("-csv/-bench describe the full grid; run -merge over the shard artifacts instead")
-	}
-	if sharded && *jsonPath == "" {
-		return fmt.Errorf("-shard produces a shard artifact; pass -json to say where it goes")
 	}
 
 	var spec sweep.Spec
@@ -225,7 +206,7 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	opts := sweep.Options{Parallelism: *parallelism, Resume: *resume}
+	opts := sweep.Options{Parallelism: *parallelism, Resume: *resume, Shard: shard}
 	if *backendURL != "" {
 		client, err := httpstore.NewClient(*backendURL)
 		if err != nil {
@@ -262,10 +243,10 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	if !*quiet {
 		total := spec.Cells()
 		switch {
+		case *worker && !shard.IsAll():
+			fmt.Fprintf(stderr, "crnsweep: worker draining shard %s of %d cells × %d trials\n", shard, total, spec.Trials)
 		case *worker:
 			fmt.Fprintf(stderr, "crnsweep: worker draining %d cells × %d trials\n", total, spec.Trials)
-		case sharded:
-			fmt.Fprintf(stderr, "crnsweep: shard %s of %d cells × %d trials\n", shard, total, spec.Trials)
 		default:
 			fmt.Fprintf(stderr, "crnsweep: %d cells × %d trials\n", total, spec.Trials)
 		}
@@ -296,75 +277,19 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	// When an artifact streams to stdout, keep stdout machine-clean: the
-	// table would corrupt the JSON/CSV a pipe consumes.
-	stdoutTaken := *jsonPath == "-" || *csvPath == "-"
-
-	if sharded {
-		res, err := sweep.RunShard(ctx, spec, shard, opts)
-		if err != nil {
-			return err
-		}
-		if !*quiet {
-			fmt.Fprintf(stderr, "crnsweep: shard %s (%d/%d cells) completed in %v\n",
-				shard, len(res.Cells), res.TotalCells, time.Since(start).Round(time.Millisecond))
-		}
-		if *jsonPath != "" {
-			data, err := res.JSON()
-			if err != nil {
-				return err
-			}
-			data = append(data, '\n')
-			if *jsonPath == "-" {
-				if _, err := stdout.Write(data); err != nil {
-					return err
-				}
-			} else if err := report.SaveFile(*jsonPath, data); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
 	grid, err := sweep.Run(ctx, spec, opts)
 	if err != nil {
 		return err
 	}
 	if !*quiet {
 		fmt.Fprintf(stderr, "crnsweep: completed in %v\n\n", time.Since(start).Round(time.Millisecond))
-		if !stdoutTaken {
+		// When an artifact streams to stdout, keep stdout machine-clean:
+		// the table would corrupt the JSON/CSV a pipe consumes.
+		if *jsonPath != "-" && *csvPath != "-" {
 			fmt.Fprint(stdout, grid.Table().String())
 		}
 	}
 	return writeGrid(grid, *jsonPath, *csvPath, *benchPath, stdout)
-}
-
-// runMerge reassembles shard artifacts into the full grid and writes
-// the requested outputs — byte-identical to an unsharded run's.
-func runMerge(paths []string, jsonPath, csvPath, benchPath string, quiet bool, stdout, stderr io.Writer) error {
-	shards := make([]*sweep.ShardResult, 0, len(paths))
-	for _, path := range paths {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		res, err := sweep.ParseShardResult(data)
-		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		shards = append(shards, res)
-	}
-	grid, err := sweep.Merge(shards)
-	if err != nil {
-		return err
-	}
-	if !quiet {
-		fmt.Fprintf(stderr, "crnsweep: merged %d shards into %d cells\n", len(shards), len(grid.Cells))
-		if jsonPath != "-" && csvPath != "-" {
-			fmt.Fprint(stdout, grid.Table().String())
-		}
-	}
-	return writeGrid(grid, jsonPath, csvPath, benchPath, stdout)
 }
 
 // writeGrid emits the grid's JSON/CSV/bench artifacts ('-' = stdout;

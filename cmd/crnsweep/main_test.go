@@ -2,15 +2,11 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/report"
-	"repro/internal/sweep"
 )
 
 // tinyArgs is a grid small enough for in-process end-to-end runs.
@@ -31,7 +27,7 @@ func runCLI(t *testing.T, args ...string) (stdout, stderr string, err error) {
 
 func TestInvalidShardSpecsRejected(t *testing.T) {
 	for _, bad := range []string{"0/4", "5/4", "garbage", "1/0", "-1/2", "1/"} {
-		_, _, err := runCLI(t, tinyArgs("-shard", bad)...)
+		_, _, err := runCLI(t, tinyArgs("-worker", "-cache-dir", t.TempDir(), "-shard", bad)...)
 		if err == nil || !strings.Contains(err.Error(), "shard") {
 			t.Errorf("-shard %q: err = %v, want a shard parse error", bad, err)
 		}
@@ -42,22 +38,6 @@ func TestResumeRequiresCacheDir(t *testing.T) {
 	_, _, err := runCLI(t, tinyArgs("-resume")...)
 	if err == nil || !strings.Contains(err.Error(), "-cache-dir") {
 		t.Fatalf("err = %v, want the -resume/-cache-dir error", err)
-	}
-}
-
-func TestShardRejectsFullGridArtifacts(t *testing.T) {
-	for _, flag := range []string{"-csv", "-bench"} {
-		_, _, err := runCLI(t, tinyArgs("-shard", "1/2", flag, filepath.Join(t.TempDir(), "x"))...)
-		if err == nil || !strings.Contains(err.Error(), "-merge") {
-			t.Errorf("%s under -shard: err = %v, want the merge-first error", flag, err)
-		}
-	}
-}
-
-func TestShardRequiresJSONOutput(t *testing.T) {
-	_, _, err := runCLI(t, tinyArgs("-shard", "1/2")...)
-	if err == nil || !strings.Contains(err.Error(), "-json") {
-		t.Fatalf("err = %v, want the shard-needs-json error", err)
 	}
 }
 
@@ -83,80 +63,57 @@ func TestBadFlagReportedOnce(t *testing.T) {
 	}
 }
 
-func TestMergeNeedsArguments(t *testing.T) {
-	_, _, err := runCLI(t, "-merge", "-quiet")
-	if err == nil || !strings.Contains(err.Error(), "shard artifact") {
-		t.Fatalf("err = %v, want the missing-arguments error", err)
-	}
-}
-
+// Every mode rejects positional arguments; the retired -merge mode was
+// the only one that took any.
 func TestPositionalArgsOutsideMergeRejected(t *testing.T) {
 	_, _, err := runCLI(t, tinyArgs("shard1.json")...)
-	if err == nil || !strings.Contains(err.Error(), "-merge") {
+	if err == nil || !strings.Contains(err.Error(), "unexpected arguments") {
 		t.Fatalf("err = %v, want the unexpected-arguments error", err)
 	}
 }
 
-// writeShard runs one shard in-process and saves its artifact.
-func writeShard(t *testing.T, spec sweep.Spec, k, n int, path string) {
+// copyRecords gathers a store directory's cell records into another
+// directory, as an operator copies shard workers' records together.
+func copyRecords(t *testing.T, from, to string) {
 	t.Helper()
-	res, err := sweep.RunShard(context.Background(), spec, sweep.Shard{Index: k, Count: n}, sweep.Options{})
-	if err != nil {
-		t.Fatal(err)
+	paths, err := filepath.Glob(filepath.Join(from, "*.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no records in %s (%v)", from, err)
 	}
-	data, err := res.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := report.SaveFile(path, append(data, '\n')); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func tinySpec(seed uint64) sweep.Spec {
-	return sweep.Spec{
-		Protocols: []string{"genie"}, Arrivals: []string{"batch"},
-		Kappas: []int{4, 8}, Rates: []float64{0.5},
-		Trials: 1, Horizon: 200, Seed: seed,
-	}
-}
-
-func TestMergeRefusesMismatchedSpecHashes(t *testing.T) {
-	dir := t.TempDir()
-	a, b := filepath.Join(dir, "a.json"), filepath.Join(dir, "b.json")
-	writeShard(t, tinySpec(1), 1, 2, a)
-	writeShard(t, tinySpec(2), 2, 2, b) // same shape, different seed
-	_, _, err := runCLI(t, "-merge", "-quiet", a, b)
-	if err == nil || !strings.Contains(err.Error(), "spec hash mismatch") {
-		t.Fatalf("err = %v, want the spec-hash mismatch error", err)
+	for _, path := range paths {
+		if err := os.WriteFile(filepath.Join(to, filepath.Base(path)), mustRead(t, path), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
 func TestCLIShardMergeMatchesUnsharded(t *testing.T) {
-	// End-to-end through the CLI glue: run 2 shards and an unsharded
-	// grid via run(), merge the shard files, compare bytes.
+	// End-to-end through the CLI glue: two -worker -shard k/2 runs into
+	// directories of their own, their records copied into one directory,
+	// then -assemble, byte-equal to a plain run.
 	dir := t.TempDir()
 	full := filepath.Join(dir, "full.json")
 	if _, _, err := runCLI(t, tinyArgs("-kappas", "4,8", "-json", full)...); err != nil {
 		t.Fatal(err)
 	}
+	gathered := filepath.Join(dir, "all-cells")
+	if err := os.MkdirAll(gathered, 0o755); err != nil {
+		t.Fatal(err)
+	}
 	for k := 1; k <= 2; k++ {
-		args := tinyArgs("-kappas", "4,8",
-			"-shard", fmt.Sprintf("%d/2", k),
-			"-json", filepath.Join(dir, fmt.Sprintf("shard%d.json", k)))
+		cells := filepath.Join(dir, fmt.Sprintf("cells%d", k))
+		args := tinyArgs("-kappas", "4,8", "-worker", "-shard", fmt.Sprintf("%d/2", k), "-cache-dir", cells)
 		if _, _, err := runCLI(t, args...); err != nil {
 			t.Fatal(err)
 		}
+		copyRecords(t, cells, gathered)
 	}
-	merged := filepath.Join(dir, "merged.json")
-	if _, _, err := runCLI(t, "-merge", "-quiet", "-json", merged,
-		filepath.Join(dir, "shard2.json"), filepath.Join(dir, "shard1.json")); err != nil {
+	assembled := filepath.Join(dir, "assembled.json")
+	if _, _, err := runCLI(t, tinyArgs("-kappas", "4,8", "-assemble", "-cache-dir", gathered, "-json", assembled)...); err != nil {
 		t.Fatal(err)
 	}
-	want := mustRead(t, full)
-	got := mustRead(t, merged)
-	if !bytes.Equal(want, got) {
-		t.Fatal("CLI merged JSON differs from unsharded run")
+	if !bytes.Equal(mustRead(t, full), mustRead(t, assembled)) {
+		t.Fatal("CLI shard workers' assembled JSON differs from unsharded run")
 	}
 }
 
@@ -214,12 +171,10 @@ func TestDistributedFlagValidation(t *testing.T) {
 		{"relative backend url", tinyArgs("-worker", "-backend", "localhost:8771"), "url"},
 		{"resume with backend", tinyArgs("-resume", "-worker", "-backend", "http://localhost:1"), "-worker"},
 		{"resume with worker", tinyArgs("-resume", "-worker", "-cache-dir", "d"), "-worker"},
-		{"shard with worker", tinyArgs("-worker", "-cache-dir", "d", "-shard", "1/2"), "scheduling policy"},
-		{"shard with assemble", tinyArgs("-assemble", "-cache-dir", "d", "-shard", "1/2"), "-assemble"},
+		{"shard without worker", tinyArgs("-shard", "1/2", "-json", "x.json"), "-worker -shard k/N -cache-dir"},
 		{"worker with json", tinyArgs("-worker", "-cache-dir", "d", "-json", "x.json"), "-assemble"},
 		{"worker with csv", tinyArgs("-worker", "-cache-dir", "d", "-csv", "x.csv"), "-assemble"},
 		{"worker with bench", tinyArgs("-worker", "-cache-dir", "d", "-bench", "x.json"), "-assemble"},
-		{"merge with worker", []string{"-merge", "-worker", "-cache-dir", "d", "x.json"}, "-assemble"},
 		{"owner without worker", tinyArgs("-owner", "w1"), "-worker"},
 		{"lease-ttl without worker", tinyArgs("-lease-ttl", "5m"), "-worker"},
 		{"assemble positional", tinyArgs("-assemble", "-cache-dir", "d", "stray.json"), "unexpected arguments"},

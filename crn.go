@@ -98,68 +98,10 @@ type MediumSpec = medium.Spec
 //	med, err := spec.Build(0, 0)
 func ParseMedium(desc string) (MediumSpec, error) { return medium.ParseSpec(desc) }
 
-// CollisionDetection selects the feedback a classical medium gives its
-// devices: CDNone (no channel sensing), CDBinary (busy/idle carrier
-// sensing), or CDTernary (full collision detection).
-type CollisionDetection = medium.CD
-
-// Collision-detection modes for NewClassicalMedium.
-const (
-	CDNone    = medium.CDNone
-	CDBinary  = medium.CDBinary
-	CDTernary = medium.CDTernary
-)
-
 // ModelNames lists the canonical channel-model descriptors, in
 // canonical order; ParseMedium accepts these plus parametrized forms
 // (coded:K, coded:K/W, capture:K).
 var ModelNames = medium.Models
-
-// NewMedium constructs a channel medium from a model descriptor such as
-// "coded", "classical", or "classical:none".  kappa and maxWindow
-// parametrize the coded model and are ignored by classical ones.
-//
-// Deprecated: Use ParseMedium followed by MediumSpec.Build, which
-// separates descriptor validation from construction and supports the
-// full parametrized grammar.
-func NewMedium(model string, kappa, maxWindow int) (Medium, error) {
-	return medium.New(model, kappa, maxWindow)
-}
-
-// NewCodedMedium returns the paper's coded κ-threshold channel as a
-// Medium (maxWindow 0 = unbounded decoding windows).
-//
-// Deprecated: Use ParseMedium("coded") (or "coded:K/W") and
-// MediumSpec.Build.
-func NewCodedMedium(kappa, maxWindow int) Medium { return medium.NewCoded(kappa, maxWindow) }
-
-// NewClassicalMedium returns the classical collision channel (κ = 1
-// semantics: a slot delivers its packet iff exactly one device
-// transmits) with the given collision-detection feedback.
-//
-// Deprecated: Use ParseMedium("classical:none|binary|ternary") and
-// MediumSpec.Build.
-func NewClassicalMedium(cd CollisionDetection) Medium { return medium.NewClassical(cd) }
-
-// NewCaptureMedium returns the high-SNR capture channel: a slot
-// delivers all its packets iff at most kappa devices transmit (additive
-// decoding in the spirit of bounded-contention coding), and one
-// transmission too many destroys the slot.  At κ = 1 it coincides with
-// the classical collision channel.
-//
-// Deprecated: Use ParseMedium("capture:K") and MediumSpec.Build.
-func NewCaptureMedium(kappa int) Medium { return medium.NewCapture(kappa) }
-
-// NewJammedMedium composes a jammer over any medium: jammed slots are
-// spoiled before the inner medium sees them.  Jam decisions are
-// slot-keyed from seed, so they are independent of stepping history.
-//
-// Deprecated: Set Config.Jammer (the engine composes it over
-// Config.Medium with the run's derived seed) instead of pre-composing
-// the medium; jamming is a run property, not a channel model.
-func NewJammedMedium(inner Medium, j Jammer, seed uint64) Medium {
-	return medium.Jam(inner, j, seed)
-}
 
 // DecodableBackoffOption configures NewDecodableBackoff.
 type DecodableBackoffOption = core.Option
@@ -377,24 +319,21 @@ type SweepSpec = sweep.Spec
 type SweepGrid = sweep.Grid
 
 // SweepOptions tunes sweep execution: parallelism, progress callbacks,
-// and the cache/resume pair (see OpenSweepCache).
+// the cache/resume pair (see OpenSweepCache), and a worker's lease and
+// shard settings (see RunSweepWorker).
 type SweepOptions = sweep.Options
 
 // SweepShard selects a balanced 1-based slice k/N of a grid's cells;
-// the zero value means the whole grid.  See RunSweepShard.
+// the zero value means the whole grid.  Set as SweepOptions.Shard, it
+// restricts RunSweepWorker to that slice.
 type SweepShard = sweep.Shard
-
-// SweepShardResult is one shard's mergeable artifact; see
-// MergeSweepShards.
-type SweepShardResult = sweep.ShardResult
 
 // SweepCache is a directory of content-addressed completed-cell
 // records; passing one in SweepOptions makes sweeps resumable.
 type SweepCache = cache.Store
 
 // SweepSchemaVersion names the engine semantics sweep cell identities
-// are minted under; cache records and shard artifacts from other
-// versions never merge.
+// are minted under; cell records from other versions are never reused.
 const SweepSchemaVersion = sweep.SchemaVersion
 
 // ParseSweepSpec decodes and validates a JSON sweep spec.
@@ -411,21 +350,6 @@ func ParseSweepShard(desc string) (SweepShard, error) { return sweep.ParseShard(
 // stay cached under opts.Cache), then the context's error is returned.
 func RunSweep(ctx context.Context, spec SweepSpec, opts SweepOptions) (*SweepGrid, error) {
 	return sweep.Run(ctx, spec, opts)
-}
-
-// RunSweepShard executes one balanced slice of the spec's grid, seeding
-// each trial exactly as an unsharded run would, and returns the shard
-// artifact MergeSweepShards reassembles.
-// Cancellation follows RunSweep's contract.
-func RunSweepShard(ctx context.Context, spec SweepSpec, sh SweepShard, opts SweepOptions) (*SweepShardResult, error) {
-	return sweep.RunShard(ctx, spec, sh, opts)
-}
-
-// MergeSweepShards reassembles shard artifacts into the full grid,
-// verifying they carry one spec (by content hash) and cover its
-// expansion exactly; the result is byte-identical to an unsharded run.
-func MergeSweepShards(shards []*SweepShardResult) (*SweepGrid, error) {
-	return sweep.Merge(shards)
 }
 
 // OpenSweepCache opens (creating if needed) a sweep cell cache rooted
@@ -452,7 +376,9 @@ const DefaultSweepLeaseTTL = sweep.DefaultLeaseTTL
 // slots is free, and waiting out neighbors' leases at the end.  Any
 // number of workers — concurrent, killed, restarted — converge on the
 // same store contents; AssembleSweep then rebuilds the grid
-// byte-identical to RunSweep's.  Cancel ctx to stop claiming and
+// byte-identical to RunSweep's.  With opts.Shard set the worker claims
+// only that slice, so workers with stores of their own can split a
+// grid and their records be copied together before AssembleSweep.  Cancel ctx to stop claiming and
 // starting trials: trials in flight finish and their completed cells
 // persist, while a partly run cell's lease lapses as after a kill.
 func RunSweepWorker(ctx context.Context, spec SweepSpec, opts SweepOptions) (*SweepWorkerResult, error) {

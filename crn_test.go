@@ -120,9 +120,21 @@ func TestMediumFacade(t *testing.T) {
 		"genie": NewGenieAloha(6, 1),
 		"mw":    NewMultiplicativeWeights(7),
 	}
+	build := func(desc string, kappa, maxWindow int) Medium {
+		t.Helper()
+		spec, err := ParseMedium(desc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := spec.Build(kappa, maxWindow)
+		if err != nil {
+			t.Fatalf("%s: %v", desc, err)
+		}
+		return m
+	}
 	for name, p := range protos {
 		res := Run(Config{Horizon: 1, Drain: true, DrainLimit: 1 << 22, Seed: 8,
-			Medium: NewClassicalMedium(CDTernary)}, p, NewBatch(n))
+			Medium: build("classical:ternary", 0, 0)}, p, NewBatch(n))
 		if res.Delivered != n {
 			t.Fatalf("%s on classical delivered %d of %d", name, res.Delivered, n)
 		}
@@ -131,14 +143,12 @@ func TestMediumFacade(t *testing.T) {
 		}
 	}
 	for _, model := range ModelNames {
-		if _, err := NewMedium(model, 8, 32); err != nil {
-			t.Fatalf("NewMedium(%q): %v", model, err)
-		}
+		build(model, 8, 32)
 	}
-	// The coded medium can be passed explicitly, and jammers compose.
-	m := NewJammedMedium(NewCodedMedium(16, 64), NewPeriodicJammer(10, 2), 5)
-	res := Run(Config{Horizon: 1, Drain: true, Seed: 9, Medium: m},
-		NewDecodableBackoff(16, 10), NewBatch(n))
+	// The coded medium can be passed explicitly, and a jammer composes
+	// over it.
+	res := Run(Config{Horizon: 1, Drain: true, Seed: 9, Medium: build("coded:16/64", 0, 0),
+		Jammer: NewPeriodicJammer(10, 2)}, NewDecodableBackoff(16, 10), NewBatch(n))
 	if res.Delivered != n {
 		t.Fatalf("jammed coded medium delivered %d of %d", res.Delivered, n)
 	}
@@ -260,9 +270,10 @@ func TestFacadeConstructorsValidate(t *testing.T) {
 }
 
 func TestSweepFacadeShardResumeMerge(t *testing.T) {
-	// The facade drives the sharded/cached sweep subsystem end to end:
-	// two shards into a shared cache, merged byte-identical to an
-	// unsharded run, then a fully-warm resume that executes nothing.
+	// The facade drives the distributed/cached sweep subsystem end to
+	// end: two shard workers into a shared cache, assembled
+	// byte-identical to an unsharded run, then a fully-warm resume that
+	// executes nothing.
 	spec := SweepSpec{
 		Protocols: []string{"genie"}, Arrivals: []string{"batch"},
 		Kappas: []int{4, 8}, Rates: []float64{0.5},
@@ -285,24 +296,25 @@ func TestSweepFacadeShardResumeMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var shards []*SweepShardResult
 	for _, sh := range []SweepShard{sh, {Index: 2, Count: 2}} {
-		res, err := RunSweepShard(context.Background(), spec, sh, SweepOptions{Cache: store})
+		res, err := RunSweepWorker(context.Background(), spec, SweepOptions{Cache: store, Shard: sh})
 		if err != nil {
 			t.Fatal(err)
 		}
-		shards = append(shards, res)
+		if res.Total != 1 || res.Executed != 1 {
+			t.Fatalf("shard %s: executed %d of %d cells, want 1 of 1", sh, res.Executed, res.Total)
+		}
 	}
-	merged, err := MergeSweepShards(shards)
+	assembled, err := AssembleSweep(context.Background(), spec, store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := merged.JSON()
+	got, err := assembled.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(want) != string(got) {
-		t.Fatal("merged facade sweep differs from unsharded run")
+		t.Fatal("assembled facade sweep differs from unsharded run")
 	}
 
 	executed := 0

@@ -45,27 +45,25 @@
 // # Channel models
 //
 // Config.Medium selects the channel model a run uses; nil picks the
-// paper's coded channel.  The classical collision channel runs the
-// baselines on the model they were designed for, with the
-// collision-detection feedback variants the classical literature
-// distinguishes:
-//
-//	res := crn.Run(crn.Config{Horizon: 1, Drain: true, Seed: 2,
-//	    Medium: crn.NewClassicalMedium(crn.CDTernary)},
-//	    crn.NewExponentialBackoff(1), crn.NewBatch(1000))
-//
-// The canonical way to name a channel model is the medium-descriptor
-// grammar shared by every command's -model/-models flag and by sweep
-// specs:
+// paper's coded channel.  A channel model is named by the
+// medium-descriptor grammar shared by every command's -model/-models
+// flag and by sweep specs:
 //
 //	coded[:K[/W]] | classical[:none|binary|ternary] | capture[:K]
 //
 // ParseMedium parses a descriptor into a MediumSpec; MediumSpec.String
 // round-trips the canonical form and MediumSpec.Build constructs the
-// medium. The positional constructors above (NewCodedMedium,
-// NewClassicalMedium, NewCaptureMedium, NewJammedMedium) are
-// deprecated wrappers over this path and are retained for
-// compatibility only.
+// medium.  The classical collision channel runs the baselines on the
+// model they were designed for, with the collision-detection feedback
+// variants the classical literature distinguishes:
+//
+//	spec, _ := crn.ParseMedium("classical:ternary")
+//	med, _ := spec.Build(0, 0)
+//	res := crn.Run(crn.Config{Horizon: 1, Drain: true, Seed: 2, Medium: med},
+//	    crn.NewExponentialBackoff(1), crn.NewBatch(1000))
+//
+// Jamming is a run property, not a channel model: set Config.Jammer or
+// Config.Adversary and the engine composes it over the medium.
 //
 // # Real-network emulation
 //
@@ -83,10 +81,10 @@
 //	    Seed: 1, Stations: 4, Transport: "udp",
 //	})
 //
-// The long-running entry points — RunSweep, RunSweepShard,
-// RunSweepWorker, AssembleSweep, RunEmulation — take a
-// context.Context; cancellation lands between trials, cells, or slots,
-// and completed sweep cells stay cached.
+// The long-running entry points — RunSweep, RunSweepWorker,
+// AssembleSweep, RunEmulation — take a context.Context; cancellation
+// lands between trials, cells, or slots, and completed sweep cells stay
+// cached.
 //
 // # Scenario sweeps
 //
@@ -106,22 +104,21 @@
 // (and the BENCH_sweep.json benchmark artifact) are diffable across
 // commits.
 //
-// Sweep execution is also sharded, cacheable, and resumable (DESIGN.md
-// §6.2): -shard k/N runs a balanced slice of the grid and -merge
-// reassembles shard artifacts byte-identically to an unsharded run,
-// while -cache-dir/-resume persist completed cells as content-addressed
+// Sweep execution is also cacheable and resumable (DESIGN.md §6.2):
+// -cache-dir/-resume persist completed cells as content-addressed
 // records so an interrupted sweep re-executes only what is missing.
-// The same machinery is exported here as RunSweep, RunSweepShard,
-// MergeSweepShards, and OpenSweepCache.
+// The same machinery is exported here as RunSweep and OpenSweepCache.
 //
 // Distributed execution generalizes the cache into a shared store
 // (DESIGN.md §6.3): cmd/crnserve serves a cell directory over HTTP, any
 // number of crnsweep -worker processes drain the grid by claiming cells
 // under advisory TTL leases, and -assemble reads the byte-identical
-// grid back.  cmd/crnquery lists, filters, and diffs the resulting
-// cells across runs and commits.  Exported here as SweepBackend,
-// RunSweepWorker, AssembleSweep, NewSweepHTTPBackend, and
-// NewSweepHTTPServer.
+// grid back.  -worker -shard k/N restricts a worker to a balanced slice
+// of the grid, so machines with stores of their own can split it and
+// have their records copied together before -assemble.  cmd/crnquery
+// lists, filters, and diffs the resulting cells across runs and
+// commits.  Exported here as SweepBackend, SweepShard, RunSweepWorker,
+// AssembleSweep, NewSweepHTTPBackend, and NewSweepHTTPServer.
 //
 // cmd/experiments accepts -parallel to run the E1–E16
 // reproduction harness concurrently and -json for the same

@@ -163,12 +163,12 @@ func TestRunNewAxesGridDeterministic(t *testing.T) {
 	if !bytes.Equal(serial, render(1)) {
 		t.Fatal("rerun with the same seed diverged")
 	}
-	// A 4-shard run over the same grid must merge byte-identically —
-	// the new skip rules partition cells, and partitioning must not
+	// 4 shard workers over the same grid must assemble byte-identically
+	// — the new skip rules partition cells, and partitioning must not
 	// perturb seeds or order.
-	mergedJSON, _ := mergedArtifacts(t, s, 4, 2)
-	if !bytes.Equal(serial, mergedJSON) {
-		t.Fatal("4-shard merge differs from the unsharded new-axes artifact")
+	shardedJSON, _ := shardWorkerArtifacts(t, s, 4, 2)
+	if !bytes.Equal(serial, shardedJSON) {
+		t.Fatal("4 shard workers assemble differently from the unsharded new-axes artifact")
 	}
 	grid, err := Run(context.Background(), s, Options{})
 	if err != nil {

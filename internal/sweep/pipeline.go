@@ -16,8 +16,8 @@ import (
 var execDelay func(owner string, cell, trial int)
 
 // plan is a validated spec's canonical expansion with every cell's trial
-// seeds and content identity: what Run, RunShard, RunWorker, Assemble
-// and Merge all derive before they touch a cell.
+// seeds and content identity: what Run, RunWorker and Assemble all
+// derive before they touch a cell.
 type plan struct {
 	spec  *Spec
 	cells []Scenario

@@ -202,7 +202,7 @@ func TestRunWorkerStopsOnPutFailure(t *testing.T) {
 	}
 }
 
-// TestRunStopsOnPutFailure: Run and RunShard share the executor, so a
+// TestRunStopsOnPutFailure: Run and RunWorker share the executor, so a
 // failing Cache stops them the same way.
 func TestRunStopsOnPutFailure(t *testing.T) {
 	store, err := cache.Open(t.TempDir())

@@ -3,7 +3,6 @@ package sweep
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/cache"
@@ -22,13 +21,13 @@ type Options struct {
 	// work-stealing worker claims a cell only into a free slot, so it
 	// never holds more than Parallelism unfinished leases.
 	Parallelism int
-	// OnCell, if set, is called as each selected cell completes —
-	// executed, or loaded from the cache (under Resume, or by a worker) —
-	// with the number of completed cells and the selected total.  Calls
-	// are serialized.  Executed cells report in completion order, which
-	// need not be grid order since cells overlap; Run reports its loaded
-	// cells first, in grid order, while a worker's loaded cells may
-	// interleave with its executed ones.
+	// OnCell, if set, is called as each cell completes — executed, or
+	// loaded from the cache (under Resume, or by a worker) — with the
+	// number of completed cells and the total (a worker's shard, or the
+	// whole grid).  Calls are serialized.  Executed cells report in
+	// completion order, which need not be grid order since cells
+	// overlap; Run reports its loaded cells first, in grid order, while
+	// a worker's loaded cells may interleave with its executed ones.
 	OnCell func(done, total int, cell *CellSummary, cached bool)
 	// Cache, if non-nil, persists every completed cell as a
 	// content-addressed record keyed by cell identity, so a later Resume
@@ -52,6 +51,12 @@ type Options struct {
 	// Poll is how long a worker waits between scans when every missing
 	// cell is leased to someone else (RunWorker only; 0 = 100ms).
 	Poll time.Duration
+	// Shard restricts a worker to one static slice of the grid
+	// (RunWorker only; the zero value is the whole grid): it claims,
+	// loads and counts only the cells the shard owns.  Shard workers on
+	// machines that share nothing fill one record namespace, so their
+	// directories' records copied together Assemble like one drain.
+	Shard Shard
 }
 
 // trialOut carries one trial's result plus the side-channel measurements
@@ -114,91 +119,46 @@ func putCell(b cache.Backend, id string, index int, key string, cell CellSummary
 // run.  Cancel ctx to stop early: in-flight trials finish (and completed
 // cells stay cached), then Run returns the context's error.  The first
 // Cache error likewise stops new trials and is returned.
+//
+// Run is the static scheduling policy: this process executes every
+// cell.  RunWorker (steal.go) instead claims cells from a shared
+// backend at run time; both feed the same executor, so the policies
+// differ only in who executes a cell, never in what the cell contains.
 func Run(ctx context.Context, spec Spec, opts Options) (*Grid, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	p := newPlan(&spec)
-	out, err := runCells(ctx, p, Shard{}.Indices(len(p.cells)), opts)
-	if err != nil {
-		return nil, err
-	}
-	grid := &Grid{Spec: spec, Cells: make([]CellSummary, len(p.cells))}
-	for i := range out {
-		grid.Cells[out[i].Index] = out[i].Cell
-	}
-	return grid, nil
-}
-
-// RunShard executes one shard of the spec's grid — the cells
-// sh.Indices selects from the canonical expansion — seeding each trial
-// exactly as an unsharded run would, and returns the shard artifact
-// Merge reassembles.  Options.Cache/Resume apply per cell, so shards
-// and resumed runs share one cache.  Cancellation follows Run's
-// contract.
-func RunShard(ctx context.Context, spec Spec, sh Shard, opts Options) (*ShardResult, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if err := sh.Validate(); err != nil {
-		return nil, err
-	}
-	hash, err := spec.Hash()
-	if err != nil {
-		return nil, err
-	}
-	p := newPlan(&spec)
-	out, err := runCells(ctx, p, sh.Indices(len(p.cells)), opts)
-	if err != nil {
-		return nil, err
-	}
-	return &ShardResult{
-		SchemaVersion: SchemaVersion,
-		SpecHash:      hash,
-		Spec:          spec,
-		Shard:         sh,
-		TotalCells:    len(p.cells),
-		Cells:         out,
-	}, nil
-}
-
-// runCells executes (or, under Resume, loads) the selected cells of a
-// plan — the static scheduling policy: the caller decides up front
-// which cells this process owns (a shard's round-robin slice, or the
-// whole grid) and every other cell is someone else's problem.  The
-// work-stealing policy in steal.go instead claims cells from the shared
-// backend at run time; both feed the same executor, so the policies
-// differ only in who executes a cell, never in what the cell contains.
-// selected holds ascending positions into the plan's cells.
-func runCells(ctx context.Context, p *plan, selected []int, opts Options) ([]IndexedCell, error) {
 	if opts.Resume && opts.Cache == nil {
 		return nil, fmt.Errorf("sweep: Resume requires a Cache")
 	}
-	e := newExecutor(p, &opts, len(selected))
-	out := make([]IndexedCell, len(selected))
+	if !opts.Shard.IsAll() {
+		return nil, fmt.Errorf("sweep: Options.Shard filters a worker's claims; Run always computes the whole grid")
+	}
+	p := newPlan(&spec)
+	grid := &Grid{Spec: spec, Cells: make([]CellSummary, len(p.cells))}
+	e := newExecutor(p, &opts, len(p.cells))
 	var pending []int // grid positions that need execution
-	for si, ci := range selected {
+	for i := range p.cells {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		out[si] = IndexedCell{Index: ci, ID: p.ids[ci]}
 		if opts.Resume {
 			// The identity hash names the record, but trust nothing: a
 			// record is reused only if its stored identity agrees with the
 			// one this spec derives for this cell (loadCell re-checks).
-			cell, ok, err := loadCell(opts.Cache, p.ids[ci], p.cells[ci].Key())
+			cell, ok, err := loadCell(opts.Cache, p.ids[i], p.cells[i].Key())
 			if err != nil {
 				return nil, err
 			}
 			if ok {
 				// Cache hits report first, in grid order; executed cells
 				// follow as they land.
-				out[si].Cell = cell
+				grid.Cells[i] = cell
 				e.report(&cell, true)
 				continue
 			}
 		}
-		pending = append(pending, ci)
+		pending = append(pending, i)
 	}
 	e.next = func(context.Context) (int, bool) {
 		if len(pending) == 0 {
@@ -208,14 +168,12 @@ func runCells(ctx context.Context, p *plan, selected []int, opts Options) ([]Ind
 		pending = pending[1:]
 		return ci, true
 	}
-	e.keep = func(ci int, cell *CellSummary) {
-		out[sort.SearchInts(selected, ci)].Cell = *cell
-	}
+	e.keep = func(ci int, cell *CellSummary) { grid.Cells[ci] = *cell }
 	if err := e.run(ctx); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return out, nil
+	return grid, nil
 }

@@ -30,25 +30,29 @@ func TestShardIndicesPartition(t *testing.T) {
 	// within one cell.
 	for _, total := range []int{0, 1, 3, 4, 7, 132} {
 		for _, n := range []int{1, 2, 4, 5} {
-			seen := make([]bool, total)
+			owner := make([]int, total)
 			min, max := total, 0
 			for k := 1; k <= n; k++ {
-				idx := Shard{Index: k, Count: n}.Indices(total)
-				if len(idx) < min {
-					min = len(idx)
-				}
-				if len(idx) > max {
-					max = len(idx)
-				}
-				for _, i := range idx {
-					if i < 0 || i >= total || seen[i] {
-						t.Fatalf("total=%d n=%d: index %d out of range or duplicated", total, n, i)
+				sh, size := Shard{Index: k, Count: n}, 0
+				for i := range owner {
+					if !sh.owns(i) {
+						continue
 					}
-					seen[i] = true
+					if owner[i] != 0 {
+						t.Fatalf("total=%d n=%d: cell %d owned by shards %d and %d", total, n, i, owner[i], k)
+					}
+					owner[i] = k
+					size++
+				}
+				if size < min {
+					min = size
+				}
+				if size > max {
+					max = size
 				}
 			}
-			for i, ok := range seen {
-				if !ok {
+			for i, k := range owner {
+				if k == 0 {
 					t.Fatalf("total=%d n=%d: cell %d unassigned", total, n, i)
 				}
 			}
@@ -57,57 +61,63 @@ func TestShardIndicesPartition(t *testing.T) {
 			}
 		}
 	}
-	all := Shard{}.Indices(5)
-	if len(all) != 5 || all[0] != 0 || all[4] != 4 {
-		t.Fatalf("zero shard indices = %v", all)
+	for i := 0; i < 5; i++ {
+		if !(Shard{}).owns(i) {
+			t.Fatalf("zero shard does not own cell %d", i)
+		}
 	}
 }
 
-func TestSpecHash(t *testing.T) {
-	s := smallSpec()
-	h1, err := s.Hash()
+// copyRecords copies every cell record in one store's directory into
+// another's, as an operator gathers shard workers' records.
+func copyRecords(t *testing.T, from, to string) {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(from, "*.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Hash is computed on the normalized spec, so pre- and
-	// post-Validate specs agree.
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	h2, err := s.Hash()
-	if err != nil || h1 != h2 {
-		t.Fatalf("normalization changed the hash: %s vs %s (%v)", h1, h2, err)
-	}
-	s.Seed++
-	h3, err := s.Hash()
-	if err != nil || h3 == h1 {
-		t.Fatalf("seed change did not change the hash (%v)", err)
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(to, filepath.Base(path)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
-// mergedArtifacts runs the spec as n shards at the given parallelism and
-// merges them (in reversed order, exercising order independence).
-func mergedArtifacts(t *testing.T, spec Spec, n, parallelism int) (jsonOut, csvOut []byte) {
+// shardWorkerArtifacts drains the spec as n shard workers at the given
+// parallelism, each into a store of its own as on machines that share
+// nothing, copies their records into one directory, and assembles it.
+func shardWorkerArtifacts(t *testing.T, spec Spec, n, parallelism int) (jsonOut, csvOut []byte) {
 	t.Helper()
-	var shards []*ShardResult
-	for k := n; k >= 1; k-- {
-		res, err := RunShard(context.Background(), spec, Shard{Index: k, Count: n}, Options{Parallelism: parallelism})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Round-trip each shard through its JSON artifact, as the CLI
-		// merge path does.
-		data, err := res.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := ParseShardResult(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shards = append(shards, back)
+	gathered, err := cache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
-	grid, err := Merge(shards)
+	covered := 0
+	for k := n; k >= 1; k-- {
+		store, err := cache.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := RunWorker(context.Background(), spec, Options{
+			Parallelism: parallelism, Cache: store, Shard: Shard{Index: k, Count: n},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Executed != res.Total || res.Loaded != 0 {
+			t.Fatalf("shard %d/%d: executed %d, loaded %d of %d", k, n, res.Executed, res.Loaded, res.Total)
+		}
+		covered += res.Total
+		copyRecords(t, store.Dir(), gathered.Dir())
+	}
+	if covered != spec.Cells() {
+		t.Fatalf("%d shards counted %d cells, grid has %d", n, covered, spec.Cells())
+	}
+	grid, err := Assemble(context.Background(), spec, gathered)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,8 +128,9 @@ func mergedArtifacts(t *testing.T, spec Spec, n, parallelism int) (jsonOut, csvO
 	return data, []byte(grid.CSV())
 }
 
-func TestShardedMergeByteIdentical(t *testing.T) {
-	// The tentpole contract: a 4-shard run merges to artifacts
+func TestShardWorkersAssembleByteIdentical(t *testing.T) {
+	// The distribution contract: 4 shard workers, each into its own
+	// store, assemble from their gathered records to artifacts
 	// byte-identical to an unsharded run of the same spec, at
 	// parallelism 1 and N alike.  The spec mixes models and adversaries
 	// so the skip rules are live during partitioning.
@@ -135,95 +146,48 @@ func TestShardedMergeByteIdentical(t *testing.T) {
 	}
 	wantCSV := []byte(grid.CSV())
 	for _, par := range []int{1, 8} {
-		gotJSON, gotCSV := mergedArtifacts(t, spec, 4, par)
+		gotJSON, gotCSV := shardWorkerArtifacts(t, spec, 4, par)
 		if !bytes.Equal(wantJSON, gotJSON) {
-			t.Fatalf("parallelism %d: merged JSON differs from unsharded run", par)
+			t.Fatalf("parallelism %d: assembled JSON differs from unsharded run", par)
 		}
 		if !bytes.Equal(wantCSV, gotCSV) {
-			t.Fatalf("parallelism %d: merged CSV differs from unsharded run", par)
+			t.Fatalf("parallelism %d: assembled CSV differs from unsharded run", par)
 		}
 	}
 }
 
 func TestRunShardMatchesUnshardedCells(t *testing.T) {
+	// A shard worker claims exactly its slice, and every record it
+	// writes holds the cell an unsharded run computes at that position.
 	spec := smallSpec()
 	grid, err := Run(context.Background(), spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunShard(context.Background(), spec, Shard{Index: 2, Count: 3}, Options{})
+	store, err := cache.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.SchemaVersion != SchemaVersion || res.TotalCells != len(grid.Cells) {
-		t.Fatalf("shard artifact header wrong: %+v", res)
+	res, err := RunWorker(context.Background(), spec, Options{Cache: store, Shard: Shard{Index: 2, Count: 3}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(res.Cells) == 0 {
-		t.Fatal("shard ran no cells")
+	if res.Total != 5 || res.Executed != 5 {
+		t.Fatalf("shard 2/3 of 16 cells: executed %d of %d, want 5 of 5", res.Executed, res.Total)
 	}
-	for _, c := range res.Cells {
-		if c.Index%3 != 1 {
-			t.Fatalf("shard 2/3 owns cell %d", c.Index)
-		}
-		if want := grid.Cells[c.Index]; c.Cell != want {
-			t.Fatalf("cell %d differs between sharded and unsharded run:\n%+v\n%+v", c.Index, c.Cell, want)
-		}
-	}
-}
-
-func TestMergeRejects(t *testing.T) {
-	spec := smallSpec()
-	shardOf := func(sp Spec, k, n int) *ShardResult {
-		res, err := RunShard(context.Background(), sp, Shard{Index: k, Count: n}, Options{})
+	p := newPlan(&spec)
+	for i := range p.cells {
+		var rec CellRecord
+		ok, err := store.Get(p.ids[i], &rec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
-	}
-	s1, s2 := shardOf(spec, 1, 2), shardOf(spec, 2, 2)
-
-	if _, err := Merge(nil); err == nil {
-		t.Error("merge of zero shards accepted")
-	}
-	if _, err := Merge([]*ShardResult{s1}); err == nil {
-		t.Error("merge with a missing shard accepted")
-	}
-	if _, err := Merge([]*ShardResult{s1, s2, s1}); err == nil {
-		t.Error("merge with a duplicated shard accepted")
-	}
-
-	// Mismatched spec hashes: same shape, different seed.
-	other := spec
-	other.Seed = 99
-	if _, err := Merge([]*ShardResult{s1, shardOf(other, 2, 2)}); err == nil {
-		t.Error("merge across different specs accepted")
-	}
-
-	// A stale schema version must refuse to merge.
-	stale := *s1
-	stale.SchemaVersion = "crn-sweep/0"
-	if _, err := Merge([]*ShardResult{&stale, s2}); err == nil {
-		t.Error("merge with a stale schema version accepted")
-	}
-
-	// A tampered spec (hash no longer matches) must refuse to merge.
-	tampered := *s1
-	tampered.Spec.Horizon++
-	if _, err := Merge([]*ShardResult{&tampered, s2}); err == nil {
-		t.Error("merge with a tampered spec accepted")
-	}
-
-	// A tampered cell identity must refuse to merge.
-	badCell := *s1
-	badCell.Cells = append([]IndexedCell(nil), s1.Cells...)
-	badCell.Cells[0].ID = badCell.Cells[1].ID
-	if _, err := Merge([]*ShardResult{&badCell, s2}); err == nil {
-		t.Error("merge with a tampered cell identity accepted")
-	}
-
-	// And the happy path still merges after all that.
-	if _, err := Merge([]*ShardResult{s2, s1}); err != nil {
-		t.Fatalf("valid merge failed: %v", err)
+		if ok != (i%3 == 1) {
+			t.Fatalf("cell %d: record present = %v, but shard 2/3 owns it = %v", i, ok, i%3 == 1)
+		}
+		if ok && rec.Cell != grid.Cells[i] {
+			t.Fatalf("cell %d differs between shard worker and unsharded run:\n%+v\n%+v", i, rec.Cell, grid.Cells[i])
+		}
 	}
 }
 
@@ -337,20 +301,23 @@ func TestResumeRequiresCache(t *testing.T) {
 }
 
 func TestShardsShareOneCache(t *testing.T) {
-	// Shards persist into the same store an unsharded resume can reuse:
-	// run shard 1/2 with a cache, then resume the full grid — only
-	// shard 2/2's cells execute.
+	// A shard worker persists into the same store an unsharded resume
+	// can reuse: drain shard 1/2 into a cache, then resume the full grid
+	// — only shard 2/2's cells execute.
 	spec := smallSpec()
 	store, err := cache.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunShard(context.Background(), spec, Shard{Index: 1, Count: 2}, Options{Cache: store})
+	res, err := RunWorker(context.Background(), spec, Options{Cache: store, Shard: Shard{Index: 1, Count: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if res.Total != 8 || res.Executed != 8 {
+		t.Fatalf("shard 1/2 of 16 cells: executed %d of %d", res.Executed, res.Total)
+	}
 	_, executed, cached := runCounting(t, spec, store, true)
-	if cached != len(res.Cells) || executed != 16-len(res.Cells) {
-		t.Fatalf("executed=%d cached=%d after a %d-cell shard", executed, cached, len(res.Cells))
+	if cached != res.Total || executed != 16-res.Total {
+		t.Fatalf("executed=%d cached=%d after a %d-cell shard", executed, cached, res.Total)
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 
 	"repro/internal/adversary"
@@ -240,6 +241,23 @@ func (s *Spec) Validate() error {
 			return err
 		}
 	}
+	// Two spellings of one value (0.5 and 0.50, classical and
+	// classical:ternary, random:0.2 and random:0.20) would run one
+	// scenario twice, and for rates and κ mint two cells with one key
+	// that no reader joining cells by key could tell apart.
+	for _, err := range []error{
+		distinct("models", s.Models, func(m string) any { ms, _ := medium.ParseSpec(m); return ms }),
+		distinct("protocols", s.Protocols, nil),
+		distinct("arrivals", s.Arrivals, nil),
+		distinct("kappas", s.Kappas, nil),
+		distinct("rates", s.Rates, nil),
+		distinct("jammers", s.Jammers, func(j string) any { jm, _ := parseJammer(j); return jm }),
+		distinct("adversaries", s.Adversaries, func(a string) any { adv, _ := adversary.Parse(a); return adv }),
+	} {
+		if err != nil {
+			return err
+		}
+	}
 	if s.Trials < 1 {
 		return fmt.Errorf("sweep: trials %d < 1", s.Trials)
 	}
@@ -266,6 +284,29 @@ func (s *Spec) Validate() error {
 	}
 	if len(s.Expand()) == 0 {
 		return fmt.Errorf("sweep: the skip rules leave no cells (every protocol/model/κ combination named is skipped)")
+	}
+	return nil
+}
+
+// distinct rejects an axis that names one value twice.  parse maps an
+// already validated value to what it means (nil: the value itself), so
+// two spellings of one value count as a repeat.
+func distinct[T any](axis string, vals []T, parse func(T) any) error {
+	meant := make([]any, len(vals))
+	for j, v := range vals {
+		meant[j] = v
+		if parse != nil {
+			meant[j] = parse(v)
+		}
+		for i := range j {
+			if reflect.DeepEqual(meant[i], meant[j]) {
+				first, again := fmt.Sprint(vals[i]), fmt.Sprint(v)
+				if first != again {
+					again = first + " (as " + again + ")"
+				}
+				return fmt.Errorf("sweep: %s axis repeats %s", axis, again)
+			}
+		}
 	}
 	return nil
 }

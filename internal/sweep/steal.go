@@ -21,13 +21,14 @@ const DefaultLeaseTTL = 2 * time.Minute
 const defaultPoll = 100 * time.Millisecond
 
 // WorkerResult summarizes one work-stealing worker's participation in
-// draining a grid.  It is a progress report, not a merge artifact: the
+// draining a grid.  It is a progress report, not a grid artifact: the
 // grid itself is assembled from the shared backend (Assemble), which is
 // what makes workers interchangeable and killable.
 type WorkerResult struct {
 	// Owner is the lease label the worker claimed cells under.
 	Owner string `json:"owner"`
-	// Total is the grid's cell count.
+	// Total is the number of cells the worker's shard holds (the whole
+	// grid's without Options.Shard).
 	Total int `json:"total_cells"`
 	// Executed counts the cells this worker claimed and computed.
 	Executed int `json:"executed"`
@@ -37,27 +38,31 @@ type WorkerResult struct {
 }
 
 // RunWorker drains one grid through the work-stealing scheduling
-// policy: instead of being assigned a static slice of the expansion
-// (the -shard policy), the worker scans the grid for cells whose
-// content-addressed records are missing from the shared backend, claims
-// one with a TTL lease whenever one of its Options.Parallelism trial
-// slots is free, executes it, and persists the record.  Workers never
-// talk to each other — the backend's records and leases are the entire
-// coordination protocol — so any number of heterogeneous machines can
-// join, leave, or crash mid-run: a dead worker's leases expire and its
-// cells are re-claimed by whoever gets there first.
+// policy: the worker scans the grid for cells whose content-addressed
+// records are missing from the shared backend, claims one with a TTL
+// lease whenever one of its Options.Parallelism trial slots is free,
+// executes it, and persists the record.  Workers never talk to each
+// other — the backend's records and leases are the entire coordination
+// protocol — so any number of heterogeneous machines can join, leave,
+// or crash mid-run: a dead worker's leases expire and its cells are
+// re-claimed by whoever gets there first.  Options.Shard narrows the
+// scan to one static slice of the grid, so workers with stores of
+// their own can split a grid without sharing anything.
 //
-// The function returns when every cell of the grid has a valid record
-// in the backend (some computed here, the rest observed), or when ctx
-// is cancelled, or on the first backend error.  Cancellation and errors
-// stop new claims and trials; trials in flight finish and their
-// completed cells persist, while a partly run cell's lease is left to
-// lapse.  Cell identities, trial seeds, skip rules, and summaries are
+// The function returns when every cell of the worker's shard has a
+// valid record in the backend (some computed here, the rest observed),
+// or when ctx is cancelled, or on the first backend error.
+// Cancellation and errors stop new claims and trials; trials in flight
+// finish and their completed cells persist, while a partly run cell's
+// lease is left to lapse.  Cell identities, trial seeds, skip rules, and summaries are
 // exactly those of sweep.Run — scheduling policy decides who computes a
 // cell, never what it contains — so Assemble over the drained backend
 // is byte-identical to an unsharded run.
 func RunWorker(ctx context.Context, spec Spec, opts Options) (*WorkerResult, error) {
 	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	if err := opts.Shard.Validate(); err != nil {
 		return nil, err
 	}
 	if opts.Cache == nil {
@@ -77,13 +82,21 @@ func RunWorker(ctx context.Context, spec Spec, opts Options) (*WorkerResult, err
 	}
 
 	p := newPlan(&spec)
-	e := newExecutor(p, &opts, len(p.cells))
-	e.owner, e.ttl = owner, ttl
-	// The scan: taken marks cells loaded from the backend or claimed
-	// here.  Each call resumes where the last one stopped; a pass that
-	// takes nothing means every missing cell is leased elsewhere.
+	// The scan: taken marks cells outside the shard, loaded from the
+	// backend, or claimed here.  Each call resumes where the last one
+	// stopped; a pass that takes nothing means every missing cell is
+	// leased elsewhere.
 	taken := make([]bool, len(p.cells))
-	left := len(p.cells)
+	left := 0
+	for i := range taken {
+		taken[i] = !opts.Shard.owns(i)
+		if !taken[i] {
+			left++
+		}
+	}
+	total := left
+	e := newExecutor(p, &opts, total)
+	e.owner, e.ttl = owner, ttl
 	scan, progressed := 0, false
 	e.next = func(ctx context.Context) (int, bool) {
 		for {
@@ -141,24 +154,29 @@ func RunWorker(ctx context.Context, spec Spec, opts Options) (*WorkerResult, err
 		}
 	}
 	err := e.run(ctx)
-	res := &WorkerResult{Owner: owner, Total: len(p.cells), Executed: e.executed, Loaded: e.loaded}
+	res := &WorkerResult{Owner: owner, Total: total, Executed: e.executed, Loaded: e.loaded}
 	if err != nil {
 		return res, err
 	}
-	if e.done < len(p.cells) {
+	if e.done < total {
 		return res, ctx.Err()
 	}
 	return res, nil
 }
 
-// Assemble reassembles the full Grid from a backend that workers (or
-// shard runs, or resumed runs — they all share one record namespace)
-// have populated, verifying every cell's content identity against what
-// the spec derives.  It is the work-stealing counterpart of Merge: the
-// returned Grid renders byte-identically to an unsharded Run of the
-// same spec.  Missing cells are an error naming how much of the grid is
-// absent — run more workers, or wait for the ones still going.  Cancel
-// ctx to stop between cells (useful against a slow remote backend).
+// Assemble reassembles the full Grid from a backend that workers (shard
+// workers, work-stealing workers, cached runs — they all share one
+// record namespace) have populated.  It is the one way a distributed
+// grid comes back together.  Every cell's record must carry the
+// current SchemaVersion, the identity the spec derives for that
+// position (scenario key, engine knobs, trial seeds), and that
+// position's scenario key; a record that is absent, unreadable, stale
+// or foreign counts as missing.  The returned Grid renders
+// byte-identically to an unsharded Run of the same spec.  Missing cells
+// are an error naming how much of the grid is absent and the first
+// missing cell — run more workers, or wait for the ones still going.
+// Cancel ctx to stop between cells (useful against a slow remote
+// backend).
 func Assemble(ctx context.Context, spec Spec, backend cache.Backend) (*Grid, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err

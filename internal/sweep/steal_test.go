@@ -3,8 +3,10 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -180,12 +182,11 @@ func TestDuplicateCompletionByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A one-cell shard without Resume executes cell 0 afresh each time
-	// and writes its record, as each of two racing workers would.
-	only0 := Shard{Index: 1, Count: len(cells)}
+	// Run without Resume executes cell 0 afresh each time and writes its
+	// record, as each of two racing workers would.
 	var first []byte
 	for attempt := 0; attempt < 2; attempt++ {
-		if _, err := RunShard(context.Background(), spec, only0, Options{Cache: store}); err != nil {
+		if _, err := Run(context.Background(), spec, Options{Cache: store}); err != nil {
 			t.Fatal(err)
 		}
 		data, err := os.ReadFile(store.Path(id))
@@ -408,6 +409,27 @@ func TestRunWorkerRequiresBackend(t *testing.T) {
 	}
 }
 
+// TestRunWorkerRejectsInvalidShard: a malformed claim filter fails
+// before the worker claims anything, and Run, which always computes the
+// whole grid, refuses a shard rather than ignoring it.
+func TestRunWorkerRejectsInvalidShard(t *testing.T) {
+	store, err := cache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sh := range []Shard{{Index: 3, Count: 2}, {Index: 0, Count: 2}, {Index: 1, Count: 0}} {
+		if res, err := RunWorker(context.Background(), smallSpec(), Options{Cache: store, Shard: sh}); err == nil || res != nil {
+			t.Errorf("shard %+v: RunWorker returned %+v, %v; want an error and no result", sh, res, err)
+		}
+	}
+	if entries, err := os.ReadDir(store.Dir()); err != nil || len(entries) != 0 {
+		t.Fatalf("store holds %d entries (%v) after rejected workers, want none", len(entries), err)
+	}
+	if _, err := Run(context.Background(), smallSpec(), Options{Shard: Shard{Index: 1, Count: 2}}); err == nil {
+		t.Fatal("Run accepted a shard")
+	}
+}
+
 func TestAssembleReportsMissingCells(t *testing.T) {
 	spec := smallSpec()
 	store, err := cache.Open(t.TempDir())
@@ -417,21 +439,89 @@ func TestAssembleReportsMissingCells(t *testing.T) {
 	if _, err := Assemble(context.Background(), spec, store); err == nil {
 		t.Fatal("assemble of an empty backend succeeded")
 	}
-	// Half-fill via a static shard run into the same namespace, then
+	// Half-fill via a shard worker into the same namespace, then
 	// assemble: still incomplete, and the error says how incomplete.
-	if _, err := RunShard(context.Background(), spec, Shard{Index: 1, Count: 2}, Options{Cache: store}); err != nil {
-		t.Fatal(err)
+	half := func(k int) {
+		if _, err := RunWorker(context.Background(), spec, Options{Cache: store, Shard: Shard{Index: k, Count: 2}}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := Assemble(context.Background(), spec, store); err == nil {
-		t.Fatal("assemble of a half-drained backend succeeded")
+	half(1)
+	if _, err := Assemble(context.Background(), spec, store); err == nil || !strings.Contains(err.Error(), "8 of 16 cells") {
+		t.Fatalf("assemble of a half-drained backend: err = %v, want it to report 8 of 16 cells", err)
 	}
-	// Completing the other half makes assembly whole — shard runs and
-	// workers share one record namespace.
-	if _, err := RunShard(context.Background(), spec, Shard{Index: 2, Count: 2}, Options{Cache: store}); err != nil {
-		t.Fatal(err)
-	}
+	// Completing the other half makes assembly whole — shard workers and
+	// runs share one record namespace.
+	half(2)
 	if got := assembledJSON(t, spec, store); !bytes.Equal(unshardedJSON(t, spec), got) {
 		t.Fatal("shard-filled assemble differs from the unsharded run")
+	}
+}
+
+// TestAssembleRefusesDamagedRecords pins what Assemble, the one way a
+// distributed grid comes back together, must refuse.  Each case damages
+// cell 0's record in a fully drained store; Assemble must then fail,
+// naming cell 0 as missing, and return no grid.
+func TestAssembleRefusesDamagedRecords(t *testing.T) {
+	spec := smallSpec()
+	cells := spec.Expand()
+	drained := func(spec Spec) *cache.Store {
+		store, err := cache.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Run(context.Background(), spec, Options{Cache: store}); err != nil {
+			t.Fatal(err)
+		}
+		return store
+	}
+	cell0 := func(spec Spec) string { return cellID(cells[0], &spec, spec.jobSeeds(len(cells))[:spec.Trials]) }
+	good := drained(spec)
+	other := spec
+	other.Seed++ // same shape, another seed
+	foreign, err := os.ReadFile(drained(other).Path(cell0(other)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit := func(mutate func(*CellRecord)) func(*cache.Store) error {
+		return func(store *cache.Store) error {
+			var rec CellRecord
+			if ok, err := store.Get(cell0(spec), &rec); !ok || err != nil {
+				return fmt.Errorf("reading cell 0: ok=%v err=%v", ok, err)
+			}
+			mutate(&rec)
+			return store.Put(cell0(spec), &rec)
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		damage func(*cache.Store) error
+	}{
+		{"stale schema version", edit(func(r *CellRecord) { r.SchemaVersion = "crn-sweep/0" })},
+		{"tampered key", edit(func(r *CellRecord) { r.Key = cells[1].Key() })},
+		{"another spec's record", func(store *cache.Store) error {
+			return os.WriteFile(store.Path(cell0(spec)), foreign, 0o644)
+		}},
+		{"truncated JSON", func(store *cache.Store) error {
+			data, err := os.ReadFile(store.Path(cell0(spec)))
+			if err != nil {
+				return err
+			}
+			return os.WriteFile(store.Path(cell0(spec)), data[:len(data)/2], 0o644)
+		}},
+	} {
+		store, err := cache.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		copyRecords(t, good.Dir(), store.Dir())
+		if err := c.damage(store); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		grid, err := Assemble(context.Background(), spec, store)
+		if grid != nil || err == nil || !strings.Contains(err.Error(), "first missing cell 0 ("+cells[0].Key()+")") {
+			t.Errorf("%s: Assemble returned grid=%v, err=%v; want no grid and cell 0 named missing", c.name, grid != nil, err)
+		}
 	}
 }
 

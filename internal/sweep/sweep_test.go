@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -107,14 +109,78 @@ func TestValidateRejects(t *testing.T) {
 		"neg burst win":   func(s *Spec) { s.BurstWindow = -1 },
 		"aloha p > 1":     func(s *Spec) { s.AlohaP = 1.5 },
 		"aloha p < 0":     func(s *Spec) { s.AlohaP = -0.1 },
+		// A value named twice on one axis, in any spelling, would mint
+		// two cells with one key (or one scenario under two keys).
+		"repeated model":     func(s *Spec) { s.Models = []string{"coded", "classical", "classical:ternary"} },
+		"repeated protocol":  func(s *Spec) { s.Protocols = []string{"genie", "genie"} },
+		"repeated arrival":   func(s *Spec) { s.Arrivals = []string{"batch", "batch"} },
+		"repeated kappa":     func(s *Spec) { s.Kappas = []int{8, 16, 8} },
+		"repeated rate":      func(s *Spec) { s.Rates = []float64{0.5, 0.50} },
+		"repeated jammer":    func(s *Spec) { s.Jammers = []string{"random:0.2", "random:0.20"} },
+		"repeated adversary": func(s *Spec) { s.Adversaries = []string{"none", "burst:2/3", "burst:2/03"} },
+		"repeated none":      func(s *Spec) { s.Adversaries = []string{"none", ""} },
 	}
 	for name, mutate := range cases {
 		s := smallSpec()
 		mutate(&s)
-		if err := s.Validate(); err == nil {
+		err := s.Validate()
+		if err == nil {
 			t.Errorf("%s: Validate accepted %+v", name, s)
+		} else if strings.HasPrefix(name, "repeated") && !strings.Contains(err.Error(), "repeats") {
+			t.Errorf("%s: refused for another reason: %v", name, err)
 		}
 	}
+	// The refusal names the axis and the value, compared after parsing.
+	for spec, want := range map[string][]string{
+		`{"protocols":["genie","genie"],"arrivals":["batch"],"kappas":[4],"rates":[0.5],"trials":1,"horizon":200}`: {"protocols", "genie"},
+		`{"protocols":["genie"],"arrivals":["batch"],"kappas":[4],"rates":[0.5,0.50],"trials":1,"horizon":200}`:    {"rates", "0.5"},
+	} {
+		_, err := ParseSpec([]byte(spec))
+		for _, w := range want {
+			if err == nil || !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: err = %v, want it to name %q", spec, err, w)
+			}
+		}
+	}
+}
+
+// FuzzParseSpec: ParseSpec never panics, an accepted spec expands to
+// pairwise-distinct cell keys, and the normalized spec survives a JSON
+// round trip unchanged.
+func FuzzParseSpec(f *testing.F) {
+	bench, err := os.ReadFile("../../bench_spec.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bench)
+	f.Add([]byte(`{"protocols":["genie"],"arrivals":["batch"],"kappas":[4],"rates":[0.5,0.50],"trials":1,"horizon":200}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 512 {
+			return // keeps an accepted grid small
+		}
+		spec, err := ParseSpec(data)
+		if err != nil {
+			return
+		}
+		keys := make(map[string]bool)
+		for _, sc := range spec.Expand() {
+			if keys[sc.Key()] {
+				t.Fatalf("two cells share the key %s", sc.Key())
+			}
+			keys[sc.Key()] = true
+		}
+		norm, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := ParseSpec(norm)
+		if err != nil {
+			t.Fatalf("normalized spec %s does not parse: %v", norm, err)
+		}
+		if !reflect.DeepEqual(spec, back) {
+			t.Fatalf("round trip changed the spec:\n%+v\n%+v", spec, back)
+		}
+	})
 }
 
 func TestValidateNormalizesJammers(t *testing.T) {
