@@ -24,8 +24,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"sync"
@@ -36,9 +38,17 @@ import (
 	"repro/internal/sim"
 )
 
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "crnemu: %v\n", err)
-	os.Exit(1)
+// errFlagParse marks errors the FlagSet has already written to stderr,
+// so main exits non-zero without printing them a second time.
+var errFlagParse = errors.New("flag parse error")
+
+func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		if !errors.Is(err, errFlagParse) {
+			fmt.Fprintf(os.Stderr, "crnemu: %v\n", err)
+		}
+		os.Exit(1)
+	}
 }
 
 // artifact is the deterministic JSON the -json flag emits.  It carries
@@ -77,27 +87,24 @@ func makeArtifact(res *sim.Result) artifact {
 	return a
 }
 
-func emitResult(res *sim.Result, asJSON bool) {
+func emitResult(w io.Writer, res *sim.Result, asJSON bool) error {
 	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		if err := enc.Encode(makeArtifact(res)); err != nil {
-			fatal(err)
-		}
-		return
+		return json.NewEncoder(w).Encode(makeArtifact(res))
 	}
-	fmt.Printf("protocol:   %s\n", res.Protocol)
-	fmt.Printf("arrivals:   %s (%d packets)\n", res.Arrival, res.Arrivals)
-	fmt.Printf("channel:    %s κ=%d  good=%d bad=%d silent=%d jammed=%d events=%d\n",
+	fmt.Fprintf(w, "protocol:   %s\n", res.Protocol)
+	fmt.Fprintf(w, "arrivals:   %s (%d packets)\n", res.Arrival, res.Arrivals)
+	fmt.Fprintf(w, "channel:    %s κ=%d  good=%d bad=%d silent=%d jammed=%d events=%d\n",
 		res.Medium, res.Kappa, res.Channel.GoodSlots, res.Channel.BadSlots,
 		res.Channel.SilentSlots, res.Channel.JammedSlots, res.Channel.Events)
-	fmt.Printf("delivered:  %d (pending %d) in %d slots\n", res.Delivered, res.Pending, res.Elapsed)
-	fmt.Printf("throughput: %.4f (first arrival to last delivery)\n", res.CompletionThroughput())
-	fmt.Printf("backlog:    max %d\n", res.MaxBacklog)
+	fmt.Fprintf(w, "delivered:  %d (pending %d) in %d slots\n", res.Delivered, res.Pending, res.Elapsed)
+	fmt.Fprintf(w, "throughput: %.4f (first arrival to last delivery)\n", res.CompletionThroughput())
+	fmt.Fprintf(w, "backlog:    max %d\n", res.MaxBacklog)
 	if res.Delivered > 0 && res.LatencySample != nil {
-		fmt.Printf("latency:    p50=%.0f p99=%.0f max=%.0f mean=%.1f slots\n",
+		fmt.Fprintf(w, "latency:    p50=%.0f p99=%.0f max=%.0f mean=%.1f slots\n",
 			res.LatencyQuantile(0.50), res.LatencyQuantile(0.99),
 			res.Latency.Max(), res.Latency.Mean())
 	}
+	return nil
 }
 
 // statsLine renders one transport's counters the way the ticker and the
@@ -109,52 +116,86 @@ func statsLine(label string, s emu.ConnStats) string {
 		s.FaultDrops, s.FaultDups, s.SendQueue, s.RecvQueue, s.RTTMillis)
 }
 
-// watchStats prints per-link stats to stderr every interval until stop
-// is closed.  Rates are derivable from successive cumulative lines.
-func watchStats(interval time.Duration, links []emu.Transport, stop <-chan struct{}) {
+// watchStats prints per-link stats to w every interval until the
+// returned stop is called; stop returns once the last line is out.
+// Rates are derivable from successive cumulative lines.
+func watchStats(w io.Writer, interval time.Duration, links []emu.Transport) (stop func()) {
 	if interval <= 0 {
-		return
+		return func() {}
 	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			for i, l := range links {
-				fmt.Fprintln(os.Stderr, "crnemu: "+statsLine(fmt.Sprintf("station %d:", i), l.Stats()))
+	done, exited := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-done:
+				return
+			case <-t.C:
+				for i, l := range links {
+					fmt.Fprintln(w, "crnemu: "+statsLine(fmt.Sprintf("station %d:", i), l.Stats()))
+				}
 			}
 		}
+	}()
+	return func() {
+		close(done)
+		<-exited
 	}
 }
 
-func main() {
-	model := flag.String("model", "coded", "channel model descriptor: coded[:K[/W]], classical[:none|binary|ternary], capture[:K]")
-	protoName := flag.String("protocol", "dba", "protocol: dba, beb, aloha, genie, mw, robust, unbounded")
-	kappa := flag.Int("kappa", 64, "decoding threshold κ when the model descriptor embeds none")
-	arrivalName := flag.String("arrival", "batch", "arrival process: batch, bernoulli, poisson, even, burst")
-	n := flag.Int("n", 10000, "batch size (arrival=batch)")
-	rate := flag.Float64("rate", 0.5, "arrival rate (bernoulli/poisson/even) or window fill fraction (burst)")
-	window := flag.Int("window", 16384, "burst window length (arrival=burst)")
-	horizon := flag.Int64("horizon", 100000, "slots during which arrivals occur")
-	drain := flag.Bool("drain", true, "keep running after the horizon until the system empties")
-	seed := flag.Uint64("seed", 1, "random seed")
-	alohaP := flag.Float64("aloha-p", 0.001, "static ALOHA transmission probability (protocol=aloha)")
-	adversaryDesc := flag.String("adversary", "none", "adversary: none, random:RATE, burst:B/GAP, reactive:TRIGGER/BURST, sigmarho:SIGMA/RHO")
-	latencySamples := flag.Int("latency-samples", 0, "latency reservoir capacity for quantiles (0 = default, -1 = off)")
+// run is main minus the process boundary, so flag handling and every
+// transport are testable in-process.
+func run(argv []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("crnemu", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	model := fs.String("model", "coded", "channel model descriptor: coded[:K[/W]], classical[:none|binary|ternary], capture[:K]")
+	protoName := fs.String("protocol", "dba", "protocol: dba, beb, aloha, genie, mw, robust, unbounded")
+	kappa := fs.Int("kappa", 64, "decoding threshold κ when the model descriptor embeds none")
+	arrivalName := fs.String("arrival", "batch", "arrival process: batch, bernoulli, poisson, even, burst")
+	n := fs.Int("n", 10000, "batch size (arrival=batch)")
+	rate := fs.Float64("rate", 0.5, "arrival rate (bernoulli/poisson/even) or window fill fraction (burst)")
+	window := fs.Int("window", 16384, "burst window length (arrival=burst)")
+	horizon := fs.Int64("horizon", 100000, "slots during which arrivals occur")
+	drain := fs.Bool("drain", true, "keep running after the horizon until the system empties")
+	seed := fs.Uint64("seed", 1, "random seed")
+	alohaP := fs.Float64("aloha-p", 0.001, "static ALOHA transmission probability (protocol=aloha)")
+	adversaryDesc := fs.String("adversary", "none", "adversary: none, random:RATE, burst:B/GAP, reactive:TRIGGER/BURST, sigmarho:SIGMA/RHO")
+	latencySamples := fs.Int("latency-samples", 0, "latency reservoir capacity for quantiles (0 = default, -1 = off)")
 
-	stations := flag.Int("stations", 4, "number of stations packets are partitioned over")
-	transport := flag.String("transport", "inproc", "swarm transport: inproc, udp (loopback), or sim (plain simulator, same artifact)")
-	listenAddr := flag.String("listen", "", "coordinate a multi-process run on this UDP address (host:port) instead of swarm mode")
-	joinAddr := flag.String("join", "", "run as one station joining the coordinator at this UDP address")
-	dropRate := flag.Float64("drop", 0, "inject: drop each outgoing datagram with this probability (UDP)")
-	dupRate := flag.Float64("dup", 0, "inject: duplicate each outgoing datagram with this probability (UDP)")
-	faultSeed := flag.Uint64("fault-seed", 1, "seed of the fault-injection stream")
-	slotTimeout := flag.Duration("slot-timeout", 10*time.Second, "coordinator patience per station per slot barrier")
-	statsInterval := flag.Duration("stats-interval", 0, "print live per-connection transport stats to stderr at this period (0 = off)")
-	asJSON := flag.Bool("json", false, "emit the run artifact as JSON on stdout")
-	flag.Parse()
+	stations := fs.Int("stations", 4, "number of stations packets are partitioned over")
+	transport := fs.String("transport", "inproc", "swarm transport: inproc, udp (loopback), or sim (plain simulator, same artifact)")
+	listenAddr := fs.String("listen", "", "coordinate a multi-process run on this UDP address (host:port) instead of swarm mode")
+	joinAddr := fs.String("join", "", "run as one station joining the coordinator at this UDP address")
+	dropRate := fs.Float64("drop", 0, "inject: drop each outgoing datagram with this probability (UDP)")
+	dupRate := fs.Float64("dup", 0, "inject: duplicate each outgoing datagram with this probability (UDP)")
+	faultSeed := fs.Uint64("fault-seed", 1, "seed of the fault-injection stream")
+	slotTimeout := fs.Duration("slot-timeout", 10*time.Second, "coordinator patience per station per slot barrier")
+	statsInterval := fs.Duration("stats-interval", 0, "print live per-connection transport stats to stderr at this period (0 = off)")
+	asJSON := fs.Bool("json", false, "emit the run artifact as JSON on stdout")
+	if err := fs.Parse(argv); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // -h is a successful exit, not an error
+		}
+		return errFlagParse // the FlagSet already printed the problem
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments %v", fs.Args())
+	}
+	switch *transport {
+	case "inproc", "udp", "sim":
+	default:
+		return fmt.Errorf("unknown transport %q (want inproc, udp, or sim)", *transport)
+	}
+	transportSet := false
+	fs.Visit(func(f *flag.Flag) { transportSet = transportSet || f.Name == "transport" })
+	if *listenAddr != "" && *joinAddr != "" {
+		return fmt.Errorf("-listen coordinates and -join runs a station; start them as separate processes")
+	}
+	if transportSet && (*listenAddr != "" || *joinAddr != "") {
+		return fmt.Errorf("-transport selects a swarm run; -listen and -join always link separate processes over UDP")
+	}
 
 	fault := emu.Fault{DropRate: *dropRate, DupRate: *dupRate, Seed: *faultSeed}
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -164,18 +205,17 @@ func main() {
 	if *joinAddr != "" {
 		t, err := emu.DialUDP(*joinAddr, fault)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer t.Close()
-		stop := make(chan struct{})
-		go watchStats(*statsInterval, []emu.Transport{t}, stop)
+		stop := watchStats(stderr, *statsInterval, []emu.Transport{t})
 		err = emu.RunStation(t, 2*(*slotTimeout))
-		close(stop)
+		stop()
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Fprintln(os.Stderr, "crnemu: "+statsLine("station done:", t.Stats()))
-		return
+		fmt.Fprintln(stderr, "crnemu: "+statsLine("station done:", t.Stats()))
+		return nil
 	}
 
 	cfg := emu.Config{
@@ -203,10 +243,9 @@ func main() {
 	if *transport == "sim" {
 		res, err := emu.SimReference(cfg)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		emitResult(res, *asJSON)
-		return
+		return emitResult(stdout, res, *asJSON)
 	}
 
 	// Establish the station links, spawning local stations per mode.
@@ -225,16 +264,16 @@ func main() {
 	case *listenAddr != "":
 		ln, err := emu.ListenUDP(*listenAddr, fault)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer ln.Close()
-		fmt.Fprintf(os.Stderr, "crnemu: coordinating on %s, waiting for %d stations\n", ln.Addr(), cfg.Stations)
+		fmt.Fprintf(stderr, "crnemu: coordinating on %s, waiting for %d stations\n", ln.Addr(), cfg.Stations)
 		for i := 0; i < cfg.Stations; i++ {
 			t, err := ln.Accept(*slotTimeout * 6)
 			if err != nil {
-				fatal(fmt.Errorf("accepting station %d/%d: %w", i+1, cfg.Stations, err))
+				return fmt.Errorf("accepting station %d/%d: %w", i+1, cfg.Stations, err)
 			}
-			fmt.Fprintf(os.Stderr, "crnemu: station %d joined\n", i)
+			fmt.Fprintf(stderr, "crnemu: station %d joined\n", i)
 			links = append(links, t)
 		}
 	case *transport == "inproc":
@@ -246,7 +285,7 @@ func main() {
 	case *transport == "udp":
 		ln, err := emu.ListenUDP("127.0.0.1:0", fault)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer ln.Close()
 		for i := 0; i < cfg.Stations; i++ {
@@ -256,25 +295,22 @@ func main() {
 			}
 			t, err := emu.DialUDP(ln.Addr(), stFault)
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			spawn(i, t)
 		}
 		for i := 0; i < cfg.Stations; i++ {
 			t, err := ln.Accept(*slotTimeout)
 			if err != nil {
-				fatal(fmt.Errorf("accepting station %d/%d: %w", i+1, cfg.Stations, err))
+				return fmt.Errorf("accepting station %d/%d: %w", i+1, cfg.Stations, err)
 			}
 			links = append(links, t)
 		}
-	default:
-		fatal(fmt.Errorf("unknown transport %q (want inproc, udp, or sim)", *transport))
 	}
 
-	stop := make(chan struct{})
-	go watchStats(*statsInterval, links, stop)
+	stop := watchStats(stderr, *statsInterval, links)
 	res, err := emu.Coordinate(ctx, cfg, links)
-	close(stop)
+	stop()
 	for i, l := range links {
 		if err == nil {
 			// Let the final Done frames be acknowledged before teardown so
@@ -284,17 +320,17 @@ func main() {
 				time.Sleep(2 * time.Millisecond)
 			}
 		}
-		fmt.Fprintln(os.Stderr, "crnemu: "+statsLine(fmt.Sprintf("station %d:", i), l.Stats()))
+		fmt.Fprintln(stderr, "crnemu: "+statsLine(fmt.Sprintf("station %d:", i), l.Stats()))
 		l.Close()
 	}
 	wg.Wait()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	for i, serr := range stationErrs {
 		if serr != nil {
-			fmt.Fprintf(os.Stderr, "crnemu: station %d: %v\n", i, serr)
+			fmt.Fprintf(stderr, "crnemu: station %d: %v\n", i, serr)
 		}
 	}
-	emitResult(res, *asJSON)
+	return emitResult(stdout, res, *asJSON)
 }

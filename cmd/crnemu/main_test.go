@@ -1,0 +1,153 @@
+package main
+
+import (
+	"bytes"
+	"regexp"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+)
+
+func runCLI(t *testing.T, args ...string) (stdout, stderr string, err error) {
+	t.Helper()
+	var out, errBuf bytes.Buffer
+	err = run(args, &out, &errBuf)
+	return out.String(), errBuf.String(), err
+}
+
+// scenarios are small batch runs: DBA on the coded channel, and beb,
+// whose wake splits the slot barrier in two while a backlog drains.
+var scenarios = map[string][]string{
+	"dba": {"-protocol", "dba", "-kappa", "8", "-arrival", "batch", "-n", "300", "-stations", "3", "-seed", "7"},
+	"beb": {"-protocol", "beb", "-model", "classical:ternary", "-arrival", "batch", "-n", "40", "-stations", "2", "-seed", "7"},
+}
+
+// artifactOf runs one scenario with -json and returns its artifact.
+func artifactOf(t *testing.T, scenario []string, extra ...string) string {
+	t.Helper()
+	args := append(append([]string{"-json"}, scenario...), extra...)
+	out, stderr, err := runCLI(t, args...)
+	if err != nil {
+		t.Fatalf("crnemu %v: %v\n%s", args, err, stderr)
+	}
+	if !strings.HasPrefix(out, `{"result":`) {
+		t.Fatalf("crnemu %v: not a JSON artifact:\n%s", args, out)
+	}
+	return out
+}
+
+// TestTransportsMatchSim is the emulation gate at the CLI surface: the
+// in-proc and loopback-UDP artifacts are byte-equal to -transport sim.
+func TestTransportsMatchSim(t *testing.T) {
+	for name, sc := range scenarios {
+		t.Run(name, func(t *testing.T) {
+			ref := artifactOf(t, sc, "-transport", "sim")
+			for _, tr := range []string{"inproc", "udp"} {
+				if got := artifactOf(t, sc, "-transport", tr); got != ref {
+					t.Errorf("-transport %s artifact differs from sim:\n got %s\nwant %s", tr, got, ref)
+				}
+			}
+		})
+	}
+}
+
+// syncBuffer is a stderr shared by a coordinator goroutine and the test.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+var listenLine = regexp.MustCompile(`coordinating on (\S+),`)
+
+// TestListenJoinMatchesSim runs the multi-process mode in one process:
+// a -listen coordinator and one -join per station, over loopback UDP.
+func TestListenJoinMatchesSim(t *testing.T) {
+	sc := scenarios["beb"]
+	ref := artifactOf(t, sc, "-transport", "sim")
+
+	var out bytes.Buffer
+	coordErr := new(syncBuffer)
+	done := make(chan error, 1)
+	go func() {
+		done <- run(append([]string{"-json", "-listen", "127.0.0.1:0"}, sc...), &out, coordErr)
+	}()
+	var addr string
+	for deadline := time.Now().Add(10 * time.Second); addr == ""; {
+		if m := listenLine.FindStringSubmatch(coordErr.String()); m != nil {
+			addr = m[1]
+		} else if time.Now().After(deadline) {
+			t.Fatalf("coordinator never announced its address:\n%s", coordErr)
+		} else {
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	joined := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			var jOut, jErr bytes.Buffer
+			joined <- run([]string{"-join", addr}, &jOut, &jErr)
+		}()
+	}
+	for i := 0; i < 2; i++ {
+		if err := <-joined; err != nil {
+			t.Errorf("station: %v", err)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("coordinator: %v\n%s", err, coordErr)
+	}
+	if out.String() != ref {
+		t.Errorf("-listen/-join artifact differs from sim:\n got %s\nwant %s", out.String(), ref)
+	}
+}
+
+func TestUnknownTransportRejected(t *testing.T) {
+	_, _, err := runCLI(t, "-transport", "tcp")
+	if err == nil || !strings.Contains(err.Error(), `unknown transport "tcp"`) {
+		t.Fatalf("err = %v, want the unknown-transport error", err)
+	}
+}
+
+// A -listen coordinator with -transport sim used to print the simulator
+// artifact and exit without listening.
+func TestModeConflictsRejected(t *testing.T) {
+	for _, args := range [][]string{
+		{"-listen", "127.0.0.1:0", "-transport", "sim"},
+		{"-join", "127.0.0.1:1", "-transport", "udp"},
+		{"-listen", "127.0.0.1:0", "-join", "127.0.0.1:1"},
+	} {
+		if _, _, err := runCLI(t, args...); err == nil {
+			t.Errorf("crnemu %v accepted", args)
+		}
+	}
+}
+
+func TestPositionalArgsRejected(t *testing.T) {
+	_, _, err := runCLI(t, "-transport", "sim", "stray")
+	if err == nil || !strings.Contains(err.Error(), "unexpected arguments") {
+		t.Fatalf("err = %v, want the unexpected-arguments error", err)
+	}
+}
+
+func TestHelpIsNotAnError(t *testing.T) {
+	_, stderr, err := runCLI(t, "-h")
+	if err != nil {
+		t.Fatalf("-h returned %v, want nil (exit 0)", err)
+	}
+	if !strings.Contains(stderr, "-transport") {
+		t.Fatalf("usage not printed:\n%s", stderr)
+	}
+}

@@ -15,10 +15,10 @@
 // coordinator concatenates the reports (channel media are
 // transmitter-order-insensitive), adjudicates the slot on the very
 // medium.Medium the simulator uses, and broadcasts the resulting
-// feedback, which every replica observes identically.  Stations close
-// each slot by reporting their replica's backlog (cross-checked for
-// divergence) and next wake-up, which the coordinator feeds to the
-// simulator's own fast-forward.
+// feedback, which every replica observes identically.  Stations then
+// report their replica's backlog, which must equal the engine's own
+// in-flight count (packets are conserved), and next wake-up, which
+// agrees across stations and feeds the simulator's own fast-forward.
 //
 // Because the coordinator drives sim.Loop — the extracted per-slot
 // adjudication core of sim.Run — a run over a lossless transport
@@ -29,10 +29,15 @@
 //
 // # Slot barrier
 //
-// Each slot costs two round trips: Begin (slot number + injection
-// batch) answered by Decide (owned transmitters), then Feedback
-// (silence/collision/decoding event) answered by Report (backlog +
-// next wake).  The coordinator never proceeds past the barrier until
+// Each stepped slot costs one round trip.  The coordinator's Begin
+// opens slot t′ with its injection batch and carries the feedback of
+// the previous stepped slot t; each station answers with one Report:
+// its backlog and wake after t, and the transmitters it owns in t′.
+// The coordinator can pick t′ before hearing about t because the
+// backlog is its own count.  Only a Waker whose wake can move t′ (a
+// backlog, and no arrival possible next slot; see sim.Loop.WakeMatters)
+// needs the replicas first: the feedback then goes alone and the Begin
+// after it.  The coordinator never proceeds past the barrier until
 // every station has answered or its timeout expires — a dead station
 // fails the run loudly with a per-station error, never a hang.
 package emu
@@ -439,119 +444,126 @@ func Coordinate(ctx context.Context, cfg Config, links []Transport) (*sim.Result
 
 	l := sim.NewLoop(simCfg, scratch.Name(), arr)
 	m := l.Medium()
-	pending := 0
 	var txs []channel.PacketID
-	// One frame per broadcast, rewritten every slot: Send keeps no
-	// reference to it.
-	var begin, fbFrame Frame
+	// One Begin, rewritten for every broadcast (Send keeps no reference
+	// to it).  Between slots it holds the feedback the replicas are still
+	// owed, and expect holds the engine's backlog after that slot.
+	begin := Frame{Type: FrameBegin}
+	var expect int64
 
-	// collect gathers one answer frame of the wanted type per station,
-	// in station order, failing loudly (with the offending station) on
-	// timeout, mismatch, or station-reported error.
-	collect := func(slot int64, want FrameType, visit func(i int, f *Frame) error) error {
+	// exchange broadcasts begin and collects one Report per station, in
+	// station order, failing loudly (naming the station) on a timeout, a
+	// mismatched frame, a station-reported error or replica divergence.
+	// It gathers the owned transmitters into txs and returns the wake
+	// the stations agree on.
+	exchange := func() (wake int64, hasWake bool, err error) {
+		want := Frame{Type: FrameReport, HasPrev: begin.HasPrev, Prev: begin.Prev, HasSlot: begin.HasSlot, Slot: begin.Slot}
+		for i, t := range links {
+			if err := t.Send(&begin); err != nil {
+				return 0, false, fmt.Errorf("emu: station %d: sending %s: %w", i, begin.about(), err)
+			}
+		}
+		txs = txs[:0]
 		for i, t := range links {
 			f, err := t.Recv(timeout)
 			if err != nil {
-				return fmt.Errorf("emu: station %d: awaiting %s for slot %d: %w", i, want, slot, err)
+				return 0, false, fmt.Errorf("emu: station %d: awaiting %s: %w", i, want.about(), err)
 			}
 			if f.Type == FrameError {
-				return fmt.Errorf("emu: station %d: %s", i, f.Blob)
+				return 0, false, fmt.Errorf("emu: station %d: %s", i, f.Blob)
 			}
-			if f.Type != want || f.Slot != slot {
-				return fmt.Errorf("emu: station %d: expected %s for slot %d, got %s for slot %d",
-					i, want, slot, f.Type, f.Slot)
+			if f.Type != FrameReport || f.HasPrev != want.HasPrev || f.Prev != want.Prev ||
+				f.HasSlot != want.HasSlot || f.Slot != want.Slot {
+				return 0, false, fmt.Errorf("emu: station %d: expected %s, got %s", i, want.about(), f.about())
 			}
-			if err := visit(i, f); err != nil {
-				return err
+			if f.HasPrev {
+				// Replicas are deterministic and conserve packets: a backlog
+				// other than the engine's count, or a wake other than station
+				// 0's, means a replica diverged (a frame lost past the
+				// reliable layer, a state bug) and the run is invalid.
+				if f.Pending != expect {
+					return 0, false, fmt.Errorf("emu: replica divergence after slot %d: station %d reports backlog %d, the engine counts %d",
+						f.Prev, i, f.Pending, expect)
+				}
+				if i == 0 {
+					wake, hasWake = f.NextWake, f.HasWake
+				} else if f.HasWake != hasWake || f.NextWake != wake {
+					return 0, false, fmt.Errorf("emu: replica divergence after slot %d: station %d reports wake %v/%d, station 0 reports %v/%d",
+						f.Prev, i, f.HasWake, f.NextWake, hasWake, wake)
+				}
 			}
+			txs = append(txs, f.Txs...)
 		}
-		return nil
+		return wake, hasWake, nil
 	}
 
-	for l.Running(pending) {
+	for l.Running(l.InFlight()) {
 		if err := ctx.Err(); err != nil {
 			return nil, abort(err)
 		}
 		now := l.Now()
 
-		// Slot barrier, first round trip: Begin → Decide.  Packet IDs are
-		// issued sequentially, so (first, count) broadcasts the batch.
-		begin = Frame{Type: FrameBegin, Slot: now}
+		// The slot barrier: one round trip opens slot now and delivers the
+		// previous stepped slot's feedback, if the replicas are still owed
+		// it.  Packet IDs are issued sequentially, so (first, count)
+		// broadcasts the batch.
+		begin.HasSlot, begin.Slot = true, now
 		if ids := l.InjectNow(); len(ids) > 0 {
 			begin.InjFirst = int64(ids[0])
 			begin.InjN = int32(len(ids))
 		}
-		for i, t := range links {
-			if err := t.Send(&begin); err != nil {
-				return nil, abort(fmt.Errorf("emu: station %d: sending begin for slot %d: %w", i, now, err))
-			}
-		}
-		txs = txs[:0]
-		if err := collect(now, FrameDecide, func(i int, f *Frame) error {
-			txs = append(txs, f.Txs...)
-			return nil
-		}); err != nil {
+		if _, _, err := exchange(); err != nil {
 			return nil, abort(err)
 		}
 
 		// Adjudicate the slot on the medium.  Station order is irrelevant:
-		// media are transmitter-order-insensitive by contract.
+		// media are transmitter-order-insensitive by contract.  The next
+		// Begin carries the feedback, and goes out before the next Step
+		// may reuse the event's packet storage.
 		_, ev := m.Step(now, txs)
 		fb := l.Observe(ev)
-
-		// Second round trip: Feedback → Report.
-		fbFrame = Frame{Type: FrameFeedback, Slot: now, Silent: fb.Silent, Collision: fb.Collision}
+		backlog := l.InFlight()
+		l.Record(backlog)
+		begin = Frame{Type: FrameBegin, HasPrev: true, Prev: now, Silent: fb.Silent, Collision: fb.Collision}
 		if fb.Event != nil {
-			fbFrame.HasEvent = true
-			fbFrame.EvSlot = fb.Event.Slot
-			fbFrame.WindowStart = fb.Event.WindowStart
-			fbFrame.Txs = fb.Event.Packets
+			begin.HasEvent = true
+			begin.EvSlot = fb.Event.Slot
+			begin.WindowStart = fb.Event.WindowStart
+			begin.Txs = fb.Event.Packets
 		}
-		for i, t := range links {
-			if err := t.Send(&fbFrame); err != nil {
-				return nil, abort(fmt.Errorf("emu: station %d: sending feedback for slot %d: %w", i, now, err))
-			}
-		}
-		var rep Frame
-		if err := collect(now, FrameReport, func(i int, f *Frame) error {
-			if i == 0 {
-				rep = *f
-				return nil
-			}
-			// Replicas are deterministic; any disagreement means a replica
-			// diverged (lost frame past the reliable layer, state bug) and
-			// the run is invalid.
-			if f.Pending != rep.Pending || f.HasWake != rep.HasWake || (f.HasWake && f.NextWake != rep.NextWake) {
-				return fmt.Errorf("emu: replica divergence at slot %d: station %d reports pending=%d wake=%v/%d, station 0 reports pending=%d wake=%v/%d",
-					now, i, f.Pending, f.HasWake, f.NextWake, rep.Pending, rep.HasWake, rep.NextWake)
-			}
-			return nil
-		}); err != nil {
-			return nil, abort(err)
-		}
-		pending = int(rep.Pending)
-		l.Record(pending)
+		expect = int64(backlog)
 
-		// The coordinator never coasts (unlike sim.Run) — results are
-		// bit-identical either way; coasting is purely a CPU optimization.
-		// Wake fast-forward mirrors sim.Run: armed iff the protocol is a
-		// Waker; Advance only consults it with a non-empty backlog, and
-		// stations only compute it then, so the replicas' NextWake call
-		// pattern matches the simulator's exactly.
+		// The engine's count is the replicas' backlog, so the next slot is
+		// known before they report — unless a Waker's wake can move it.
+		// Only then does the feedback go alone, and the wake comes back
+		// before the next Begin.  The coordinator never coasts (unlike
+		// sim.Run): results are bit-identical either way.
 		var wake func(int64) int64
-		if isWaker && rep.HasWake {
-			nw := rep.NextWake
-			wake = func(int64) int64 { return nw }
+		if isWaker && l.WakeMatters(backlog) {
+			nw, hasWake, err := exchange()
+			if err != nil {
+				return nil, abort(err)
+			}
+			begin = Frame{Type: FrameBegin}
+			if hasWake {
+				wake = func(int64) int64 { return nw }
+			}
 		}
-		if !l.Advance(pending, wake) {
+		if !l.Advance(backlog, wake) {
 			break
 		}
 	}
 
+	// Deliver the last slot's feedback and check the final backlog.
+	if begin.HasPrev {
+		if _, _, err := exchange(); err != nil {
+			return nil, abort(err)
+		}
+	}
 	for _, t := range links {
 		_ = t.Send(&Frame{Type: FrameDone})
 	}
-	return l.Finish(pending), nil
+	return l.Finish(l.InFlight()), nil
 }
 
 // RunStation speaks the station side of the wire protocol over t: it
@@ -601,9 +613,9 @@ func RunStation(t Transport, timeout time.Duration) error {
 
 	var buf []channel.PacketID
 	var ids []channel.PacketID
-	// One frame per answer, rewritten every slot: Send keeps no
+	// One Report per Begin, rewritten every slot: Send keeps no
 	// reference to it.
-	var decide, rep Frame
+	var rep Frame
 	for {
 		f, err := t.Recv(timeout)
 		if err != nil {
@@ -611,39 +623,40 @@ func RunStation(t Transport, timeout time.Duration) error {
 		}
 		switch f.Type {
 		case FrameBegin:
-			if f.InjN > 0 {
-				ids = ids[:0]
-				for k := int32(0); k < f.InjN; k++ {
-					ids = append(ids, channel.PacketID(f.InjFirst+int64(k)))
+			rep = Frame{Type: FrameReport, HasPrev: f.HasPrev, Prev: f.Prev, HasSlot: f.HasSlot, Slot: f.Slot}
+			if f.HasPrev {
+				fb := channel.Feedback{Slot: f.Prev, Silent: f.Silent, Collision: f.Collision}
+				if f.HasEvent {
+					fb.Event = &channel.Event{Slot: f.EvSlot, WindowStart: f.WindowStart, Packets: f.Txs}
 				}
-				proto.Inject(f.Slot, ids)
-			}
-			buf = proto.Transmitters(f.Slot, buf[:0])
-			// Report only the owned partition; the other replicas report
-			// theirs, and the coordinator reassembles the full set.
-			mine := buf[:0]
-			for _, id := range buf {
-				if int64(id)%stations == index {
-					mine = append(mine, id)
+				proto.Observe(fb)
+				rep.Pending = int64(proto.Pending())
+				// NextWake may lazily rewrite protocol state, so replicas call
+				// it exactly when the simulator's advance would: non-empty
+				// backlog on a Waker protocol.
+				if rep.Pending > 0 && waker != nil {
+					rep.HasWake = true
+					rep.NextWake = waker.NextWake(f.Prev)
 				}
 			}
-			decide = Frame{Type: FrameDecide, Slot: f.Slot, Txs: mine}
-			if err := t.Send(&decide); err != nil {
-				return err
-			}
-		case FrameFeedback:
-			fb := channel.Feedback{Slot: f.Slot, Silent: f.Silent, Collision: f.Collision}
-			if f.HasEvent {
-				fb.Event = &channel.Event{Slot: f.EvSlot, WindowStart: f.WindowStart, Packets: f.Txs}
-			}
-			proto.Observe(fb)
-			rep = Frame{Type: FrameReport, Slot: f.Slot, Pending: int64(proto.Pending())}
-			// NextWake may lazily rewrite protocol state, so replicas call
-			// it exactly when the simulator's advance would: non-empty
-			// backlog on a Waker protocol.
-			if rep.Pending > 0 && waker != nil {
-				rep.HasWake = true
-				rep.NextWake = waker.NextWake(f.Slot)
+			if f.HasSlot {
+				if f.InjN > 0 {
+					ids = ids[:0]
+					for k := int32(0); k < f.InjN; k++ {
+						ids = append(ids, channel.PacketID(f.InjFirst+int64(k)))
+					}
+					proto.Inject(f.Slot, ids)
+				}
+				buf = proto.Transmitters(f.Slot, buf[:0])
+				// Report only the owned partition; the other replicas report
+				// theirs, and the coordinator reassembles the full set.
+				mine := buf[:0]
+				for _, id := range buf {
+					if int64(id)%stations == index {
+						mine = append(mine, id)
+					}
+				}
+				rep.Txs = mine
 			}
 			if err := t.Send(&rep); err != nil {
 				return err

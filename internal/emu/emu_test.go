@@ -2,11 +2,17 @@ package emu
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/arrival"
+	"repro/internal/channel"
+	"repro/internal/protocol"
+	"repro/internal/rng"
 	"repro/internal/sim"
 )
 
@@ -26,6 +32,13 @@ var grid = []struct {
 		Protocol: "beb", Medium: "classical:ternary",
 		Arrival: "bernoulli", Rate: 0.02, Horizon: 1500, Drain: true,
 		Seed: 23, Stations: 2,
+	}},
+	// A batch leaves beb a backlog with no arrival to come, so its wake
+	// decides every next slot: the two-round-trip split path.
+	{"beb-classical-batch", Config{
+		Protocol: "beb", Medium: "classical:ternary",
+		Arrival: "batch", BatchN: 16, Horizon: 1, Drain: true,
+		Seed: 29, Stations: 2,
 	}},
 	{"aloha-capture-poisson", Config{
 		Protocol: "aloha", Medium: "capture:4", AlohaP: 0.01,
@@ -96,9 +109,10 @@ func TestInprocMatchesSim(t *testing.T) {
 }
 
 // TestUDPMatchesSim runs the gate over real loopback UDP: the reliable
-// link must deliver the same bytes, hence the same Result.
+// link must deliver the same bytes, hence the same Result.  The first
+// three cells cover DBA and both beb barrier paths.
 func TestUDPMatchesSim(t *testing.T) {
-	for _, tc := range grid[:2] {
+	for _, tc := range grid[:3] {
 		tc := tc
 		tc.cfg.Transport = "udp"
 		t.Run(tc.name, func(t *testing.T) {
@@ -114,6 +128,218 @@ func TestUDPMatchesSim(t *testing.T) {
 			}
 		})
 	}
+}
+
+// gridCell returns the named grid cell's configuration.
+func gridCell(t *testing.T, name string) Config {
+	t.Helper()
+	for _, tc := range grid {
+		if tc.name == name {
+			return tc.cfg
+		}
+	}
+	t.Fatalf("no grid cell %q", name)
+	return Config{}
+}
+
+// coordinateWrapped runs cfg over in-proc pipes as Run does, but hands
+// Coordinate wrap(i, link) as station i's link.
+func coordinateWrapped(t *testing.T, cfg Config, wrap func(i int, l Transport) Transport) (*sim.Result, error) {
+	t.Helper()
+	links := make([]Transport, cfg.Stations)
+	var wg sync.WaitGroup
+	for i := range links {
+		a, b := NewPipe()
+		links[i] = wrap(i, a)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer b.Close()
+			_ = RunStation(b, 5*time.Second)
+		}()
+	}
+	res, err := Coordinate(context.Background(), cfg, links)
+	wg.Wait()
+	for _, l := range links {
+		l.Close()
+	}
+	return res, err
+}
+
+// countingLink counts the frames the coordinator sends one station:
+// all of them, and the Begins that open a slot.
+type countingLink struct {
+	Transport
+	sent, opened int
+}
+
+func (c *countingLink) Send(f *Frame) error {
+	c.sent++
+	if f.Type == FrameBegin && f.HasSlot {
+		c.opened++
+	}
+	return c.Transport.Send(f)
+}
+
+// slotCounter wraps the protocol of a simulator run to count the slots
+// it steps (each, coasted or not, is observed exactly once) and, for a
+// Waker, the stepped slots the coordinator must split: a backlog, and
+// no arrival possible next slot.  Hiding Coaster changes no stepped
+// slot; a Waker keeps its NextWake through wakingCounter.
+type slotCounter struct {
+	protocol.Protocol
+	arr             arrival.Process
+	horizon         int64
+	waker           bool
+	stepped, splits int
+	lastSplit       bool
+}
+
+func (c *slotCounter) Observe(fb channel.Feedback) {
+	c.Protocol.Observe(fb)
+	c.stepped++
+	now := fb.Slot
+	c.lastSplit = c.waker && c.Pending() > 0 && !(now+1 < c.horizon && c.arr.NextAfter(now) == now+1)
+	if c.lastSplit {
+		c.splits++
+	}
+}
+
+type wakingCounter struct {
+	*slotCounter
+	protocol.Waker
+}
+
+// countSlots runs the simulator on cfg under a slotCounter.
+func countSlots(t *testing.T, cfg Config) *slotCounter {
+	t.Helper()
+	simCfg, bi, arr, err := cfg.build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	proto := protocol.Build(bi.protoName, protocol.Params{Kappa: bi.kappa, Rand: rng.New(bi.protoSeed), AlohaP: bi.alohaP})
+	c := &slotCounter{Protocol: proto, arr: arr, horizon: simCfg.Horizon}
+	var p protocol.Protocol = c
+	if w, ok := proto.(protocol.Waker); ok {
+		c.waker = true
+		p = wakingCounter{c, w}
+	}
+	sim.Run(simCfg, p, arr)
+	return c
+}
+
+// TestOneRoundTripPerSlot pins the fused slot barrier by counting the
+// frames the coordinator sends each station: one Begin per stepped
+// slot, plus Config, the last slot's feedback and Done.  A Waker whose
+// wake can move the next slot sends that slot's feedback alone first
+// (the last one then needs no final Begin); its cells log how many
+// stepped slots took that split.
+func TestOneRoundTripPerSlot(t *testing.T) {
+	const handshakeAndTeardown = 3
+	for _, tc := range grid {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			links := make([]*countingLink, tc.cfg.Stations)
+			res, err := coordinateWrapped(t, tc.cfg, func(i int, l Transport) Transport {
+				links[i] = &countingLink{Transport: l}
+				return links[i]
+			})
+			if err != nil {
+				t.Fatalf("Coordinate: %v", err)
+			}
+			mustEqualSim(t, res, tc.cfg)
+			c := countSlots(t, tc.cfg)
+			want := c.stepped + c.splits + handshakeAndTeardown
+			if c.lastSplit {
+				want--
+			}
+			for i, l := range links {
+				if l.opened != c.stepped || l.sent != want {
+					t.Errorf("station %d: sent %d frames, %d opening a slot; want %d, %d (%d stepped slots, %d split)",
+						i, l.sent, l.opened, want, c.stepped, c.stepped, c.splits)
+				}
+			}
+			if c.waker {
+				t.Logf("%d frames per station over %d stepped slots; %d took the two-round-trip split",
+					links[0].sent, c.stepped, c.splits)
+			}
+		})
+	}
+}
+
+// tamperLink rewrites the first Report edit accepts on one
+// coordinator-side link, as a diverged replica would have sent it.
+type tamperLink struct {
+	Transport
+	edit func(f *Frame) bool
+	done bool
+}
+
+func (l *tamperLink) Recv(timeout time.Duration) (*Frame, error) {
+	f, err := l.Transport.Recv(timeout)
+	if err == nil && !l.done && f.Type == FrameReport {
+		l.done = l.edit(f)
+	}
+	return f, err
+}
+
+// TestReplicaDivergenceFailsRun: the coordinator trusts its own packet
+// count, so a station whose backlog strays from it must fail the run
+// with an error naming the station, the slot and both values — station
+// 0 included, which is not compared with any other station.  Wakes
+// must agree with station 0's.
+func TestReplicaDivergenceFailsRun(t *testing.T) {
+	t.Run("backlog", func(t *testing.T) {
+		const station, after = 0, 5
+		counted := int64(-1)
+		_, err := coordinateWrapped(t, gridCell(t, "dba-coded-batch"), func(i int, l Transport) Transport {
+			if i != station {
+				return l
+			}
+			return &tamperLink{Transport: l, edit: func(f *Frame) bool {
+				if !f.HasPrev || f.Prev != after {
+					return false
+				}
+				counted = f.Pending
+				f.Pending++
+				return true
+			}}
+		})
+		if counted < 0 {
+			t.Fatalf("slot %d was never reported", after)
+		}
+		want := fmt.Sprintf("replica divergence after slot %d: station %d reports backlog %d, the engine counts %d",
+			after, station, counted+1, counted)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("err = %v, want it to contain %q", err, want)
+		}
+	})
+	t.Run("wake", func(t *testing.T) {
+		const station = 1
+		prev, wake := int64(-1), int64(0)
+		_, err := coordinateWrapped(t, gridCell(t, "beb-classical-batch"), func(i int, l Transport) Transport {
+			if i != station {
+				return l
+			}
+			return &tamperLink{Transport: l, edit: func(f *Frame) bool {
+				if !f.HasWake {
+					return false
+				}
+				prev, wake = f.Prev, f.NextWake
+				f.NextWake++
+				return true
+			}}
+		})
+		if prev < 0 {
+			t.Fatal("no station reported a wake")
+		}
+		want := fmt.Sprintf("replica divergence after slot %d: station %d reports wake true/%d, station 0 reports true/%d",
+			prev, station, wake+1, wake)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("err = %v, want it to contain %q", err, want)
+		}
+	})
 }
 
 // TestLossyUDPConverges injects datagram drops and duplicates on every
@@ -202,13 +428,13 @@ func TestStationRejectsHostileCoordinator(t *testing.T) {
 	if f, err := a.Recv(5 * time.Second); err != nil || f.Type != FrameHello {
 		t.Fatalf("expected hello, got %v, %v", f, err)
 	}
-	if err := a.Send(&Frame{Type: FrameFeedback, Slot: 3}); err != nil {
+	if err := a.Send(&Frame{Type: FrameBegin, HasSlot: true, Slot: 3}); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case err := <-done:
 		if err == nil {
-			t.Error("station accepted a feedback frame as its config")
+			t.Error("station accepted a begin frame as its config")
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("station hung on hostile coordinator")

@@ -8,37 +8,36 @@ import (
 )
 
 // FrameType discriminates the emulation wire protocol's frames.  Each
-// slot costs two round trips per station: the coordinator opens the
-// slot barrier with Begin (carrying the slot's injection broadcast),
-// stations answer with their Decide (owned transmitters), the
-// coordinator adjudicates the slot on the medium and broadcasts
-// Feedback, and stations answer with Report (replica backlog + next
-// wake) so the coordinator can fast-forward exactly as the simulator
-// would.
+// stepped slot costs one round trip per station: the coordinator's
+// Begin carries the previous stepped slot's feedback and opens the
+// next slot with its injection batch; each station answers with one
+// Report carrying its replica's backlog and next wake after the
+// previous slot and the transmitters it owns in the opened slot.
 type FrameType uint8
 
 const (
 	// FrameHello is the first frame on a connection: station → coordinator.
-	FrameHello FrameType = 1 + iota
+	FrameHello FrameType = 1
 	// FrameConfig answers Hello with the station's wire configuration
 	// (JSON blob: protocol, effective κ, seeds, station count and index).
-	FrameConfig
-	// FrameBegin opens slot Slot: stations must inject the broadcast
-	// packet batch [InjFirst, InjFirst+InjN) and answer with Decide.
-	FrameBegin
-	// FrameDecide carries the transmitters a station owns for slot Slot.
-	FrameDecide
-	// FrameFeedback broadcasts what every device hears about slot Slot:
-	// silence, collision, and any decoding event.
-	FrameFeedback
-	// FrameReport answers Feedback with the replica's post-slot backlog
-	// and, when the protocol declares wake-ups, its next wake slot.
-	FrameReport
+	FrameConfig FrameType = 2
+	// Types 3–6 were the two-round-trip slot barrier's Begin, Decide,
+	// Feedback and Report.  No frame uses them, so a slot frame from a
+	// build that spoke that barrier fails as an unknown type.
+
 	// FrameDone ends the run; stations exit cleanly.
-	FrameDone
+	FrameDone FrameType = 7
 	// FrameError aborts the run, carrying a diagnostic in Blob.  Either
 	// side may send it.
-	FrameError
+	FrameError FrameType = 8
+	// FrameBegin (coordinator → station) has two optional parts: slot
+	// Prev's feedback (HasPrev), and the opening of slot Slot with the
+	// packet batch [InjFirst, InjFirst+InjN) to inject (HasSlot).
+	FrameBegin FrameType = 9
+	// FrameReport (station → coordinator) answers Begin part for part:
+	// the replica's backlog and next wake after slot Prev (HasPrev), and
+	// the transmitters the station owns in slot Slot (HasSlot).
+	FrameReport FrameType = 10
 )
 
 // String names the frame type for diagnostics.
@@ -50,10 +49,6 @@ func (t FrameType) String() string {
 		return "config"
 	case FrameBegin:
 		return "begin"
-	case FrameDecide:
-		return "decide"
-	case FrameFeedback:
-		return "feedback"
 	case FrameReport:
 		return "report"
 	case FrameDone:
@@ -65,41 +60,65 @@ func (t FrameType) String() string {
 }
 
 // Frame is one emulation protocol message — a tagged union whose
-// populated fields depend on Type.  Txs doubles as the Decide
-// transmitter list and the Feedback event's delivered packets.
+// populated fields depend on Type and, for Begin and Report, on which
+// parts the frame carries.  Txs is the only list: the feedback event's
+// delivered packets in a Begin, the owned transmitters in a Report.
 type Frame struct {
 	Type FrameType
-	Slot int64
 
-	// Begin
+	// HasPrev marks the part about the previous stepped slot Prev.
+	HasPrev bool
+	Prev    int64
+	// HasSlot marks the part about the opened slot Slot.
+	HasSlot bool
+	Slot    int64
+
+	// Begin, slot part
 	InjFirst int64
 	InjN     int32
 
-	// Decide (transmitters) / Feedback (event packets)
-	Txs []channel.PacketID
-
-	// Feedback
+	// Begin, feedback part
 	Silent      bool
 	Collision   bool
 	HasEvent    bool
 	EvSlot      int64
 	WindowStart int64
 
-	// Report
+	// Report, backlog part
 	Pending  int64
 	HasWake  bool
 	NextWake int64
+
+	// Begin: event packets / Report: owned transmitters
+	Txs []channel.PacketID
 
 	// Config (JSON) / Error (message text)
 	Blob []byte
 }
 
-// Frame flag bits (Feedback and Report).
+// about names a Begin's or Report's slots, for diagnostics.
+func (f *Frame) about() string {
+	s := f.Type.String()
+	if f.HasPrev {
+		s += fmt.Sprintf(" after slot %d", f.Prev)
+	}
+	if f.HasSlot {
+		s += fmt.Sprintf(" for slot %d", f.Slot)
+	}
+	return s
+}
+
+// Frame flag bits (Begin and Report).  Silent, collision and event are
+// feedback bits and wake is a backlog bit: each is set only with its
+// part's bit, and the decoder rejects it otherwise, so decode∘encode
+// stays a fixed point.
 const (
-	flagSilent    = 1 << 0
-	flagCollision = 1 << 1
-	flagHasEvent  = 1 << 2
-	flagHasWake   = 1 << 3
+	flagPrev      = 1 << 0
+	flagSlot      = 1 << 1
+	flagSilent    = 1 << 2
+	flagCollision = 1 << 3
+	flagHasEvent  = 1 << 4
+	flagHasWake   = 1 << 5
 )
 
 // maxFrameList bounds decoded list and blob lengths: a corrupt or
@@ -125,49 +144,59 @@ func (f *Frame) Append(dst []byte) []byte {
 		dst = appendU32(dst, uint32(len(f.Blob)))
 		dst = append(dst, f.Blob...)
 	case FrameBegin:
-		dst = appendI64(dst, f.Slot)
-		dst = appendI64(dst, f.InjFirst)
-		dst = appendU32(dst, uint32(f.InjN))
-	case FrameDecide:
-		dst = appendI64(dst, f.Slot)
-		dst = appendU32(dst, uint32(len(f.Txs)))
-		for _, id := range f.Txs {
-			dst = appendI64(dst, int64(id))
-		}
-	case FrameFeedback:
-		dst = appendI64(dst, f.Slot)
-		var flags byte
-		if f.Silent {
-			flags |= flagSilent
-		}
-		if f.Collision {
-			flags |= flagCollision
-		}
-		if f.HasEvent {
-			flags |= flagHasEvent
+		flags := bit(f.HasPrev, flagPrev) | bit(f.HasSlot, flagSlot)
+		if f.HasPrev {
+			flags |= bit(f.Silent, flagSilent) | bit(f.Collision, flagCollision) | bit(f.HasEvent, flagHasEvent)
 		}
 		dst = append(dst, flags)
-		if f.HasEvent {
-			dst = appendI64(dst, f.EvSlot)
-			dst = appendI64(dst, f.WindowStart)
-			dst = appendU32(dst, uint32(len(f.Txs)))
-			for _, id := range f.Txs {
-				dst = appendI64(dst, int64(id))
+		if f.HasPrev {
+			dst = appendI64(dst, f.Prev)
+			if f.HasEvent {
+				dst = appendI64(dst, f.EvSlot)
+				dst = appendI64(dst, f.WindowStart)
+				dst = appendPackets(dst, f.Txs)
 			}
 		}
+		if f.HasSlot {
+			dst = appendI64(dst, f.Slot)
+			dst = appendI64(dst, f.InjFirst)
+			dst = appendU32(dst, uint32(f.InjN))
+		}
 	case FrameReport:
-		dst = appendI64(dst, f.Slot)
-		dst = appendI64(dst, f.Pending)
-		var flags byte
-		if f.HasWake {
-			flags |= flagHasWake
+		flags := bit(f.HasPrev, flagPrev) | bit(f.HasSlot, flagSlot)
+		if f.HasPrev {
+			flags |= bit(f.HasWake, flagHasWake)
 		}
 		dst = append(dst, flags)
-		if f.HasWake {
-			dst = appendI64(dst, f.NextWake)
+		if f.HasPrev {
+			dst = appendI64(dst, f.Prev)
+			dst = appendI64(dst, f.Pending)
+			if f.HasWake {
+				dst = appendI64(dst, f.NextWake)
+			}
+		}
+		if f.HasSlot {
+			dst = appendI64(dst, f.Slot)
+			dst = appendPackets(dst, f.Txs)
 		}
 	default:
 		panic(fmt.Sprintf("emu: encoding unknown frame type %d", f.Type))
+	}
+	return dst
+}
+
+// bit is b when on, else 0.
+func bit(on bool, b byte) byte {
+	if on {
+		return b
+	}
+	return 0
+}
+
+func appendPackets(dst []byte, ids []channel.PacketID) []byte {
+	dst = appendU32(dst, uint32(len(ids)))
+	for _, id := range ids {
+		dst = appendI64(dst, int64(id))
 	}
 	return dst
 }
@@ -208,10 +237,16 @@ func (d *decoder) i64() int64 {
 	return v
 }
 
-// flags reads a flag byte, rejecting bits outside known: the encoder
-// never sets them, so accepting one would break decode∘encode.
-func (d *decoder) flags(known byte) byte {
+// flags reads a Begin's or Report's flag byte, rejecting bits the
+// encoder never sets: prevBits (the frame type's feedback or backlog
+// bits) are valid only with flagPrev.  Accepting one would break
+// decode∘encode.
+func (d *decoder) flags(prevBits byte) byte {
 	v := d.u8()
+	known := byte(flagPrev | flagSlot)
+	if v&flagPrev != 0 {
+		known |= prevBits
+	}
 	if d.err == nil && v&^known != 0 {
 		d.err = fmt.Errorf("emu: unknown frame flags %#x", v&^known)
 	}
@@ -243,29 +278,40 @@ func (f *Frame) Decode(b []byte) error {
 			d.b = d.b[n:]
 		}
 	case FrameBegin:
-		f.Slot = d.i64()
-		f.InjFirst = d.i64()
-		f.InjN = int32(d.u32())
-	case FrameDecide:
-		f.Slot = d.i64()
-		f.Txs = d.packetList()
-	case FrameFeedback:
-		f.Slot = d.i64()
 		flags := d.flags(flagSilent | flagCollision | flagHasEvent)
-		f.Silent = flags&flagSilent != 0
-		f.Collision = flags&flagCollision != 0
-		f.HasEvent = flags&flagHasEvent != 0
-		if f.HasEvent {
-			f.EvSlot = d.i64()
-			f.WindowStart = d.i64()
-			f.Txs = d.packetList()
+		f.HasPrev = flags&flagPrev != 0
+		f.HasSlot = flags&flagSlot != 0
+		if f.HasPrev {
+			f.Prev = d.i64()
+			f.Silent = flags&flagSilent != 0
+			f.Collision = flags&flagCollision != 0
+			f.HasEvent = flags&flagHasEvent != 0
+			if f.HasEvent {
+				f.EvSlot = d.i64()
+				f.WindowStart = d.i64()
+				f.Txs = d.packetList()
+			}
+		}
+		if f.HasSlot {
+			f.Slot = d.i64()
+			f.InjFirst = d.i64()
+			f.InjN = int32(d.u32())
 		}
 	case FrameReport:
-		f.Slot = d.i64()
-		f.Pending = d.i64()
-		f.HasWake = d.flags(flagHasWake)&flagHasWake != 0
-		if f.HasWake {
-			f.NextWake = d.i64()
+		flags := d.flags(flagHasWake)
+		f.HasPrev = flags&flagPrev != 0
+		f.HasSlot = flags&flagSlot != 0
+		if f.HasPrev {
+			f.Prev = d.i64()
+			f.Pending = d.i64()
+			f.HasWake = flags&flagHasWake != 0
+			if f.HasWake {
+				f.NextWake = d.i64()
+			}
+		}
+		if f.HasSlot {
+			f.Slot = d.i64()
+			f.Txs = d.packetList()
 		}
 	default:
 		return fmt.Errorf("emu: unknown frame type %d", f.Type)

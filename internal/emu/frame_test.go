@@ -3,29 +3,36 @@ package emu
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/channel"
 )
 
-// frameCases is one frame of every type with representative field use.
+// frameCases is one frame of every type, and of every part combination
+// of Begin and Report, with representative field use.
 func frameCases() []Frame {
 	return []Frame{
 		{Type: FrameHello},
 		{Type: FrameConfig, Blob: []byte(`{"protocol":"dba","kappa":8}`)},
-		{Type: FrameBegin, Slot: 7, InjFirst: 120, InjN: 3},
-		{Type: FrameBegin, Slot: 0},
-		{Type: FrameDecide, Slot: 7, Txs: []channel.PacketID{120, 121, 5}},
-		{Type: FrameDecide, Slot: 9},
-		{Type: FrameFeedback, Slot: 7, Silent: true},
-		{Type: FrameFeedback, Slot: 8, Collision: true},
-		{Type: FrameFeedback, Slot: 12, HasEvent: true, EvSlot: 12, WindowStart: 4,
-			Txs: []channel.PacketID{1, 2, 3, 4}},
-		{Type: FrameFeedback, Slot: 13, HasEvent: true, EvSlot: 13, WindowStart: 13},
-		{Type: FrameReport, Slot: 12, Pending: 42},
-		{Type: FrameReport, Slot: 12, Pending: 1, HasWake: true, NextWake: 99},
+		{Type: FrameBegin, HasSlot: true, Slot: 0},
+		{Type: FrameBegin, HasSlot: true, Slot: 7, InjFirst: 120, InjN: 3},
+		{Type: FrameBegin, HasPrev: true, Prev: 6, Silent: true, HasSlot: true, Slot: 7},
+		{Type: FrameBegin, HasPrev: true, Prev: 7, Collision: true, HasSlot: true, Slot: 8, InjFirst: 123, InjN: 1},
+		{Type: FrameBegin, HasPrev: true, Prev: 12, HasEvent: true, EvSlot: 12, WindowStart: 4,
+			Txs: []channel.PacketID{1, 2, 3, 4}, HasSlot: true, Slot: 40},
+		{Type: FrameBegin, HasPrev: true, Prev: 13, HasEvent: true, EvSlot: 13, WindowStart: 13},
+		{Type: FrameBegin, HasPrev: true, Prev: 14, Silent: true},
+		{Type: FrameBegin},
+		{Type: FrameReport, HasSlot: true, Slot: 7, Txs: []channel.PacketID{120, 121, 5}},
+		{Type: FrameReport, HasSlot: true, Slot: 9},
+		{Type: FrameReport, HasPrev: true, Prev: 12, Pending: 42, HasSlot: true, Slot: 13,
+			Txs: []channel.PacketID{8}},
+		{Type: FrameReport, HasPrev: true, Prev: 12, Pending: 1, HasWake: true, NextWake: 99},
+		{Type: FrameReport, HasPrev: true, Prev: 12, Pending: 0},
+		{Type: FrameReport},
 		{Type: FrameDone},
-		{Type: FrameError, Blob: []byte("replica divergence at slot 3")},
+		{Type: FrameError, Blob: []byte("replica divergence after slot 3")},
 	}
 }
 
@@ -79,20 +86,33 @@ func TestFrameDecodeRejectsCorruption(t *testing.T) {
 		t.Fatal("empty buffer accepted")
 	}
 	// Flag bits the encoder never sets must be rejected, or decode∘encode
-	// would not be a fixed point.  The flag byte follows the slot.
-	for _, f := range []Frame{{Type: FrameFeedback, Slot: 1}, {Type: FrameReport, Slot: 1}} {
-		buf := f.Append(nil)
-		at := 9
-		if f.Type == FrameReport {
-			at = 17
-		}
-		buf[at] |= 0x40
+	// would not be a fixed point: unknown bits, and a part's bits without
+	// the part.  The flag byte follows the type byte.
+	for _, c := range []struct {
+		typ  FrameType
+		bits byte
+	}{
+		{FrameBegin, 0x40}, {FrameBegin, 0x80}, {FrameBegin, flagHasWake},
+		{FrameBegin, flagSilent}, {FrameBegin, flagCollision}, {FrameBegin, flagHasEvent},
+		{FrameReport, 0x40}, {FrameReport, flagSilent}, {FrameReport, flagHasEvent},
+		{FrameReport, flagHasWake},
+	} {
+		buf := (&Frame{Type: c.typ}).Append(nil)
+		buf[1] |= c.bits
 		if err := got.Decode(buf); err == nil {
-			t.Fatalf("%s: unknown flag bit accepted", f.Type)
+			t.Fatalf("%s: flag bits %#x accepted", c.typ, c.bits)
+		}
+	}
+	// Frame types of the two-round-trip barrier are gone: they must fail
+	// as unknown, not decode as one of today's frames.
+	for typ := byte(3); typ <= 6; typ++ {
+		if err := got.Decode([]byte{typ, 0, 0, 0, 0, 0, 0, 0, 0}); err == nil ||
+			!strings.Contains(err.Error(), "unknown frame type") {
+			t.Fatalf("retired frame type %d: err = %v, want unknown frame type", typ, err)
 		}
 	}
 	// A hostile list length must be rejected before allocation.
-	hostile := []byte{byte(FrameDecide)}
+	hostile := []byte{byte(FrameReport), flagSlot}
 	hostile = appendI64(hostile, 1)
 	hostile = appendU32(hostile, 1<<31)
 	if err := got.Decode(hostile); err == nil {

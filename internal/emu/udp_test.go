@@ -105,7 +105,7 @@ func TestLinkPiggybacksAcks(t *testing.T) {
 				done <- err
 				return
 			}
-			if err := b.Send(&Frame{Type: FrameReport, Slot: f.Slot, Pending: f.InjFirst}); err != nil {
+			if err := b.Send(&Frame{Type: FrameReport, HasPrev: true, Prev: f.Slot, Pending: f.InjFirst}); err != nil {
 				done <- err
 				return
 			}
@@ -113,14 +113,14 @@ func TestLinkPiggybacksAcks(t *testing.T) {
 		done <- nil
 	}()
 	for i := 0; i < n; i++ {
-		if err := a.Send(&Frame{Type: FrameBegin, Slot: int64(i), InjFirst: int64(3 * i)}); err != nil {
+		if err := a.Send(&Frame{Type: FrameBegin, HasSlot: true, Slot: int64(i), InjFirst: int64(3 * i)}); err != nil {
 			t.Fatal(err)
 		}
 		f, err := a.Recv(5 * time.Second)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if f.Type != FrameReport || f.Slot != int64(i) || f.Pending != int64(3*i) {
+		if f.Type != FrameReport || f.Prev != int64(i) || f.Pending != int64(3*i) {
 			t.Fatalf("frame %d: got %+v", i, f)
 		}
 	}
@@ -143,7 +143,7 @@ func TestLinkFlushesDeferredAck(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			a, b := newLinkPair(t, Fault{}, Fault{})
-			if err := a.Send(&Frame{Type: FrameBegin, Slot: 1}); err != nil {
+			if err := a.Send(&Frame{Type: FrameBegin, HasSlot: true, Slot: 1}); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := b.Recv(5 * time.Second); err != nil {
@@ -203,7 +203,7 @@ func TestLinkLossyDeliversInOrder(t *testing.T) {
 		for k := range txs {
 			txs[k] = channel.PacketID(i*1000 + k)
 		}
-		return &Frame{Type: FrameDecide, Slot: int64(i), Txs: txs}
+		return &Frame{Type: FrameReport, HasSlot: true, Slot: int64(i), Txs: txs}
 	}
 	same := func(got, want *Frame) bool {
 		if len(got.Txs) == 0 && len(want.Txs) == 0 {
@@ -266,7 +266,7 @@ func TestLinkStaleAckFreesNothing(t *testing.T) {
 	l.sendSeq = math.MaxUint32 - 1
 	l.mu.Unlock()
 	for i := 0; i < 3; i++ { // seqs MaxUint32-1, MaxUint32, 0
-		if err := l.Send(&Frame{Type: FrameBegin, Slot: int64(i)}); err != nil {
+		if err := l.Send(&Frame{Type: FrameBegin, HasSlot: true, Slot: int64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -300,7 +300,7 @@ func TestLinkStaleAckFreesNothing(t *testing.T) {
 // taking its ack allocates nothing.
 func TestLinkSendAllocs(t *testing.T) {
 	l := discardLink(t)
-	f := &Frame{Type: FrameReport, Slot: 12, Pending: 5, HasWake: true, NextWake: 40}
+	f := &Frame{Type: FrameReport, HasPrev: true, Prev: 12, Pending: 5, HasWake: true, NextWake: 40}
 	ack := ackSeg(0)
 	var seq uint32
 	roundTrip := func() {
@@ -325,7 +325,7 @@ func TestLinkSendAllocs(t *testing.T) {
 // Recv, which is its one allocation.
 func TestRecvAllocs(t *testing.T) {
 	l := discardLink(t)
-	f := &Frame{Type: FrameBegin, Slot: 3}
+	f := &Frame{Type: FrameBegin, HasSlot: true, Slot: 3}
 	if n := testing.AllocsPerRun(200, func() {
 		l.frames <- f
 		if _, err := l.Recv(time.Second); err != nil {
@@ -403,7 +403,7 @@ func FuzzSegmentHandle(f *testing.F) {
 		l := newUDPLink(func([]byte) error { return nil }, Fault{}, nil)
 		defer l.Close()
 		for i := 0; i < 2; i++ {
-			if err := l.Send(&Frame{Type: FrameBegin, Slot: int64(i)}); err != nil {
+			if err := l.Send(&Frame{Type: FrameBegin, HasSlot: true, Slot: int64(i)}); err != nil {
 				t.Fatal(err)
 			}
 		}

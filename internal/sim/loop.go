@@ -228,6 +228,29 @@ func (l *Loop) Record(backlog int) {
 	l.res.BacklogSeries.Add(l.now, float64(backlog))
 }
 
+// InFlight is the number of packets injected and not yet delivered.
+// Every protocol conserves packets, so this is also the protocol's
+// backlog after the slot just observed.
+func (l *Loop) InFlight() int { return l.fl.at.Len() }
+
+// WakeMatters reports whether Advance from the current slot, with the
+// given backlog, can depend on the protocol's wake.  It cannot with an
+// empty backlog, nor when an arrival may come in the next slot: the
+// next slot is then now+1 whatever the wake says.
+func (l *Loop) WakeMatters(backlog int) bool {
+	return backlog > 0 && l.nextArrival() != l.now+1
+}
+
+// nextArrival is the next slot after now at which an arrival may come,
+// or -1 if none will before the horizon.  NextAfter is pure, so it may
+// be asked more than once per slot.
+func (l *Loop) nextArrival() int64 {
+	if l.now+1 < l.cfg.Horizon {
+		return l.arr.NextAfter(l.now)
+	}
+	return -1
+}
+
 // Advance moves to the next slot, fast-forwarding through provably
 // idle stretches: with an empty backlog it jumps to the next arrival,
 // and with a non-nil wake callback (the protocol's next possible
@@ -238,10 +261,7 @@ func (l *Loop) Record(backlog int) {
 func (l *Loop) Advance(backlog int, wake func(now int64) int64) bool {
 	next := l.now + 1
 	if backlog == 0 {
-		na := int64(-1)
-		if l.now+1 < l.cfg.Horizon {
-			na = l.arr.NextAfter(l.now)
-		}
+		na := l.nextArrival()
 		if na < 0 {
 			// Nothing pending and no arrivals will ever come.
 			l.res.Elapsed = l.now + 1
@@ -249,13 +269,12 @@ func (l *Loop) Advance(backlog int, wake func(now int64) int64) bool {
 		}
 		next = na
 	} else if wake != nil {
-		nw := wake(l.now)
-		if nw > l.now+1 {
+		// Called on every slot with a backlog, whether or not the answer
+		// can move next: a Waker may update its state lazily here.
+		if nw := wake(l.now); nw > l.now+1 && l.WakeMatters(backlog) {
 			next = nw
-			if l.now+1 < l.cfg.Horizon {
-				if na := l.arr.NextAfter(l.now); na >= 0 && na < next {
-					next = na
-				}
+			if na := l.nextArrival(); na >= 0 && na < next {
+				next = na
 			}
 		}
 	}

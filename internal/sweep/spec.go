@@ -258,6 +258,17 @@ func (s *Spec) Validate() error {
 			return err
 		}
 	}
+	// An empty entry parses as the axis default, but the skip rules and
+	// cell keys see the raw string: it would drop or fork cells.  An
+	// omitted axis still defaults above.
+	for _, ax := range []struct {
+		name string
+		vals []string
+	}{{"models", s.Models}, {"jammers", s.Jammers}, {"adversaries", s.Adversaries}} {
+		if contains(ax.vals, "") {
+			return fmt.Errorf("sweep: empty entry on the %s axis (name the value, or omit the axis for its default)", ax.name)
+		}
+	}
 	if s.Trials < 1 {
 		return fmt.Errorf("sweep: trials %d < 1", s.Trials)
 	}

@@ -119,6 +119,11 @@ func TestValidateRejects(t *testing.T) {
 		"repeated jammer":    func(s *Spec) { s.Jammers = []string{"random:0.2", "random:0.20"} },
 		"repeated adversary": func(s *Spec) { s.Adversaries = []string{"none", "burst:2/3", "burst:2/03"} },
 		"repeated none":      func(s *Spec) { s.Adversaries = []string{"none", ""} },
+		// An empty entry parses as the default, but the skip rules see
+		// "": dba's cell would be dropped, or jam= keys minted.
+		"empty model":     func(s *Spec) { s.Models = []string{""} },
+		"empty jammer":    func(s *Spec) { s.Jammers = []string{""}; s.Adversaries = []string{"none", "reactive:4/48"} },
+		"empty adversary": func(s *Spec) { s.Adversaries = []string{""} },
 	}
 	for name, mutate := range cases {
 		s := smallSpec()
@@ -134,6 +139,8 @@ func TestValidateRejects(t *testing.T) {
 	for spec, want := range map[string][]string{
 		`{"protocols":["genie","genie"],"arrivals":["batch"],"kappas":[4],"rates":[0.5],"trials":1,"horizon":200}`: {"protocols", "genie"},
 		`{"protocols":["genie"],"arrivals":["batch"],"kappas":[4],"rates":[0.5,0.50],"trials":1,"horizon":200}`:    {"rates", "0.5"},
+		emptyModelSpec: {"empty entry", "models"},
+		`{"protocols":["genie"],"arrivals":["batch"],"kappas":[8],"rates":[0.5],"jammers":[""],"adversaries":["none","reactive:4/48"],"trials":1,"horizon":200}`: {"empty entry", "jammers"},
 	} {
 		_, err := ParseSpec([]byte(spec))
 		for _, w := range want {
@@ -143,6 +150,11 @@ func TestValidateRejects(t *testing.T) {
 		}
 	}
 }
+
+// emptyModelSpec names the empty model, which parses as coded: before
+// Validate refused it, genie's cell ran keyed with an empty model and
+// dba's was dropped.
+const emptyModelSpec = `{"models":[""],"protocols":["genie","dba"],"arrivals":["batch"],"kappas":[8],"rates":[0.5],"trials":1,"horizon":200}`
 
 // FuzzParseSpec: ParseSpec never panics, an accepted spec expands to
 // pairwise-distinct cell keys, and the normalized spec survives a JSON
@@ -154,6 +166,7 @@ func FuzzParseSpec(f *testing.F) {
 	}
 	f.Add(bench)
 	f.Add([]byte(`{"protocols":["genie"],"arrivals":["batch"],"kappas":[4],"rates":[0.5,0.50],"trials":1,"horizon":200}`))
+	f.Add([]byte(emptyModelSpec))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 512 {
 			return // keeps an accepted grid small
