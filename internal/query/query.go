@@ -216,6 +216,11 @@ func ParseKey(key string) (sweep.Scenario, error) {
 	if err != nil {
 		return sc, fmt.Errorf("malformed cell key %q: bad rate: %v", key, err)
 	}
+	if math.IsNaN(rate) {
+		// A NaN rate equals no rate, itself included, so the key could
+		// never select or match its cell.
+		return sc, fmt.Errorf("malformed cell key %q: NaN rate", key)
+	}
 	sc.Rate = rate
 	advAt := -1
 	for i := 6; i < len(parts); i++ {

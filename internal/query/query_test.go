@@ -72,6 +72,7 @@ func TestParseKeyRejectsMalformed(t *testing.T) {
 		"dba/dba/batch/k=8/rate=0.3/jam=none", // no adv
 		"dba/dba/batch/k=x/rate=0.3/jam=none/adv=none", // bad kappa
 		"dba/dba/batch/k=8/rate=x/jam=none/adv=none",   // bad rate
+		"dba/dba/batch/k=8/rate=NaN/jam=none/adv=none", // NaN ≠ NaN: names no cell
 		"dba/dba/batch/kappa=8/rate=0.3/jam=none/adv=none",
 		"dba/dba/batch/k=8/rate=0.3/jam=/adv=none", // empty jammer
 	}
@@ -80,6 +81,36 @@ func TestParseKeyRejectsMalformed(t *testing.T) {
 			t.Errorf("ParseKey(%q) accepted", key)
 		}
 	}
+}
+
+// FuzzParseKey: ParseKey never panics, and an accepted key's
+// Scenario.Key() parses back to the same Scenario.
+func FuzzParseKey(f *testing.F) {
+	data, err := os.ReadFile("../../bench_spec.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	spec, err := sweep.ParseSpec(data)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, sc := range spec.Expand() {
+		f.Add(sc.Key())
+	}
+	f.Add("coded/dba/batch/k=8/rate=0.5/jam=periodic:16/4/adv=reactive:4/48")
+	f.Fuzz(func(t *testing.T, key string) {
+		sc, err := ParseKey(key)
+		if err != nil {
+			return
+		}
+		back, err := ParseKey(sc.Key())
+		if err != nil {
+			t.Fatalf("ParseKey(%q) = %+v, whose key %q does not parse: %v", key, sc, sc.Key(), err)
+		}
+		if back != sc {
+			t.Fatalf("ParseKey(%q) = %+v, but its key %q parses to %+v", key, sc, sc.Key(), back)
+		}
+	})
 }
 
 // TestBenchKeysParse pins ParseKey against the committed benchmark

@@ -44,10 +44,11 @@ func resultDigest(r *Result) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// digestCell is one pinned run: a table key and the run it names.
+// digestCell is one pinned run: a table key and the run it names,
+// executed by the given run function (Run, or a Runner's Run).
 type digestCell struct {
 	key string
-	run func() *Result
+	run func(run func(Config, protocol.Protocol, arrival.Process) *Result) *Result
 }
 
 // digestArrivals are the sweep layer's arrival kinds at offered load
@@ -129,7 +130,7 @@ func digestCells() []digestCell {
 			seed := seed
 			cells = append(cells, digestCell{
 				key: fmt.Sprintf("%s %s %s %s seed=%d", info.Name, media, digestArrivals[arr].name, dis, seed),
-				run: func() *Result {
+				run: func(run func(Config, protocol.Protocol, arrival.Process) *Result) *Result {
 					cfg := Config{Horizon: 1500, Drain: true, DrainLimit: 6000, Seed: seed, LatencySamples: 128}
 					if apply != nil {
 						// Adversaries are stateful: a fresh instance per run.
@@ -149,7 +150,7 @@ func digestCells() []digestCell {
 					proto := protocol.Build(info.Name, protocol.Params{
 						Kappa: k, Rand: rng.New(seed ^ 0x70726f746f), AlohaP: 0.05,
 					})
-					return Run(cfg, proto, digestArrivals[arr].build())
+					return run(cfg, proto, digestArrivals[arr].build())
 				},
 			})
 		}
@@ -186,7 +187,7 @@ func digestCells() []digestCell {
 func TestResultDigests(t *testing.T) {
 	cells := digestCells()
 	got := make([]string, len(cells))
-	ForEach(len(cells), 0, func(i int) { got[i] = resultDigest(cells[i].run()) })
+	ForEach(len(cells), 0, func(i int) { got[i] = resultDigest(cells[i].run(Run)) })
 	var b strings.Builder
 	for i, c := range cells {
 		fmt.Fprintf(&b, "%s %s\n", c.key, got[i])
@@ -197,15 +198,7 @@ func TestResultDigests(t *testing.T) {
 		}
 		return
 	}
-	data, err := os.ReadFile(digestTable)
-	if err != nil {
-		t.Fatalf("%v (generate the table with -update)", err)
-	}
-	want := map[string]string{}
-	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
-		cut := strings.LastIndexByte(line, ' ')
-		want[line[:cut]] = line[cut+1:]
-	}
+	want := readDigestTable(t)
 	moved := 0
 	for i, c := range cells {
 		w, ok := want[c.key]
@@ -225,5 +218,50 @@ func TestResultDigests(t *testing.T) {
 	}
 	for k := range want {
 		t.Errorf("%s: in the table but no longer run", k)
+	}
+}
+
+// readDigestTable loads the committed digest table, keyed by cell key.
+func readDigestTable(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(digestTable)
+	if err != nil {
+		t.Fatalf("%v (generate the table with -update)", err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		cut := strings.LastIndexByte(line, ' ')
+		want[line[:cut]] = line[cut+1:]
+	}
+	return want
+}
+
+// TestRunnerReplayMatchesDigests runs every digest cell through one
+// shared Runner, in table order and then reversed, and requires the
+// committed digest each time: the buffers a Runner carries from run to
+// run (in-flight pages, reservoir storage, packet-ID and transmitter
+// buffers) must leave no trace in the next Result.  Cells that deliver
+// nothing check that an emptied reservoir reads like a fresh one.
+func TestRunnerReplayMatchesDigests(t *testing.T) {
+	want := readDigestTable(t)
+	cells := digestCells()
+	var r Runner
+	moved := 0
+	check := func(pass string, c digestCell) {
+		if got := resultDigest(c.run(r.Run)); got != want[c.key] {
+			moved++
+			if moved <= 20 {
+				t.Errorf("%s pass, %s: digest %s, table %s", pass, c.key, got, want[c.key])
+			}
+		}
+	}
+	for _, c := range cells {
+		check("forward", c)
+	}
+	for i := len(cells) - 1; i >= 0; i-- {
+		check("reverse", cells[i])
+	}
+	if moved > 0 {
+		t.Errorf("%d of %d shared-Runner digests moved", moved, 2*len(cells))
 	}
 }

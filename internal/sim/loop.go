@@ -58,6 +58,11 @@ type Loop struct {
 // jam wrapper, adversary arrival merge); protoName labels the Result.
 // It panics on the same invalid configurations Run always has.
 func NewLoop(cfg Config, protoName string, arr arrival.Process) *Loop {
+	return new(Runner).loop(cfg, protoName, arr)
+}
+
+// loop is NewLoop on the Runner's buffers, emptied for the new run.
+func (r *Runner) loop(cfg Config, protoName string, arr arrival.Process) *Loop {
 	if cfg.Medium == nil && cfg.Kappa < 1 {
 		panic("sim: Kappa must be at least 1")
 	}
@@ -98,9 +103,13 @@ func NewLoop(cfg Config, protoName string, arr arrival.Process) *Loop {
 			arr = &arrival.Merge{A: arr, B: advArr}
 		}
 	}
-	seriesCap := cfg.SeriesCap
-	if seriesCap == 0 {
-		seriesCap = 2048
+	var series *stats.Series
+	if cfg.SeriesCap >= 0 {
+		seriesCap := cfg.SeriesCap
+		if seriesCap == 0 {
+			seriesCap = 2048
+		}
+		series = stats.NewSeries(seriesCap)
 	}
 	var latSample *stats.Reservoir
 	if cfg.LatencySamples >= 0 {
@@ -108,8 +117,14 @@ func NewLoop(cfg Config, protoName string, arr arrival.Process) *Loop {
 		if latCap == 0 {
 			latCap = DefaultLatencySamples
 		}
-		latSample = stats.NewReservoir(latCap, cfg.Seed^latSeedSalt)
+		if r.lat == nil {
+			r.lat = stats.NewReservoir(latCap, cfg.Seed^latSeedSalt)
+		} else {
+			r.lat.Reset(latCap, cfg.Seed^latSeedSalt)
+		}
+		latSample = r.lat
 	}
+	r.fl.reset()
 	drainLimit := cfg.DrainLimit
 	if drainLimit == 0 {
 		drainLimit = 16 * cfg.Horizon
@@ -137,11 +152,11 @@ func NewLoop(cfg Config, protoName string, arr arrival.Process) *Loop {
 			Horizon:       cfg.Horizon,
 			FirstArrival:  -1,
 			LastDelivery:  -1,
-			BacklogSeries: stats.NewSeries(seriesCap),
+			BacklogSeries: series,
 			LatencySample: latSample,
 		},
-		fl:         newInflight(),
-		idBuf:      make([]channel.PacketID, 0, 64),
+		fl:         &r.fl,
+		idBuf:      r.idBuf[:0],
 		latSample:  latSample,
 		drainLimit: drainLimit,
 		end:        cfg.Horizon,
@@ -225,7 +240,9 @@ func (l *Loop) Record(backlog int) {
 	if backlog > l.res.MaxBacklog {
 		l.res.MaxBacklog = backlog
 	}
-	l.res.BacklogSeries.Add(l.now, float64(backlog))
+	if l.res.BacklogSeries != nil {
+		l.res.BacklogSeries.Add(l.now, float64(backlog))
+	}
 }
 
 // InFlight is the number of packets injected and not yet delivered.

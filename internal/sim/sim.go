@@ -48,7 +48,9 @@ type Config struct {
 	// Seed drives the arrival process randomness.  (Protocols hold their
 	// own rng, so one protocol's consumption cannot perturb arrivals.)
 	Seed uint64
-	// SeriesCap bounds the retained backlog time series (0 = 2048).
+	// SeriesCap bounds the retained backlog time series (0 = 2048), and
+	// SeriesOff (any negative value) records none: Result.BacklogSeries
+	// stays nil.
 	SeriesCap int
 	// LatencySamples bounds the per-packet latencies retained for
 	// Result.LatencyQuantile: 0 selects a DefaultLatencySamples-slot
@@ -96,6 +98,10 @@ const DefaultLatencySamples = 16384
 // LatencyQuantile returns NaN.
 const LatencySamplesOff = -1
 
+// SeriesOff disables the backlog time series in Config.SeriesCap:
+// Result.BacklogSeries stays nil and SegmentMeanBacklog returns 0.
+const SeriesOff = -1
+
 func (c *Config) maxWindow() int {
 	switch {
 	case c.MaxWindow == NoWindowCap:
@@ -128,12 +134,16 @@ type Result struct {
 	// bookkeeping (packets injected but not yet delivered).  Entries
 	// are freed on delivery, so engine memory is proportional to this —
 	// which tracks MaxBacklog — never to total arrivals.
-	PeakInFlight  int
+	PeakInFlight int
+	// BacklogSeries is the down-sampled backlog after every slot (nil if
+	// Config.SeriesCap was negative).
 	BacklogSeries *stats.Series
 
 	Latency stats.Summary // per delivered packet, in slots
 	// LatencySample is the bounded, seeded latency reservoir backing
-	// LatencyQuantile (nil if Config.LatencySamples was negative).
+	// LatencyQuantile (nil if Config.LatencySamples was negative).  A
+	// Runner's Result shares it with the Runner: it is valid only until
+	// that Runner's next Run.
 	LatencySample *stats.Reservoir
 
 	Channel channel.Stats
@@ -210,7 +220,11 @@ type inflight struct {
 	peak int
 }
 
-func newInflight() *inflight { return &inflight{} }
+// reset empties the bookkeeping for a new run, keeping its pages.
+func (f *inflight) reset() {
+	f.at.Reset()
+	f.peak = 0
+}
 
 // add records a packet injected at the given slot.
 func (f *inflight) add(id channel.PacketID, slot int64) {
@@ -234,7 +248,27 @@ func (f *inflight) take(id channel.PacketID) int64 {
 // drives the protocol through Inject, Transmitters, Observe and Pending,
 // plus the optional Coaster and Waker capabilities.
 func Run(cfg Config, proto protocol.Protocol, arr arrival.Process) *Result {
-	l := NewLoop(cfg, proto.Name(), arr)
+	return new(Runner).Run(cfg, proto, arr)
+}
+
+// Runner runs simulations one after another on reused engine buffers:
+// the in-flight arena's pages, the latency reservoir's storage and the
+// packet-ID and transmitter buffers carry over from one Run to the
+// next, so a caller running many trials stops paying for them per run.
+// A Runner's Run returns exactly what sim.Run returns for the same
+// arguments, except that the Result's LatencySample is the Runner's own
+// reservoir, valid only until the Runner's next Run.  The zero value is
+// ready to use; a Runner is not safe for concurrent use.
+type Runner struct {
+	fl    inflight
+	lat   *stats.Reservoir
+	idBuf []channel.PacketID
+	txs   []channel.PacketID
+}
+
+// Run simulates one execution, as sim.Run does, on the Runner's buffers.
+func (r *Runner) Run(cfg Config, proto protocol.Protocol, arr arrival.Process) *Result {
+	l := r.loop(cfg, proto.Name(), arr)
 	m := l.Medium()
 
 	// Event-driven fast-forward through runs of identical bad slots:
@@ -251,7 +285,7 @@ func Run(cfg Config, proto protocol.Protocol, arr arrival.Process) *Result {
 		wake = w.NextWake
 	}
 	coastEnd := int64(-1)
-	var txs []channel.PacketID
+	txs := r.txs[:0]
 
 	for l.Running(proto.Pending()) {
 		now := l.Now()
@@ -292,6 +326,7 @@ func Run(cfg Config, proto protocol.Protocol, arr arrival.Process) *Result {
 			break
 		}
 	}
+	r.idBuf, r.txs = l.idBuf, txs
 	return l.Finish(proto.Pending())
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/adversary"
+	"repro/internal/arena"
 	"repro/internal/arrival"
 	"repro/internal/baseline"
 	"repro/internal/channel"
@@ -548,6 +549,50 @@ func TestPerSlotPathAllocationFree(t *testing.T) {
 	if perSlot := (long - short) / 180_000; perSlot > 0.01 {
 		t.Fatalf("per-slot path allocates: %.4f allocs/slot (short %v, long %v)",
 			perSlot, short, long)
+	}
+}
+
+// TestWarmRunnerAllocatesNoBuffers pins what a Runner carries between
+// runs.  Re-running on a warmed Runner must allocate fewer objects than
+// a fresh sim.Run by at least the in-flight pages a 16384-packet batch
+// maps, and, on a run of ~4096 deliveries whose backlog fits one page,
+// by at least the append steps that grow the reservoir to hold them.
+func TestWarmRunnerAllocatesNoBuffers(t *testing.T) {
+	type runFunc func(Config, protocol.Protocol, arrival.Process) *Result
+	appendSteps := func(n int) (steps int) {
+		var s []float64
+		for i := 0; i < n; i++ {
+			if len(s) == cap(s) {
+				steps++
+			}
+			s = append(s, 0)
+		}
+		return steps
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(runFunc) *Result
+		want func(*Result) int // allocations a warmed Runner must save
+	}{
+		{"in-flight pages", func(run runFunc) *Result {
+			return run(Config{Kappa: 8, Horizon: 1, Drain: true, Seed: 7, LatencySamples: LatencySamplesOff},
+				core.New(8, rng.New(8)), &arrival.Batch{At: 0, N: 16384})
+		}, func(res *Result) int { return res.PeakInFlight / arena.PageSize }},
+		{"reservoir storage", func(run runFunc) *Result {
+			return run(Config{Horizon: 16384, Seed: 7, Medium: medium.NewClassical(medium.CDTernary)},
+				baseline.NewGenieAloha(rng.New(8), 1), arrival.NewEvenPaced(0.25))
+		}, func(res *Result) int { return appendSteps(res.LatencySample.Len()) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := tc.want(tc.run(Run))
+			fresh := testing.AllocsPerRun(3, func() { tc.run(Run) })
+			var r Runner
+			warm := testing.AllocsPerRun(3, func() { tc.run(r.Run) }) // its warm-up call warms r
+			if saved := fresh - warm; saved < float64(want) {
+				t.Fatalf("a warmed Runner allocates %v objects per run, a fresh Run %v: saved %v, want >= %d",
+					warm, fresh, saved, want)
+			}
+		})
 	}
 }
 

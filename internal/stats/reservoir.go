@@ -30,6 +30,16 @@ func NewReservoir(capacity int, seed uint64) *Reservoir {
 	return &Reservoir{cap: capacity, rand: rng.New(seed)}
 }
 
+// Reset empties the reservoir for a new stream, keeping its storage:
+// afterwards it reads exactly like NewReservoir(capacity, seed).
+func (r *Reservoir) Reset(capacity int, seed uint64) {
+	if capacity < 1 {
+		panic("stats: reservoir capacity must be at least 1")
+	}
+	r.vals, r.n, r.cap = r.vals[:0], 0, capacity
+	r.rand.Seed(seed)
+}
+
 // Add offers one observation to the reservoir.
 func (r *Reservoir) Add(x float64) {
 	r.n++
@@ -55,9 +65,15 @@ func (r *Reservoir) Cap() int { return r.cap }
 // quantiles computed from it are exact rather than estimates.
 func (r *Reservoir) Exact() bool { return r.n <= int64(r.cap) }
 
-// Values returns the retained sample.  The slice is the reservoir's own
+// Values returns the retained sample, nil while it is empty (a Reset
+// reservoir reads like a fresh one).  The slice is the reservoir's own
 // storage: read it, do not modify or retain it across Adds.
-func (r *Reservoir) Values() []float64 { return r.vals }
+func (r *Reservoir) Values() []float64 {
+	if len(r.vals) == 0 {
+		return nil
+	}
+	return r.vals
+}
 
 // Quantile returns the q-quantile of the retained sample, or NaN if the
 // reservoir is empty.  It panics on q outside [0, 1].
@@ -88,4 +104,14 @@ func (r *Reservoir) Quantiles(qs ...float64) []float64 {
 		return out
 	}
 	return Quantiles(r.vals, qs...)
+}
+
+// QuantilesInPlace is Quantiles without the copy: it sorts the retained
+// sample itself, which spends the sample's order (later Adds would
+// replace different values), so call it only once the stream has ended.
+func (r *Reservoir) QuantilesInPlace(qs ...float64) []float64 {
+	if len(r.vals) == 0 {
+		return r.Quantiles(qs...)
+	}
+	return quantilesSorting(r.vals, qs)
 }

@@ -106,17 +106,21 @@ func Quantiles(data []float64, qs ...float64) []float64 {
 	if len(data) == 0 {
 		panic("stats: quantile of empty data")
 	}
+	return quantilesSorting(append([]float64(nil), data...), qs)
+}
+
+// quantilesSorting validates qs, sorts data in place and returns its
+// qs-quantiles.
+func quantilesSorting(data, qs []float64) []float64 {
 	for _, q := range qs {
 		if q < 0 || q > 1 {
 			panic("stats: quantile fraction out of [0,1]")
 		}
 	}
-	sorted := make([]float64, len(data))
-	copy(sorted, data)
-	sort.Float64s(sorted)
+	sort.Float64s(data)
 	out := make([]float64, len(qs))
 	for i, q := range qs {
-		out[i] = quantileSorted(sorted, q)
+		out[i] = quantileSorted(data, q)
 	}
 	return out
 }

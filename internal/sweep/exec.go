@@ -149,8 +149,10 @@ func (s *Spec) config(sc Scenario, seed uint64) sim.Config {
 		// former unconditional full-history tracking whose O(arrivals)
 		// allocation dominated large-horizon sweeps.
 		LatencySamples: s.LatencySamples,
-		Jammer:         jammer,
-		Adversary:      adv,
-		Medium:         buildMedium(sc),
+		// No cell summary reads the backlog series.
+		SeriesCap: sim.SeriesOff,
+		Jammer:    jammer,
+		Adversary: adv,
+		Medium:    buildMedium(sc),
 	}
 }

@@ -60,13 +60,12 @@ func summarize(sc Scenario, trials []trialOut) CellSummary {
 	cell := CellSummary{Scenario: sc, Trials: len(trials)}
 	var thpt, backlog, p50, p99 stats.Summary
 	for _, out := range trials {
-		r := out.res
+		r := &out.res
 		thpt.Add(r.CompletionThroughput())
 		backlog.Add(float64(r.MaxBacklog))
-		if r.LatencySample != nil && r.LatencySample.Len() > 0 {
-			qs := r.LatencySample.Quantiles(0.50, 0.99)
-			p50.Add(qs[0])
-			p99.Add(qs[1])
+		if out.latency != nil {
+			p50.Add(out.latency[0])
+			p99.Add(out.latency[1])
 		}
 		cell.Arrivals += r.Arrivals
 		cell.Delivered += r.Delivered

@@ -48,7 +48,8 @@ func (p *plan) cellSeeds(i int) []uint64 {
 // yet a worker claims a cell only into a free slot, so it never holds
 // more than Parallelism unfinished leases.  The goroutine that lands a
 // cell's last trial completes the cell (see land) while the other slots
-// keep running.
+// keep running.  Each slot owns a sim.Runner, which runs the slot's
+// trials one after another on the same engine buffers.
 type executor struct {
 	*plan
 	opts *Options
@@ -100,19 +101,22 @@ func (e *executor) run(ctx context.Context) error {
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	slots := make(chan struct{}, par)
+	slots := make(chan *sim.Runner, par) // the free trial slots
+	for range par {
+		slots <- new(sim.Runner)
+	}
 	var trials sync.WaitGroup
 	var cur *cellRun
 	for {
-		slots <- struct{}{} // wait for a free trial slot
+		r := <-slots // wait for a free trial slot
 		if e.stopped(ctx) {
-			<-slots
+			slots <- r
 			break
 		}
 		if cur == nil || cur.next == e.spec.Trials {
 			ci, ok := e.next(ctx)
 			if !ok || e.stopped(ctx) {
-				<-slots
+				slots <- r
 				break
 			}
 			cur = e.start(ci)
@@ -122,11 +126,11 @@ func (e *executor) run(ctx context.Context) error {
 		trials.Add(1)
 		go func() {
 			defer trials.Done()
-			e.runTrial(c, t)
+			e.runTrial(c, t, r)
 			// Freed only after land's Put: the lease bound relies on
 			// the landing goroutine keeping its slot until the record
 			// is written.
-			<-slots
+			slots <- r
 		}()
 	}
 	trials.Wait()
@@ -184,9 +188,9 @@ func (e *executor) renew(id string, landed <-chan struct{}) {
 	}
 }
 
-// runTrial executes trial t of a cell, and lands the cell if it was the
-// last trial to finish.
-func (e *executor) runTrial(c *cellRun, t int) {
+// runTrial executes trial t of a cell on the slot's Runner, and lands
+// the cell if it was the last trial to finish.
+func (e *executor) runTrial(c *cellRun, t int, r *sim.Runner) {
 	sc := e.cells[c.ci]
 	seed := e.cellSeeds(c.ci)[t]
 	if execDelay != nil {
@@ -195,7 +199,7 @@ func (e *executor) runTrial(c *cellRun, t int) {
 	var errCount int64
 	proto := e.spec.buildProtocol(sc, seed^protoSeedSalt, &errCount)
 	cfg := e.spec.config(sc, seed)
-	c.trials[t] = trialOut{res: sim.Run(cfg, proto, e.spec.buildArrival(sc)), errEpochs: errCount}
+	c.trials[t] = reduceTrial(r.Run(cfg, proto, e.spec.buildArrival(sc)), errCount)
 	// Each slot of c.trials has one writer; the countdown orders every
 	// write before the landing goroutine's reads.
 	if c.left.Add(-1) == 0 {

@@ -51,6 +51,32 @@ func TestRunDropsTrialResults(t *testing.T) {
 	}
 }
 
+// TestSerialRunAllocations bounds the bytes one serial Run of
+// smallSpec allocates.  A trial records only what its cell summary
+// reads (no backlog series), and each trial slot's sim.Runner keeps its
+// in-flight pages, latency reservoir and ID buffers from one trial to
+// the next.  The grid allocated 1.60 MB when every trial built a full
+// Result on fresh buffers, and 0.60 MB since; the bound leaves a third
+// of headroom over the latter.
+func TestSerialRunAllocations(t *testing.T) {
+	const maxBytes = 800_000
+	run := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Run(context.Background(), smallSpec(), Options{Parallelism: 1}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	run() // warm-up: lazily initialized package state
+	if got := run(); got > maxBytes {
+		t.Fatalf("serial Run of smallSpec allocated %d B, want <= %d B", got, maxBytes)
+	} else {
+		t.Logf("serial Run of smallSpec allocated %d B", got)
+	}
+}
+
 // TestWorkerCannotHoardLeases pins the lease bound: a worker claims a
 // cell only into a free trial slot, so it never holds more unfinished
 // claims than its Parallelism, and a second worker that starts after

@@ -59,11 +59,24 @@ type Options struct {
 	Shard Shard
 }
 
-// trialOut carries one trial's result plus the side-channel measurements
-// the sim.Result does not hold.
+// trialOut is one trial as summarize reads it: its Result by value,
+// less the latency sample (the trial slot Runner's reservoir, which the
+// slot's next trial overwrites), whose p50 and p99 are taken first.
 type trialOut struct {
-	res       *sim.Result
+	res       sim.Result
+	latency   []float64 // p50 and p99; nil if the trial retained none
 	errEpochs int64
+}
+
+// reduceTrial takes a finished trial's trialOut.  The quantiles sort
+// the trial's own sample in place: nothing reads it again.
+func reduceTrial(r *sim.Result, errEpochs int64) trialOut {
+	out := trialOut{res: *r, errEpochs: errEpochs}
+	out.res.LatencySample = nil
+	if r.LatencySample != nil && r.LatencySample.Len() > 0 {
+		out.latency = r.LatencySample.QuantilesInPlace(0.50, 0.99)
+	}
+	return out
 }
 
 // CellRecord is the cache-record schema for one completed cell — the
@@ -80,9 +93,10 @@ type CellRecord struct {
 }
 
 // matches reports whether a loaded record is trustworthy for the given
-// identity and scenario key under the current schema.
+// identity and scenario key under the current schema: its identity
+// fields and the summary it carries all name that cell.
 func (r *CellRecord) matches(id, key string) bool {
-	return r.SchemaVersion == SchemaVersion && r.ID == id && r.Key == key
+	return r.SchemaVersion == SchemaVersion && r.ID == id && r.Key == key && r.Cell.Key() == key
 }
 
 // loadCell fetches and verifies one cell from a backend.  Absent,

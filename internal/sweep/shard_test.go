@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -292,6 +293,58 @@ func TestResumeIgnoresForeignAndCorruptRecords(t *testing.T) {
 	if !bytes.Equal(want, got) {
 		t.Fatal("artifact differs after invalid records were re-executed")
 	}
+}
+
+// rawRecord is a Backend that holds data under every id and decodes it
+// as cache.Store decodes a record file: bytes that do not decode are a
+// miss.  loadCell calls only Get.
+type rawRecord struct {
+	cache.Backend
+	data []byte
+}
+
+func (r rawRecord) Get(_ string, v interface{}) (bool, error) {
+	return json.Unmarshal(r.data, v) == nil, nil
+}
+
+// FuzzLoadCell: arbitrary bytes stored as a cell's record make
+// loadCell report a miss or that cell's own record, never another
+// cell's, and never panic.  The seeds are bench_spec.json's records,
+// each stored under its own id and under the next cell's, plus one whose
+// identity fields name cell 0 while its summary is cell 1's.
+func FuzzLoadCell(f *testing.F) {
+	data, err := os.ReadFile("../../bench_spec.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	spec, err := ParseSpec(data)
+	if err != nil {
+		f.Fatal(err)
+	}
+	p := newPlan(spec)
+	record := func(i int, sc Scenario) []byte {
+		b, err := json.Marshal(&CellRecord{SchemaVersion: SchemaVersion, ID: p.ids[i], Key: p.cells[i].Key(), Index: i,
+			Cell: CellSummary{Scenario: sc, Trials: spec.Trials}})
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	for i, sc := range p.cells {
+		f.Add(uint16(i), record(i, sc))
+		f.Add(uint16(i+1), record(i, sc))
+	}
+	f.Add(uint16(0), record(0, p.cells[1]))
+	f.Fuzz(func(t *testing.T, at uint16, data []byte) {
+		i := int(at) % len(p.cells)
+		cell, ok, err := loadCell(rawRecord{data: data}, p.ids[i], p.cells[i].Key())
+		if err != nil {
+			t.Fatalf("loadCell: %v", err)
+		}
+		if ok && cell.Scenario != p.cells[i] {
+			t.Fatalf("loadCell of cell %s returned the record of %s", p.cells[i].Key(), cell.Key())
+		}
+	})
 }
 
 func TestResumeRequiresCache(t *testing.T) {

@@ -249,31 +249,35 @@ type workerOutcome struct {
 // countingBackend wraps a Backend to observe the lease traffic a
 // worker generates: successful claims per (owner, id), record writes
 // per id, each owner's high-water mark of claimed cells still without a
-// record, plus a one-shot signal when a chosen owner first claims a
-// chosen cell.
+// record, plus one-shot signals when a chosen owner first claims a
+// chosen cell and when it first claims a second cell.
 type countingBackend struct {
 	cache.Backend
-	mu       sync.Mutex
-	claims   map[string]int             // owner + "\x00" + id → successful claims
-	puts     map[string]int             // id → Put calls
-	held     map[string]map[string]bool // owner → claimed ids not yet Put
-	maxHeld  map[string]int             // owner → most ids held at once
-	watchID  string
-	watchOwn string
-	claimed  chan struct{}
-	once     sync.Once
+	mu         sync.Mutex
+	claims     map[string]int             // owner + "\x00" + id → successful claims
+	cells      map[string]int             // owner → distinct ids claimed
+	puts       map[string]int             // id → Put calls
+	held       map[string]map[string]bool // owner → claimed ids not yet Put
+	maxHeld    map[string]int             // owner → most ids held at once
+	watchID    string
+	watchOwn   string
+	claimed    chan struct{} // closed when watchOwn first claims watchID
+	claimedTwo chan struct{} // closed when watchOwn first claims a second id
+	once       sync.Once
 }
 
 func newCountingBackend(inner cache.Backend, watchOwner, watchID string) *countingBackend {
 	return &countingBackend{
-		Backend:  inner,
-		claims:   make(map[string]int),
-		puts:     make(map[string]int),
-		held:     make(map[string]map[string]bool),
-		maxHeld:  make(map[string]int),
-		watchID:  watchID,
-		watchOwn: watchOwner,
-		claimed:  make(chan struct{}),
+		Backend:    inner,
+		claims:     make(map[string]int),
+		cells:      make(map[string]int),
+		puts:       make(map[string]int),
+		held:       make(map[string]map[string]bool),
+		maxHeld:    make(map[string]int),
+		watchID:    watchID,
+		watchOwn:   watchOwner,
+		claimed:    make(chan struct{}),
+		claimedTwo: make(chan struct{}),
 	}
 }
 
@@ -281,7 +285,14 @@ func (c *countingBackend) Claim(id, owner string, ttl time.Duration) (bool, erro
 	ok, err := c.Backend.Claim(id, owner, ttl)
 	if ok {
 		c.mu.Lock()
-		c.claims[owner+"\x00"+id]++
+		key := owner + "\x00" + id
+		c.claims[key]++
+		if c.claims[key] == 1 {
+			c.cells[owner]++
+			if owner == c.watchOwn && c.cells[owner] == 2 {
+				close(c.claimedTwo)
+			}
+		}
 		if c.held[owner] == nil {
 			c.held[owner] = make(map[string]bool)
 		}
@@ -330,7 +341,10 @@ func (c *countingBackend) maxHeldBy(owner string) int {
 // worker's renewal goroutine re-claims at TTL/2 while its other trial
 // slot keeps dispatching cells and an eager competitor races through
 // the rest of the grid; the eager worker must never win the slow cell,
-// and exactly one record lands for it.
+// and exactly one record lands for it.  The eager worker starts only
+// once the slow one has claimed a second cell, so the slow worker's
+// share beside its slow cell is ordered by that claim, not by how fast
+// its free slot wins a race on a loaded host.
 func TestLeaseRenewalKeepsSlowCellOwned(t *testing.T) {
 	spec := smallSpec()
 	store, err := cache.Open(t.TempDir())
@@ -362,12 +376,13 @@ func TestLeaseRenewalKeepsSlowCellOwned(t *testing.T) {
 		slowDone <- workerOutcome{res, err}
 	}()
 
-	// Only start the eager worker once the slow one holds cell 0, so the
-	// race over that cell is guaranteed to happen.
+	// Only start the eager worker once the slow one holds cell 0 and one
+	// more cell beside it, so the race over cell 0 is guaranteed to
+	// happen and the slow worker has executed more than its slow cell.
 	select {
-	case <-backend.claimed:
+	case <-backend.claimedTwo:
 	case <-time.After(10 * time.Second):
-		t.Fatal("slow worker never claimed cell 0")
+		t.Fatal("slow worker never claimed a second cell")
 	}
 	opts := stealOptions("eager", backend)
 	opts.Parallelism = 2
