@@ -122,7 +122,7 @@ func FromBackend(b cache.Backend, label string) (*Set, error) {
 		if err != nil {
 			return nil, fmt.Errorf("query: %s: %w", label, err)
 		}
-		if !ok || rec.SchemaVersion != sweep.SchemaVersion || rec.ID != id || rec.Key != rec.Cell.Key() {
+		if !ok || !rec.Valid(id) {
 			s.Skipped++
 			continue
 		}

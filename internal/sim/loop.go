@@ -117,12 +117,8 @@ func (r *Runner) loop(cfg Config, protoName string, arr arrival.Process) *Loop {
 		if latCap == 0 {
 			latCap = DefaultLatencySamples
 		}
-		if r.lat == nil {
-			r.lat = stats.NewReservoir(latCap, cfg.Seed^latSeedSalt)
-		} else {
-			r.lat.Reset(latCap, cfg.Seed^latSeedSalt)
-		}
-		latSample = r.lat
+		r.lat.Reset(latCap, cfg.Seed^latSeedSalt)
+		latSample = &r.lat
 	}
 	r.fl.reset()
 	drainLimit := cfg.DrainLimit

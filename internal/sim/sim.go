@@ -261,7 +261,7 @@ func Run(cfg Config, proto protocol.Protocol, arr arrival.Process) *Result {
 // ready to use; a Runner is not safe for concurrent use.
 type Runner struct {
 	fl    inflight
-	lat   *stats.Reservoir
+	lat   stats.Reservoir
 	idBuf []channel.PacketID
 	txs   []channel.PacketID
 }

@@ -18,20 +18,20 @@ type Reservoir struct {
 	vals []float64
 	n    int64
 	cap  int
-	rand *rng.Rand
+	rand rng.Rand
 }
 
 // NewReservoir returns a reservoir retaining at most capacity values,
 // with replacement decisions drawn from a stream seeded by seed.
 func NewReservoir(capacity int, seed uint64) *Reservoir {
-	if capacity < 1 {
-		panic("stats: reservoir capacity must be at least 1")
-	}
-	return &Reservoir{cap: capacity, rand: rng.New(seed)}
+	r := new(Reservoir)
+	r.Reset(capacity, seed)
+	return r
 }
 
 // Reset empties the reservoir for a new stream, keeping its storage:
-// afterwards it reads exactly like NewReservoir(capacity, seed).
+// afterwards it reads exactly like NewReservoir(capacity, seed).  The
+// zero Reservoir must be Reset before use.
 func (r *Reservoir) Reset(capacity int, seed uint64) {
 	if capacity < 1 {
 		panic("stats: reservoir capacity must be at least 1")
@@ -89,7 +89,9 @@ func (r *Reservoir) Quantile(q float64) float64 {
 
 // Quantiles returns several quantiles of the retained sample with one
 // sort, NaN-filled if the reservoir is empty.  It validates every
-// fraction before sorting.
+// fraction before sorting.  The sort is of the sample itself, not a
+// copy: it spends the sample's order (later Adds would replace
+// different values), so call it once the stream has ended.
 func (r *Reservoir) Quantiles(qs ...float64) []float64 {
 	for _, q := range qs {
 		if q < 0 || q > 1 {
@@ -102,16 +104,6 @@ func (r *Reservoir) Quantiles(qs ...float64) []float64 {
 			out[i] = math.NaN()
 		}
 		return out
-	}
-	return Quantiles(r.vals, qs...)
-}
-
-// QuantilesInPlace is Quantiles without the copy: it sorts the retained
-// sample itself, which spends the sample's order (later Adds would
-// replace different values), so call it only once the stream has ended.
-func (r *Reservoir) QuantilesInPlace(qs ...float64) []float64 {
-	if len(r.vals) == 0 {
-		return r.Quantiles(qs...)
 	}
 	return quantilesSorting(r.vals, qs)
 }

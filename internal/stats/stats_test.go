@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -328,5 +329,32 @@ func TestReservoirEmptyAndValidation(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// TestReservoirResetReadsLikeNew: a Reset reservoir, whether it held a
+// longer, already sorted stream or is the zero value, reads as empty
+// (nil Values) and then retains exactly what a fresh one does.
+func TestReservoirResetReadsLikeNew(t *testing.T) {
+	stream := func(r *Reservoir, n int) {
+		for i := 0; i < n; i++ {
+			r.Add(float64(i % 37))
+		}
+	}
+	used := NewReservoir(8, 3)
+	stream(used, 500)
+	used.Quantiles(0.5)
+	var zero Reservoir
+	for name, r := range map[string]*Reservoir{"used": used, "zero": &zero} {
+		r.Reset(16, 9)
+		if r.Values() != nil || r.N() != 0 || r.Cap() != 16 {
+			t.Fatalf("%s: Reset reads values=%v n=%d cap=%d", name, r.Values(), r.N(), r.Cap())
+		}
+		fresh := NewReservoir(16, 9)
+		stream(r, 1000)
+		stream(fresh, 1000)
+		if !slices.Equal(r.Values(), fresh.Values()) {
+			t.Fatalf("%s: Reset retained %v, fresh %v", name, r.Values(), fresh.Values())
+		}
 	}
 }

@@ -74,7 +74,7 @@ func reduceTrial(r *sim.Result, errEpochs int64) trialOut {
 	out := trialOut{res: *r, errEpochs: errEpochs}
 	out.res.LatencySample = nil
 	if r.LatencySample != nil && r.LatencySample.Len() > 0 {
-		out.latency = r.LatencySample.QuantilesInPlace(0.50, 0.99)
+		out.latency = r.LatencySample.Quantiles(0.50, 0.99)
 	}
 	return out
 }
@@ -92,11 +92,12 @@ type CellRecord struct {
 	Cell          CellSummary `json:"cell"`
 }
 
-// matches reports whether a loaded record is trustworthy for the given
-// identity and scenario key under the current schema: its identity
-// fields and the summary it carries all name that cell.
-func (r *CellRecord) matches(id, key string) bool {
-	return r.SchemaVersion == SchemaVersion && r.ID == id && r.Key == key && r.Cell.Key() == key
+// Valid reports whether a record loaded under id is trustworthy under
+// the current schema: it names that id, and its stored key is the key
+// of the summary it carries.  loadCell also requires the key the spec
+// derives; crnquery, which has no spec, checks only this.
+func (r *CellRecord) Valid(id string) bool {
+	return r.SchemaVersion == SchemaVersion && r.ID == id && r.Key == r.Cell.Key()
 }
 
 // loadCell fetches and verifies one cell from a backend.  Absent,
@@ -107,7 +108,7 @@ func loadCell(b cache.Backend, id, key string) (CellSummary, bool, error) {
 	if err != nil {
 		return CellSummary{}, false, err
 	}
-	if !ok || !rec.matches(id, key) {
+	if !ok || !rec.Valid(id) || rec.Key != key {
 		return CellSummary{}, false, nil
 	}
 	return rec.Cell, true, nil

@@ -221,8 +221,8 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("sweep: no rates")
 	}
 	for _, r := range s.Rates {
-		if r <= 0 {
-			return fmt.Errorf("sweep: rate %g ≤ 0", r)
+		if !(r > 0) { // NaN too: a rate=NaN key could never be parsed back
+			return fmt.Errorf("sweep: rate %g is not positive", r)
 		}
 	}
 	if len(s.Jammers) == 0 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"os"
 	"reflect"
 	"strings"
@@ -98,6 +99,7 @@ func TestValidateRejects(t *testing.T) {
 		"dba small kappa": func(s *Spec) { s.Kappas = []int{4} },
 		"no rates":        func(s *Spec) { s.Rates = nil },
 		"rate zero":       func(s *Spec) { s.Rates = []float64{0} },
+		"rate NaN":        func(s *Spec) { s.Rates = []float64{math.NaN()} },
 		"bad jammer":      func(s *Spec) { s.Jammers = []string{"emp"} },
 		"bad random":      func(s *Spec) { s.Jammers = []string{"random:2"} },
 		"bad periodic":    func(s *Spec) { s.Jammers = []string{"periodic:10"} },
