@@ -135,6 +135,30 @@ func TestModeConflictsRejected(t *testing.T) {
 	}
 }
 
+// dba's analysis needs κ ≥ 6: below it, set by -kappa or embedded in
+// the model descriptor, every transport refuses the run with an error
+// instead of a replica's constructor panicking — and at once, because
+// the coordinator tells its stations rather than leaving them to time
+// out.
+func TestDBASmallKappaRejected(t *testing.T) {
+	for _, args := range [][]string{
+		{"-protocol", "dba", "-kappa", "2", "-transport", "sim"},
+		{"-protocol", "dba", "-kappa", "2", "-transport", "inproc"},
+		{"-protocol", "dba", "-kappa", "2", "-transport", "udp"},
+		{"-protocol", "dba", "-model", "coded:4", "-transport", "sim"},
+		{"-protocol", "dba", "-model", "coded:4", "-transport", "inproc"},
+	} {
+		start := time.Now()
+		_, _, err := runCLI(t, args...)
+		if err == nil || !strings.Contains(err.Error(), "needs κ ≥ 6") {
+			t.Errorf("crnemu %v: err = %v, want the minimum-κ error", args, err)
+		}
+		if d := time.Since(start); d > 5*time.Second {
+			t.Errorf("crnemu %v took %v to refuse the run", args, d)
+		}
+	}
+}
+
 func TestPositionalArgsRejected(t *testing.T) {
 	_, _, err := runCLI(t, "-transport", "sim", "stray")
 	if err == nil || !strings.Contains(err.Error(), "unexpected arguments") {

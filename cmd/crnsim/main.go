@@ -26,6 +26,7 @@ import (
 
 	crn "repro"
 	"repro/internal/asciiplot"
+	"repro/internal/protocol"
 	"repro/internal/report"
 )
 
@@ -52,8 +53,18 @@ func main() {
 		fmt.Fprintf(os.Stderr, "crnsim: %v\n", err)
 		os.Exit(2)
 	}
-	if *protoName == "dba" && mspec.Model != "coded" {
-		fmt.Fprintf(os.Stderr, "crnsim: dba is defined for the coded model (κ ≥ 6); pick -model coded or another protocol\n")
+	// The registry's pairing rules, as crnemu and the sweep apply them.
+	info, ok := protocol.Lookup(*protoName)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "crnsim: unknown protocol %q\n", *protoName)
+		os.Exit(2)
+	}
+	if info.CodedOnly && mspec.Model != "coded" {
+		fmt.Fprintf(os.Stderr, "crnsim: %s is defined for the coded model; pick -model coded or another protocol\n", info.Name)
+		os.Exit(2)
+	}
+	if info.NoCDOnly && mspec.String() != "classical:none" {
+		fmt.Fprintf(os.Stderr, "crnsim: %s is a no-collision-detection protocol; pick -model classical:none, not %q\n", info.Name, mspec.String())
 		os.Exit(2)
 	}
 	// A bare "coded" leaves Medium nil so the engine's defaults (window
@@ -67,6 +78,10 @@ func main() {
 			os.Exit(2)
 		}
 		*kappa = med.Kappa()
+	}
+	if *kappa < info.MinKappa {
+		fmt.Fprintf(os.Stderr, "crnsim: %s needs κ ≥ %d, not %d\n", info.Name, info.MinKappa, *kappa)
+		os.Exit(2)
 	}
 
 	var proto crn.Protocol

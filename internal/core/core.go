@@ -494,11 +494,10 @@ func (d *DecodableBackoff) ReduceSlot(fb channel.Feedback) { d.Observe(fb) }
 func (d *DecodableBackoff) ShardPending(shard int) int { return d.shardPending[shard] }
 
 // CoastUntil implements protocol.Coaster.  Joiners broadcast in every
-// slot of an epoch and arrivals never join one mid-flight, so once a
-// slot of the current epoch classifies Bad the transmitter set is
-// frozen — and every following epoch slot stays Bad — until the κ-slot
-// timeout ends the epoch at epochStart+κ-1.  Outside an epoch there is
-// nothing to coast.
+// slot of an epoch and arrivals never join one mid-flight, so while the
+// epoch's slots are heard busy without a decoding event (neither ends
+// it) the transmitter set is frozen until the κ-slot timeout ends the
+// epoch at epochStart+κ-1.  Outside an epoch there is nothing to coast.
 func (d *DecodableBackoff) CoastUntil(now int64) int64 {
 	if !d.inEpoch {
 		return now

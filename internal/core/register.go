@@ -10,6 +10,7 @@ func init() {
 		Name:      "dba",
 		Summary:   "Decodable Backoff, the paper's algorithm for the coded channel (κ ≥ 6)",
 		CodedOnly: true,
+		MinKappa:  6,
 		Build: func(p protocol.Params) protocol.Protocol {
 			var opts []Option
 			if p.EpochObserver != nil {

@@ -29,17 +29,29 @@
 //
 // # Slot barrier
 //
-// Each stepped slot costs one round trip.  The coordinator's Begin
+// Each opened slot costs one round trip.  The coordinator's Begin
 // opens slot t′ with its injection batch and carries the feedback of
-// the previous stepped slot t; each station answers with one Report:
-// its backlog and wake after t, and the transmitters it owns in t′.
-// The coordinator can pick t′ before hearing about t because the
-// backlog is its own count.  Only a Waker whose wake can move t′ (a
-// backlog, and no arrival possible next slot; see sim.Loop.WakeMatters)
-// needs the replicas first: the feedback then goes alone and the Begin
-// after it.  The coordinator never proceeds past the barrier until
-// every station has answered or its timeout expires — a dead station
-// fails the run loudly with a per-station error, never a hang.
+// the slots stepped since the last opened one; each station answers
+// with one Report: its backlog and wake after them, the transmitters it
+// owns in t′, and how far its replica's coast reaches (protocol.Coaster,
+// asked right after Transmitters; every station must report the same
+// end e).
+// The coordinator can pick t′ before hearing about the slots before it
+// because the backlog is its own count.
+//
+// A coast lets the coordinator step slots (t′, e] itself, on t′'s
+// transmitters, for as long as each slot before the next is heard busy
+// with no event and no collision and no arrival lands; the next Begin
+// then carries the count of those slots ahead of its last slot's
+// feedback, and the replicas observe them as plain busy slots.  Every
+// other slot opens with a round trip: arrivals, events, silence,
+// collisions, slots past the coast end, and every slot of a Waker,
+// which never coasts.  Only a Waker whose wake can move t′ (a backlog,
+// and no arrival possible next slot; see sim.Loop.WakeMatters) needs
+// the replicas first: the feedback then goes alone and the Begin after
+// it.  The coordinator never proceeds past the barrier until every
+// station has answered or its timeout expires — a dead station fails
+// the run loudly with a per-station error, never a hang.
 package emu
 
 import (
@@ -176,6 +188,9 @@ func (c Config) build() (sim.Config, buildInfo, arrival.Process, error) {
 		kappa = med.Kappa()
 	} else if kappa < 1 {
 		return zero, buildInfo{}, nil, fmt.Errorf("emu: Kappa must be at least 1 (got %d)", kappa)
+	}
+	if kappa < info.MinKappa {
+		return zero, buildInfo{}, nil, fmt.Errorf("emu: protocol %q needs κ ≥ %d, not %d", c.Protocol, info.MinKappa, kappa)
 	}
 	if c.Horizon < 0 {
 		return zero, buildInfo{}, nil, fmt.Errorf("emu: negative horizon %d", c.Horizon)
@@ -389,12 +404,21 @@ func drainAcks(t Transport, timeout time.Duration) {
 // per-slot barrier, adjudication via sim.Loop, and teardown frames; it
 // does not close the links.
 func Coordinate(ctx context.Context, cfg Config, links []Transport) (*sim.Result, error) {
+	// abort tells every station why the run ended, so none waits out its
+	// timeout for a barrier that will not come.
+	abort := func(err error) error {
+		msg := []byte(err.Error())
+		for _, t := range links {
+			_ = t.Send(&Frame{Type: FrameError, Blob: msg})
+		}
+		return err
+	}
 	simCfg, bi, arr, err := cfg.build()
 	if err != nil {
-		return nil, err
+		return nil, abort(err)
 	}
 	if len(links) != cfg.Stations {
-		return nil, fmt.Errorf("emu: %d links for %d stations", len(links), cfg.Stations)
+		return nil, abort(fmt.Errorf("emu: %d links for %d stations", len(links), cfg.Stations))
 	}
 	timeout := cfg.SlotTimeout
 	if timeout <= 0 {
@@ -405,14 +429,6 @@ func Coordinate(ctx context.Context, cfg Config, links []Transport) (*sim.Result
 	// the axis name; ask a scratch instance.
 	scratch := protocol.Build(bi.protoName, protocol.Params{Kappa: bi.kappa, Rand: rng.New(0), AlohaP: bi.alohaP})
 	_, isWaker := scratch.(protocol.Waker)
-
-	abort := func(err error) error {
-		msg := []byte(err.Error())
-		for _, t := range links {
-			_ = t.Send(&Frame{Type: FrameError, Blob: msg})
-		}
-		return err
-	}
 
 	// Handshake: every station says Hello, and is told who it is.
 	for i, t := range links {
@@ -447,54 +463,61 @@ func Coordinate(ctx context.Context, cfg Config, links []Transport) (*sim.Result
 	var txs []channel.PacketID
 	// One Begin, rewritten for every broadcast (Send keeps no reference
 	// to it).  Between slots it holds the feedback the replicas are still
-	// owed, and expect holds the engine's backlog after that slot.
+	// owed, and expect holds the engine's backlog after those slots.
 	begin := Frame{Type: FrameBegin}
 	var expect int64
+	// coastEnd is the last slot the replicas promised to keep the opened
+	// slot's transmitters through (that slot itself: no promise).
+	var coastEnd int64
 
 	// exchange broadcasts begin and collects one Report per station, in
 	// station order, failing loudly (naming the station) on a timeout, a
 	// mismatched frame, a station-reported error or replica divergence.
-	// It gathers the owned transmitters into txs and returns the wake
-	// the stations agree on.
-	exchange := func() (wake int64, hasWake bool, err error) {
+	// It gathers the owned transmitters into txs and returns station 0's
+	// Report, whose wake and coast every other station matched.
+	exchange := func() (*Frame, error) {
 		want := Frame{Type: FrameReport, HasPrev: begin.HasPrev, Prev: begin.Prev, HasSlot: begin.HasSlot, Slot: begin.Slot}
 		for i, t := range links {
 			if err := t.Send(&begin); err != nil {
-				return 0, false, fmt.Errorf("emu: station %d: sending %s: %w", i, begin.about(), err)
+				return nil, fmt.Errorf("emu: station %d: sending %s: %w", i, begin.about(), err)
 			}
 		}
 		txs = txs[:0]
+		var ref *Frame
 		for i, t := range links {
 			f, err := t.Recv(timeout)
 			if err != nil {
-				return 0, false, fmt.Errorf("emu: station %d: awaiting %s: %w", i, want.about(), err)
+				return nil, fmt.Errorf("emu: station %d: awaiting %s: %w", i, want.about(), err)
 			}
 			if f.Type == FrameError {
-				return 0, false, fmt.Errorf("emu: station %d: %s", i, f.Blob)
+				return nil, fmt.Errorf("emu: station %d: %s", i, f.Blob)
 			}
 			if f.Type != FrameReport || f.HasPrev != want.HasPrev || f.Prev != want.Prev ||
 				f.HasSlot != want.HasSlot || f.Slot != want.Slot {
-				return 0, false, fmt.Errorf("emu: station %d: expected %s, got %s", i, want.about(), f.about())
+				return nil, fmt.Errorf("emu: station %d: expected %s, got %s", i, want.about(), f.about())
 			}
-			if f.HasPrev {
-				// Replicas are deterministic and conserve packets: a backlog
-				// other than the engine's count, or a wake other than station
-				// 0's, means a replica diverged (a frame lost past the
-				// reliable layer, a state bug) and the run is invalid.
-				if f.Pending != expect {
-					return 0, false, fmt.Errorf("emu: replica divergence after slot %d: station %d reports backlog %d, the engine counts %d",
-						f.Prev, i, f.Pending, expect)
-				}
-				if i == 0 {
-					wake, hasWake = f.NextWake, f.HasWake
-				} else if f.HasWake != hasWake || f.NextWake != wake {
-					return 0, false, fmt.Errorf("emu: replica divergence after slot %d: station %d reports wake %v/%d, station 0 reports %v/%d",
-						f.Prev, i, f.HasWake, f.NextWake, hasWake, wake)
-				}
+			if i == 0 {
+				ref = f
+			}
+			// Replicas are deterministic and conserve packets: a backlog
+			// other than the engine's count, or a wake or coast other than
+			// station 0's, means a replica diverged (a frame lost past the
+			// reliable layer, a state bug) and the run is invalid.
+			if f.HasPrev && f.Pending != expect {
+				return nil, fmt.Errorf("emu: replica divergence after slot %d: station %d reports backlog %d, the engine counts %d",
+					f.Prev, i, f.Pending, expect)
+			}
+			if f.HasWake != ref.HasWake || f.NextWake != ref.NextWake {
+				return nil, fmt.Errorf("emu: replica divergence after slot %d: station %d reports wake %v/%d, station 0 reports %v/%d",
+					f.Prev, i, f.HasWake, f.NextWake, ref.HasWake, ref.NextWake)
+			}
+			if f.Coast != ref.Coast {
+				return nil, fmt.Errorf("emu: replica divergence in slot %d: station %d reports a coast of %d slots, station 0 reports %d",
+					f.Slot, i, f.Coast, ref.Coast)
 			}
 			txs = append(txs, f.Txs...)
 		}
-		return wake, hasWake, nil
+		return ref, nil
 	}
 
 	for l.Running(l.InFlight()) {
@@ -502,29 +525,42 @@ func Coordinate(ctx context.Context, cfg Config, links []Transport) (*sim.Result
 			return nil, abort(err)
 		}
 		now := l.Now()
+		ids := l.InjectNow()
 
-		// The slot barrier: one round trip opens slot now and delivers the
-		// previous stepped slot's feedback, if the replicas are still owed
-		// it.  Packet IDs are issued sequentially, so (first, count)
-		// broadcasts the batch.
-		begin.HasSlot, begin.Slot = true, now
-		if ids := l.InjectNow(); len(ids) > 0 {
-			begin.InjFirst = int64(ids[0])
-			begin.InjN = int32(len(ids))
-		}
-		if _, _, err := exchange(); err != nil {
-			return nil, abort(err)
+		// A slot the replicas' coast covers is stepped here, on the opened
+		// slot's transmitters, while the slot before it was heard busy
+		// with no event and no collision and nothing arrives: that slot's
+		// feedback joins the run the next Begin carries.  Any other slot
+		// opens with the slot barrier: one round trip delivers the
+		// feedback the replicas are owed and opens the slot.  Packet IDs
+		// are issued sequentially, so (first, count) broadcasts the batch.
+		run := int64(0)
+		if len(ids) == 0 && now <= coastEnd && begin.HasPrev && begin.Prev == now-1 &&
+			!begin.Silent && !begin.Collision && !begin.HasEvent {
+			run = begin.Run + 1
+		} else {
+			begin.HasSlot, begin.Slot = true, now
+			if len(ids) > 0 {
+				begin.InjFirst = int64(ids[0])
+				begin.InjN = int32(len(ids))
+			}
+			ref, err := exchange()
+			if err != nil {
+				return nil, abort(err)
+			}
+			coastEnd = now + ref.Coast
 		}
 
 		// Adjudicate the slot on the medium.  Station order is irrelevant:
 		// media are transmitter-order-insensitive by contract.  The next
 		// Begin carries the feedback, and goes out before the next Step
-		// may reuse the event's packet storage.
+		// may reuse the event's packet storage (a slot with an event ends
+		// any run).
 		_, ev := m.Step(now, txs)
 		fb := l.Observe(ev)
 		backlog := l.InFlight()
 		l.Record(backlog)
-		begin = Frame{Type: FrameBegin, HasPrev: true, Prev: now, Silent: fb.Silent, Collision: fb.Collision}
+		begin = Frame{Type: FrameBegin, HasPrev: true, Prev: now, Run: run, Silent: fb.Silent, Collision: fb.Collision}
 		if fb.Event != nil {
 			begin.HasEvent = true
 			begin.EvSlot = fb.Event.Slot
@@ -536,16 +572,15 @@ func Coordinate(ctx context.Context, cfg Config, links []Transport) (*sim.Result
 		// The engine's count is the replicas' backlog, so the next slot is
 		// known before they report — unless a Waker's wake can move it.
 		// Only then does the feedback go alone, and the wake comes back
-		// before the next Begin.  The coordinator never coasts (unlike
-		// sim.Run): results are bit-identical either way.
+		// before the next Begin.
 		var wake func(int64) int64
 		if isWaker && l.WakeMatters(backlog) {
-			nw, hasWake, err := exchange()
+			ref, err := exchange()
 			if err != nil {
 				return nil, abort(err)
 			}
 			begin = Frame{Type: FrameBegin}
-			if hasWake {
+			if nw := ref.NextWake; ref.HasWake {
 				wake = func(int64) int64 { return nw }
 			}
 		}
@@ -554,9 +589,9 @@ func Coordinate(ctx context.Context, cfg Config, links []Transport) (*sim.Result
 		}
 	}
 
-	// Deliver the last slot's feedback and check the final backlog.
+	// Deliver the last slots' feedback and check the final backlog.
 	if begin.HasPrev {
-		if _, _, err := exchange(); err != nil {
+		if _, err := exchange(); err != nil {
 			return nil, abort(err)
 		}
 	}
@@ -608,6 +643,12 @@ func RunStation(t Transport, timeout time.Duration) error {
 		AlohaP: wc.AlohaP,
 	})
 	waker, _ := proto.(protocol.Waker)
+	// A Waker's every slot opens with a round trip, so it reports no
+	// coast.
+	coaster, _ := proto.(protocol.Coaster)
+	if waker != nil {
+		coaster = nil
+	}
 	stations := int64(wc.Stations)
 	index := int64(wc.Index)
 
@@ -625,6 +666,12 @@ func RunStation(t Transport, timeout time.Duration) error {
 		case FrameBegin:
 			rep = Frame{Type: FrameReport, HasPrev: f.HasPrev, Prev: f.Prev, HasSlot: f.HasSlot, Slot: f.Slot}
 			if f.HasPrev {
+				// The coordinator stepped the run's slots itself, on the
+				// transmitters this replica's coast promised; each was heard
+				// busy with no event and no collision.
+				for s := f.Prev - f.Run; s < f.Prev; s++ {
+					proto.Observe(channel.Feedback{Slot: s})
+				}
 				fb := channel.Feedback{Slot: f.Prev, Silent: f.Silent, Collision: f.Collision}
 				if f.HasEvent {
 					fb.Event = &channel.Event{Slot: f.EvSlot, WindowStart: f.WindowStart, Packets: f.Txs}
@@ -648,6 +695,9 @@ func RunStation(t Transport, timeout time.Duration) error {
 					proto.Inject(f.Slot, ids)
 				}
 				buf = proto.Transmitters(f.Slot, buf[:0])
+				if coaster != nil {
+					rep.Coast = coaster.CoastUntil(f.Slot) - f.Slot
+				}
 				// Report only the owned partition; the other replicas report
 				// theirs, and the coordinator reassembles the full set.
 				mine := buf[:0]

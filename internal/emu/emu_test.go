@@ -144,7 +144,7 @@ func gridCell(t *testing.T, name string) Config {
 
 // coordinateWrapped runs cfg over in-proc pipes as Run does, but hands
 // Coordinate wrap(i, link) as station i's link.
-func coordinateWrapped(t *testing.T, cfg Config, wrap func(i int, l Transport) Transport) (*sim.Result, error) {
+func coordinateWrapped(t testing.TB, cfg Config, wrap func(i int, l Transport) Transport) (*sim.Result, error) {
 	t.Helper()
 	links := make([]Transport, cfg.Stations)
 	var wg sync.WaitGroup
@@ -182,23 +182,52 @@ func (c *countingLink) Send(f *Frame) error {
 }
 
 // slotCounter wraps the protocol of a simulator run to count the slots
-// it steps (each, coasted or not, is observed exactly once) and, for a
-// Waker, the stepped slots the coordinator must split: a backlog, and
-// no arrival possible next slot.  Hiding Coaster changes no stepped
-// slot; a Waker keeps its NextWake through wakingCounter.
+// it steps (each is observed exactly once), the stepped slots the
+// coordinator must open with a round trip, and, for a Waker, the
+// stepped slots the coordinator must split: a backlog, and no arrival
+// possible next slot.  A slot need not be opened when the coast asked
+// at the last opened slot covers it, the slot before it was stepped and
+// heard busy with no event and no collision, and nothing arrives in it.
+// Hiding Coaster from the simulator changes no stepped slot and makes
+// it collect transmitters in every one; a Waker keeps its NextWake
+// through wakingCounter, and never coasts.
 type slotCounter struct {
 	protocol.Protocol
 	arr             arrival.Process
 	horizon         int64
 	waker           bool
+	coaster         protocol.Coaster
 	stepped, splits int
+	opened          int
 	lastSplit       bool
+
+	injected, last, coastEnd int64
+	plainBusy                bool
+}
+
+func (c *slotCounter) Inject(now int64, ids []channel.PacketID) {
+	c.Protocol.Inject(now, ids)
+	c.injected = now
+}
+
+func (c *slotCounter) Transmitters(now int64, buf []channel.PacketID) []channel.PacketID {
+	buf = c.Protocol.Transmitters(now, buf)
+	if now <= c.coastEnd && c.last == now-1 && c.plainBusy && c.injected != now {
+		return buf
+	}
+	c.opened++
+	c.coastEnd = -1
+	if c.coaster != nil {
+		c.coastEnd = c.coaster.CoastUntil(now)
+	}
+	return buf
 }
 
 func (c *slotCounter) Observe(fb channel.Feedback) {
 	c.Protocol.Observe(fb)
 	c.stepped++
 	now := fb.Slot
+	c.last, c.plainBusy = now, !fb.Silent && !fb.Collision && fb.Event == nil
 	c.lastSplit = c.waker && c.Pending() > 0 && !(now+1 < c.horizon && c.arr.NextAfter(now) == now+1)
 	if c.lastSplit {
 		c.splits++
@@ -211,29 +240,33 @@ type wakingCounter struct {
 }
 
 // countSlots runs the simulator on cfg under a slotCounter.
-func countSlots(t *testing.T, cfg Config) *slotCounter {
+func countSlots(t testing.TB, cfg Config) *slotCounter {
 	t.Helper()
 	simCfg, bi, arr, err := cfg.build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	proto := protocol.Build(bi.protoName, protocol.Params{Kappa: bi.kappa, Rand: rng.New(bi.protoSeed), AlohaP: bi.alohaP})
-	c := &slotCounter{Protocol: proto, arr: arr, horizon: simCfg.Horizon}
+	c := &slotCounter{Protocol: proto, arr: arr, horizon: simCfg.Horizon, injected: -1, last: -1, coastEnd: -1}
 	var p protocol.Protocol = c
 	if w, ok := proto.(protocol.Waker); ok {
 		c.waker = true
 		p = wakingCounter{c, w}
+	} else {
+		c.coaster, _ = proto.(protocol.Coaster)
 	}
 	sim.Run(simCfg, p, arr)
 	return c
 }
 
-// TestOneRoundTripPerSlot pins the fused slot barrier by counting the
-// frames the coordinator sends each station: one Begin per stepped
-// slot, plus Config, the last slot's feedback and Done.  A Waker whose
-// wake can move the next slot sends that slot's feedback alone first
-// (the last one then needs no final Begin); its cells log how many
-// stepped slots took that split.
+// TestOneRoundTripPerSlot pins the slot barrier by counting the frames
+// the coordinator sends each station: one Begin per opened slot, plus
+// Config, the last slots' feedback and Done.  Slots a Coaster's coast
+// covers are stepped without a round trip, so a Coaster cell opens
+// fewer slots than it steps and every other cell opens them all.  A
+// Waker whose wake can move the next slot sends that slot's feedback
+// alone first (the last one then needs no final Begin); its cells log
+// how many stepped slots took that split.
 func TestOneRoundTripPerSlot(t *testing.T) {
 	const handshakeAndTeardown = 3
 	for _, tc := range grid {
@@ -250,15 +283,23 @@ func TestOneRoundTripPerSlot(t *testing.T) {
 			}
 			mustEqualSim(t, res, tc.cfg)
 			c := countSlots(t, tc.cfg)
-			want := c.stepped + c.splits + handshakeAndTeardown
+			want := c.opened + c.splits + handshakeAndTeardown
 			if c.lastSplit {
 				want--
 			}
 			for i, l := range links {
-				if l.opened != c.stepped || l.sent != want {
+				if l.opened != c.opened || l.sent != want {
 					t.Errorf("station %d: sent %d frames, %d opening a slot; want %d, %d (%d stepped slots, %d split)",
-						i, l.sent, l.opened, want, c.stepped, c.stepped, c.splits)
+						i, l.sent, l.opened, want, c.opened, c.stepped, c.splits)
 				}
+			}
+			switch {
+			case c.coaster == nil && c.opened != c.stepped:
+				t.Errorf("%d of %d stepped slots opened without a coast", c.opened, c.stepped)
+			case c.coaster != nil && c.opened >= c.stepped:
+				t.Errorf("coaster opened %d of %d stepped slots; want fewer", c.opened, c.stepped)
+			case c.coaster != nil:
+				t.Logf("%d of %d stepped slots opened with a round trip", c.opened, c.stepped)
 			}
 			if c.waker {
 				t.Logf("%d frames per station over %d stepped slots; %d took the two-round-trip split",
@@ -287,30 +328,57 @@ func (l *tamperLink) Recv(timeout time.Duration) (*Frame, error) {
 // TestReplicaDivergenceFailsRun: the coordinator trusts its own packet
 // count, so a station whose backlog strays from it must fail the run
 // with an error naming the station, the slot and both values — station
-// 0 included, which is not compared with any other station.  Wakes
-// must agree with station 0's.
+// 0 included, which is not compared with any other station.  Wakes and
+// coasts must agree with station 0's.
 func TestReplicaDivergenceFailsRun(t *testing.T) {
 	t.Run("backlog", func(t *testing.T) {
-		const station, after = 0, 5
-		counted := int64(-1)
+		// Slots a coast covers are reported in bulk, so tamper with the
+		// first report from slot 5 on.
+		const station, from = 0, 5
+		prev, counted := int64(-1), int64(-1)
 		_, err := coordinateWrapped(t, gridCell(t, "dba-coded-batch"), func(i int, l Transport) Transport {
 			if i != station {
 				return l
 			}
 			return &tamperLink{Transport: l, edit: func(f *Frame) bool {
-				if !f.HasPrev || f.Prev != after {
+				if !f.HasPrev || f.Prev < from {
 					return false
 				}
-				counted = f.Pending
+				prev, counted = f.Prev, f.Pending
 				f.Pending++
 				return true
 			}}
 		})
 		if counted < 0 {
-			t.Fatalf("slot %d was never reported", after)
+			t.Fatalf("no slot from %d on was reported", from)
 		}
 		want := fmt.Sprintf("replica divergence after slot %d: station %d reports backlog %d, the engine counts %d",
-			after, station, counted+1, counted)
+			prev, station, counted+1, counted)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("err = %v, want it to contain %q", err, want)
+		}
+	})
+	t.Run("coast", func(t *testing.T) {
+		const station = 1
+		slot, coast := int64(-1), int64(0)
+		_, err := coordinateWrapped(t, gridCell(t, "dba-coded-batch"), func(i int, l Transport) Transport {
+			if i != station {
+				return l
+			}
+			return &tamperLink{Transport: l, edit: func(f *Frame) bool {
+				if f.Coast == 0 {
+					return false
+				}
+				slot, coast = f.Slot, f.Coast
+				f.Coast++
+				return true
+			}}
+		})
+		if slot < 0 {
+			t.Fatal("no station reported a coast")
+		}
+		want := fmt.Sprintf("replica divergence in slot %d: station %d reports a coast of %d slots, station 0 reports %d",
+			slot, station, coast+1, coast)
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("err = %v, want it to contain %q", err, want)
 		}
@@ -351,7 +419,7 @@ func TestLossyUDPConverges(t *testing.T) {
 	defer cancel()
 	cfg := Config{
 		Protocol: "dba", Medium: "coded", Kappa: 8,
-		Arrival: "batch", BatchN: 48, Horizon: 1, Drain: true,
+		Arrival: "batch", BatchN: 800, Horizon: 1, Drain: true,
 		Seed: 97, Stations: 3,
 		Transport: "udp",
 		Fault:     Fault{DropRate: 0.01, DupRate: 0.01, Seed: 5},
@@ -370,6 +438,7 @@ func TestLossyUDPConverges(t *testing.T) {
 		dups += st.Conn.FaultDups
 		retrans += st.Conn.Retransmits
 	}
+	t.Logf("drops=%d dups=%d retrans=%d", drops, dups, retrans)
 	if drops == 0 || dups == 0 {
 		t.Errorf("fault plan never fired: drops=%d dups=%d", drops, dups)
 	}
@@ -457,10 +526,18 @@ func TestRunValidatesConfig(t *testing.T) {
 		{Protocol: "beb", Kappa: 8, Horizon: 1, Stations: 1, Adversary: "nope"},
 		{Protocol: "dba", Kappa: 0, Horizon: 1, Stations: 1},
 		{Protocol: "dba", Kappa: 8, Horizon: 1, Stations: 1, Transport: "tcp"},
+		// Below dba's minimum κ, set directly or embedded in the
+		// descriptor (which wins over Kappa).
+		{Protocol: "dba", Kappa: 2, Horizon: 1, Stations: 1},
+		{Protocol: "dba", Medium: "coded:4", Kappa: 8, Horizon: 1, Stations: 1},
+		{Protocol: "unbounded", Medium: "classical:ternary", Horizon: 1, Stations: 1},
 	}
 	for _, cfg := range bad {
 		if _, err := Run(context.Background(), cfg); err == nil {
 			t.Errorf("Run accepted invalid config %+v", cfg)
+		}
+		if _, err := SimReference(cfg); err == nil && cfg.Transport == "" {
+			t.Errorf("SimReference accepted invalid config %+v", cfg)
 		}
 	}
 }

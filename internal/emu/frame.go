@@ -8,11 +8,12 @@ import (
 )
 
 // FrameType discriminates the emulation wire protocol's frames.  Each
-// stepped slot costs one round trip per station: the coordinator's
-// Begin carries the previous stepped slot's feedback and opens the
-// next slot with its injection batch; each station answers with one
-// Report carrying its replica's backlog and next wake after the
-// previous slot and the transmitters it owns in the opened slot.
+// opened slot costs one round trip per station: the coordinator's
+// Begin carries the feedback of the slots stepped since the last one
+// and opens the next slot with its injection batch; each station
+// answers with one Report carrying its replica's backlog and next wake
+// after those slots, and the transmitters it owns in the opened slot
+// with how long its replica promises to keep them (its coast).
 type FrameType uint8
 
 const (
@@ -30,13 +31,15 @@ const (
 	// FrameError aborts the run, carrying a diagnostic in Blob.  Either
 	// side may send it.
 	FrameError FrameType = 8
-	// FrameBegin (coordinator → station) has two optional parts: slot
-	// Prev's feedback (HasPrev), and the opening of slot Slot with the
-	// packet batch [InjFirst, InjFirst+InjN) to inject (HasSlot).
+	// FrameBegin (coordinator → station) has two optional parts: the
+	// feedback of slot Prev, preceded by Run plain busy slots (HasPrev),
+	// and the opening of slot Slot with the packet batch
+	// [InjFirst, InjFirst+InjN) to inject (HasSlot).
 	FrameBegin FrameType = 9
 	// FrameReport (station → coordinator) answers Begin part for part:
 	// the replica's backlog and next wake after slot Prev (HasPrev), and
-	// the transmitters the station owns in slot Slot (HasSlot).
+	// the transmitters the station owns in slot Slot with the replica's
+	// coast, if it has one (HasSlot).
 	FrameReport FrameType = 10
 )
 
@@ -77,7 +80,11 @@ type Frame struct {
 	InjFirst int64
 	InjN     int32
 
-	// Begin, feedback part
+	// Begin, feedback part.  Run counts the slots Prev-Run … Prev-1
+	// whose feedback comes in bulk: each was heard busy, with no event
+	// and no collision, and replicas observe them so before Prev's own
+	// feedback.
+	Run         int64
 	Silent      bool
 	Collision   bool
 	HasEvent    bool
@@ -88,6 +95,10 @@ type Frame struct {
 	Pending  int64
 	HasWake  bool
 	NextWake int64
+
+	// Report, slot part.  Coast counts the slots Slot+1 … Slot+Coast the
+	// replica's protocol.Coaster answer for Slot covers (0: none).
+	Coast int64
 
 	// Begin: event packets / Report: owned transmitters
 	Txs []channel.PacketID
@@ -108,10 +119,11 @@ func (f *Frame) about() string {
 	return s
 }
 
-// Frame flag bits (Begin and Report).  Silent, collision and event are
-// feedback bits and wake is a backlog bit: each is set only with its
-// part's bit, and the decoder rejects it otherwise, so decode∘encode
-// stays a fixed point.
+// Frame flag bits (Begin and Report).  Silent, collision, event and run
+// are feedback bits, wake is a backlog bit and coast a slot bit: each
+// is set only with its part's bit, and the decoder rejects it
+// otherwise, so decode∘encode stays a fixed point.  Run and coast came
+// with coasting; a build from before it rejects them as unknown flags.
 const (
 	flagPrev      = 1 << 0
 	flagSlot      = 1 << 1
@@ -119,6 +131,8 @@ const (
 	flagCollision = 1 << 3
 	flagHasEvent  = 1 << 4
 	flagHasWake   = 1 << 5
+	flagRun       = 1 << 6
+	flagCoast     = 1 << 7
 )
 
 // maxFrameList bounds decoded list and blob lengths: a corrupt or
@@ -146,10 +160,14 @@ func (f *Frame) Append(dst []byte) []byte {
 	case FrameBegin:
 		flags := bit(f.HasPrev, flagPrev) | bit(f.HasSlot, flagSlot)
 		if f.HasPrev {
-			flags |= bit(f.Silent, flagSilent) | bit(f.Collision, flagCollision) | bit(f.HasEvent, flagHasEvent)
+			flags |= bit(f.Silent, flagSilent) | bit(f.Collision, flagCollision) |
+				bit(f.HasEvent, flagHasEvent) | bit(f.Run > 0, flagRun)
 		}
 		dst = append(dst, flags)
 		if f.HasPrev {
+			if f.Run > 0 {
+				dst = appendI64(dst, f.Run)
+			}
 			dst = appendI64(dst, f.Prev)
 			if f.HasEvent {
 				dst = appendI64(dst, f.EvSlot)
@@ -167,6 +185,9 @@ func (f *Frame) Append(dst []byte) []byte {
 		if f.HasPrev {
 			flags |= bit(f.HasWake, flagHasWake)
 		}
+		if f.HasSlot {
+			flags |= bit(f.Coast > 0, flagCoast)
+		}
 		dst = append(dst, flags)
 		if f.HasPrev {
 			dst = appendI64(dst, f.Prev)
@@ -177,6 +198,9 @@ func (f *Frame) Append(dst []byte) []byte {
 		}
 		if f.HasSlot {
 			dst = appendI64(dst, f.Slot)
+			if f.Coast > 0 {
+				dst = appendI64(dst, f.Coast)
+			}
 			dst = appendPackets(dst, f.Txs)
 		}
 	default:
@@ -239,13 +263,16 @@ func (d *decoder) i64() int64 {
 
 // flags reads a Begin's or Report's flag byte, rejecting bits the
 // encoder never sets: prevBits (the frame type's feedback or backlog
-// bits) are valid only with flagPrev.  Accepting one would break
-// decode∘encode.
-func (d *decoder) flags(prevBits byte) byte {
+// bits) are valid only with flagPrev, and slotBits only with flagSlot.
+// Accepting one would break decode∘encode.
+func (d *decoder) flags(prevBits, slotBits byte) byte {
 	v := d.u8()
 	known := byte(flagPrev | flagSlot)
 	if v&flagPrev != 0 {
 		known |= prevBits
+	}
+	if v&flagSlot != 0 {
+		known |= slotBits
 	}
 	if d.err == nil && v&^known != 0 {
 		d.err = fmt.Errorf("emu: unknown frame flags %#x", v&^known)
@@ -278,10 +305,16 @@ func (f *Frame) Decode(b []byte) error {
 			d.b = d.b[n:]
 		}
 	case FrameBegin:
-		flags := d.flags(flagSilent | flagCollision | flagHasEvent)
+		flags := d.flags(flagSilent|flagCollision|flagHasEvent|flagRun, 0)
 		f.HasPrev = flags&flagPrev != 0
 		f.HasSlot = flags&flagSlot != 0
 		if f.HasPrev {
+			if flags&flagRun != 0 {
+				// The encoder flags only a positive run.
+				if f.Run = d.i64(); d.err == nil && f.Run <= 0 {
+					return fmt.Errorf("emu: begin run of %d slots is not positive", f.Run)
+				}
+			}
 			f.Prev = d.i64()
 			f.Silent = flags&flagSilent != 0
 			f.Collision = flags&flagCollision != 0
@@ -298,7 +331,7 @@ func (f *Frame) Decode(b []byte) error {
 			f.InjN = int32(d.u32())
 		}
 	case FrameReport:
-		flags := d.flags(flagHasWake)
+		flags := d.flags(flagHasWake, flagCoast)
 		f.HasPrev = flags&flagPrev != 0
 		f.HasSlot = flags&flagSlot != 0
 		if f.HasPrev {
@@ -311,6 +344,12 @@ func (f *Frame) Decode(b []byte) error {
 		}
 		if f.HasSlot {
 			f.Slot = d.i64()
+			if flags&flagCoast != 0 {
+				// The encoder flags only a positive coast.
+				if f.Coast = d.i64(); d.err == nil && f.Coast <= 0 {
+					return fmt.Errorf("emu: report coast of %d slots is not positive", f.Coast)
+				}
+			}
 			f.Txs = d.packetList()
 		}
 	default:

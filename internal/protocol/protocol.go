@@ -46,23 +46,25 @@ type Waker interface {
 	NextWake(now int64) int64
 }
 
-// Coaster is an optional interface behind the engine's event-driven
-// fast-forward through runs of identical bad slots (e.g. the tail of an
-// overfull Decodable Backoff epoch, where the same joiners broadcast
-// for up to κ slots straight).  CoastUntil returns the last slot
-// (inclusive, ≥ now) through which the protocol guarantees its
-// transmitter set is frozen: every slot in (now, CoastUntil(now)] would
-// see Transmitters return exactly the list just collected, with no RNG
-// consumption and no other state change — and the guarantee must hold
-// even across arrivals injected in that range (arrivals must not alter
-// the current transmitter set, only future ones).
+// Coaster is an optional interface for protocols whose transmitter set
+// stays frozen over runs of slots (e.g. a Decodable Backoff epoch, whose
+// joiners broadcast in every slot until a decoding event, a silent slot
+// or the κ-slot timeout ends it).  Both engines ask it at one point:
+// right after Transmitters(now), before the slot's Observe.  The answer
+// e ≥ now is a promise that holds as long as every slot from now on is
+// heard busy without a decoding event: each slot in (now, e] would see
+// Transmitters return exactly the list just collected, with no RNG
+// draw and no other state change, so an engine may skip those calls.
+// The promise must hold across arrivals injected in that range
+// (arrivals may change future transmitter sets, never the current
+// one).  CoastUntil itself changes no state; returning now promises
+// nothing.
 //
-// The engine still runs every coasted slot's arrivals, feedback,
-// Observe, and per-slot accounting; it only skips re-collecting and
-// re-validating the unchanged transmitters, and only while those slots
-// keep classifying Bad.  CoastUntil is called after the slot's Observe,
-// so epoch state is current.  Returning now disables coasting for the
-// slot.
+// Engines still run every covered slot's arrivals, feedback, Observe
+// and per-slot accounting.  sim.Run replays covered slots in O(1)
+// through medium.Repeater while they keep classifying Bad; the
+// emulation coordinator (internal/emu) steps covered slots itself,
+// without a round trip to the stations.
 type Coaster interface {
 	CoastUntil(now int64) int64
 }

@@ -38,6 +38,9 @@ type Info struct {
 	// regime: sweeps pair them only with the classical:none model, where
 	// the only feedback is a station's own delivery.
 	NoCDOnly bool
+	// MinKappa is the smallest decoding threshold the protocol is
+	// defined for (0: any).  Decodable Backoff's analysis needs κ ≥ 6.
+	MinKappa int
 	// Build constructs a fresh instance (protocols are stateful; one per
 	// trial).
 	Build func(p Params) Protocol

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/adversary"
@@ -245,4 +247,111 @@ func conformanceRun(t *testing.T, proto, model string, kappa int, disrupt func(*
 			probe.silent, res.Channel.SilentSlots)
 	}
 	return resultDigest(res)
+}
+
+// coastProbe checks protocol.Coaster's promise from outside.  It drives
+// a protocol and a twin built from the same seed with the same arrivals
+// and feedback, under a Run that sees neither as a Coaster and so
+// collects transmitters in every stepped slot.  It asks CoastUntil right
+// after Transmitters, as both engines do.  In each slot the answer
+// covers, reached through busy, event-free feedback, it asks the
+// protocol for its transmitters again and the twin not at all, and
+// requires the list collected where the coast began and the two
+// replicas deeply equal: state and RNG position alike.
+type coastProbe struct {
+	t       *testing.T
+	p, twin protocol.Protocol
+	co      protocol.Coaster
+
+	end, last  int64 // coast end (-1: none); last observed slot
+	busy       bool  // that slot was heard busy with no event
+	list, tbuf []channel.PacketID
+	coasts     int
+	covered    int
+}
+
+func (c *coastProbe) Name() string { return c.p.Name() }
+func (c *coastProbe) Pending() int { return c.p.Pending() }
+
+func (c *coastProbe) Inject(now int64, ids []channel.PacketID) {
+	c.p.Inject(now, ids)
+	c.twin.Inject(now, ids)
+}
+
+func (c *coastProbe) Transmitters(now int64, buf []channel.PacketID) []channel.PacketID {
+	buf = c.p.Transmitters(now, buf)
+	if now <= c.end && c.last == now-1 && c.busy {
+		c.covered++
+		if !slices.Equal(buf, c.list) {
+			c.t.Errorf("slot %d, inside the coast to %d: Transmitters returned %d packets, not the %d it froze",
+				now, c.end, len(buf), len(c.list))
+		}
+		if !reflect.DeepEqual(c.p, c.twin) {
+			c.t.Errorf("slot %d, inside the coast to %d: Transmitters changed the protocol's state", now, c.end)
+		}
+		return buf
+	}
+	c.tbuf = c.twin.Transmitters(now, c.tbuf[:0])
+	if !slices.Equal(buf, c.tbuf) {
+		c.t.Errorf("slot %d: the protocol transmits %d packets, its twin %d", now, len(buf), len(c.tbuf))
+	}
+	c.list = append(c.list[:0], buf...)
+	if c.end = c.co.CoastUntil(now); c.end > now {
+		c.coasts++
+	}
+	return buf
+}
+
+func (c *coastProbe) Observe(fb channel.Feedback) {
+	c.p.Observe(fb)
+	c.twin.Observe(fb)
+	c.last, c.busy = fb.Slot, !fb.Silent && fb.Event == nil
+}
+
+// TestCoasterContract holds every registered Coaster to its promise
+// (see coastProbe) across several κ, batch and Bernoulli arrivals, with
+// and without a jamming adversary, at fixed seeds.
+func TestCoasterContract(t *testing.T) {
+	arrivals := []struct {
+		name  string
+		build func() arrival.Process
+	}{
+		{"batch", func() arrival.Process { return &arrival.Batch{At: 0, N: 300} }},
+		{"bernoulli", func() arrival.Process { return &arrival.Bernoulli{Rate: 0.2} }},
+	}
+	for _, info := range protocol.Registered() {
+		build := func(seed uint64, kappa int) protocol.Protocol {
+			return protocol.Build(info.Name, protocol.Params{Kappa: kappa, Rand: rng.New(seed), AlohaP: 0.05})
+		}
+		if _, ok := build(1, 8).(protocol.Coaster); !ok {
+			continue
+		}
+		for _, kappa := range []int{6, 8, 16, 32} {
+			for _, arr := range arrivals {
+				for _, adv := range []string{"none", "random:0.2"} {
+					for _, seed := range []uint64{3, 1009} {
+						name := fmt.Sprintf("%s/k%d/%s/%s/seed%d", info.Name, kappa, arr.name, adv, seed)
+						t.Run(name, func(t *testing.T) {
+							t.Parallel()
+							a, err := adversary.Parse(adv)
+							if err != nil {
+								t.Fatal(err)
+							}
+							p := build(seed, kappa)
+							probe := &coastProbe{t: t, p: p, twin: build(seed, kappa), co: p.(protocol.Coaster), end: -1, last: -1}
+							res := Run(Config{Kappa: kappa, Horizon: 1500, Drain: true, Seed: seed, Adversary: a}, probe, arr.build())
+							checkResultInvariants(t, res)
+							if probe.covered == 0 {
+								t.Fatalf("no slot was covered by a coast (%d coasts promised): the check is vacuous", probe.coasts)
+							}
+							if !reflect.DeepEqual(probe.p, probe.twin) {
+								t.Error("the protocol and its twin ended in different states")
+							}
+							t.Logf("%d coasts covered %d of %d slots", probe.coasts, probe.covered, res.Elapsed)
+						})
+					}
+				}
+			}
+		}
+	}
 }

@@ -272,18 +272,23 @@ func (r *Runner) Run(cfg Config, proto protocol.Protocol, arr arrival.Process) *
 	m := l.Medium()
 
 	// Event-driven fast-forward through runs of identical bad slots:
-	// when a slot classifies Bad and the protocol guarantees its
-	// transmitter set frozen (protocol.Coaster), subsequent slots up to
-	// coastEnd replay the bad slot in O(1) via medium.Repeater instead of
+	// the protocol's coast (protocol.Coaster, asked right after
+	// Transmitters) freezes its transmitter set through coastEnd while
+	// slots are heard busy without an event, and each covered slot that
+	// follows a Bad one replays it in O(1) via medium.Repeater instead of
 	// re-collecting and re-validating thousands of transmitters.  Every
 	// coasted slot still runs arrivals, feedback, Observe, and per-slot
 	// accounting, so results — including RNG streams — are unchanged.
 	rep, _ := m.(medium.Repeater)
 	co, _ := proto.(protocol.Coaster)
+	if rep == nil {
+		co = nil
+	}
 	var wake func(int64) int64
 	if w, ok := proto.(protocol.Waker); ok {
 		wake = w.NextWake
 	}
+	// coastEnd passes the current slot only through co, hence with rep.
 	coastEnd := int64(-1)
 	txs := r.txs[:0]
 
@@ -298,22 +303,24 @@ func (r *Runner) Run(cfg Config, proto protocol.Protocol, arr arrival.Process) *
 		// then broadcast the feedback.
 		var class channel.SlotClass
 		var ev *channel.Event
-		if rep != nil && now <= coastEnd && rep.StepRepeat(now) {
+		if now <= coastEnd && rep.StepRepeat(now) {
 			class, ev = channel.Bad, nil
 		} else {
 			txs = proto.Transmitters(now, txs[:0])
+			if co != nil {
+				coastEnd = co.CoastUntil(now)
+			}
 			class, ev = m.Step(now, txs)
 		}
 		proto.Observe(l.Observe(ev))
 		backlog := proto.Pending()
 		l.Record(backlog)
 
-		// Arm (or re-arm) the coast.  Checked after the slot's observe so
-		// the protocol's epoch state is current; any non-Bad slot kills the
-		// coast, because only bad slots leave detector state untouched.
-		coastEnd = now
-		if class == channel.Bad && rep != nil && co != nil {
-			coastEnd = co.CoastUntil(now)
+		// Only a Bad slot leaves the medium's detector state untouched
+		// (and is heard busy without an event), so any other slot ends the
+		// replay; the next full step asks the protocol again.
+		if class != channel.Bad {
+			coastEnd = now
 		}
 
 		// Advance, fast-forwarding when provably nothing happens; the

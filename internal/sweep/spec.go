@@ -172,8 +172,9 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("sweep: model %q embeds parameters; use the kappas axis and max_window field instead", m)
 		}
 		// The capture model shares the coded channel's κ-ary decoding
-		// power but not its cross-slot windows; dba's κ ≥ 6 requirement
-		// (and the dba pairing rule below) is about coded specifically.
+		// power but not its cross-slot windows; a coded-only protocol's
+		// minimum κ (dba's κ ≥ 6) and the dba pairing rule below are
+		// about coded specifically.
 		hasCoded = hasCoded || m == "coded"
 	}
 	if len(s.Protocols) == 0 {
@@ -201,8 +202,12 @@ func (s *Spec) Validate() error {
 		if k < 1 {
 			return fmt.Errorf("sweep: kappa %d < 1", k)
 		}
-		if k < 6 && contains(s.Protocols, "dba") && hasCoded {
-			return fmt.Errorf("sweep: kappa %d < 6 but dba is swept (the analysis needs κ ≥ 6)", k)
+		for _, p := range s.Protocols {
+			info, _ := protocol.Lookup(p)
+			if k < info.MinKappa && (hasCoded || !info.CodedOnly) {
+				return fmt.Errorf("sweep: kappa %d < %d but %s is swept (the analysis needs κ ≥ %d)",
+					k, info.MinKappa, p, info.MinKappa)
+			}
 		}
 	}
 	if !hasCoded && len(s.Protocols) == 1 && s.Protocols[0] == "dba" {
