@@ -21,8 +21,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -31,112 +33,126 @@ import (
 	"repro/internal/report"
 )
 
+// errFlagParse marks errors the FlagSet has already written to stderr,
+// so main exits non-zero without printing them a second time.
+var errFlagParse = errors.New("flag parse error")
+
 func main() {
-	scaleName := flag.String("scale", "quick", "grid scale: quick (CI-sized) or full (reaches n=10^6 batches)")
-	trials := flag.Int("trials", 3, "trials per cell (timing aggregates over all)")
-	seed := flag.Uint64("seed", 1, "base random seed")
-	outPath := flag.String("out", "", "write the artifact JSON to this path ('-' = stdout)")
-	gate := flag.Bool("gate", false, "after writing, re-parse the artifact and fail on a missing grid cell or an allocs/slot regression in a steady classical gate cell")
-	baseline := flag.String("baseline", "", "with -gate: committed artifact whose slots/sec set per-cell floors (host-speed normalized, 2x slack)")
-	quiet := flag.Bool("quiet", false, "suppress the table and progress output")
-	compare := flag.Bool("compare", false, "compare two artifacts: crnbench -compare OLD.json NEW.json emits a markdown delta table and runs no benchmarks")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		if !errors.Is(err, errFlagParse) {
+			fmt.Fprintf(os.Stderr, "crnbench: %v\n", err)
+		}
+		os.Exit(1)
+	}
+}
+
+// run is main minus the process boundary.  Every flag is checked before
+// the grid runs.
+func run(argv []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("crnbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scaleName := fs.String("scale", "quick", "grid scale: quick (CI-sized) or full (reaches n=10^6 batches)")
+	trials := fs.Int("trials", 3, "trials per cell (timing aggregates over all)")
+	seed := fs.Uint64("seed", 1, "base random seed")
+	outPath := fs.String("out", "", "write the artifact JSON to this path ('-' = stdout)")
+	gate := fs.Bool("gate", false, "after writing, re-parse the artifact and fail on a missing grid cell or an allocs/slot regression in a steady classical gate cell")
+	baseline := fs.String("baseline", "", "with -gate: committed artifact whose slots/sec set per-cell floors (host-speed normalized, 2x slack)")
+	quiet := fs.Bool("quiet", false, "suppress the table and progress output")
+	compare := fs.Bool("compare", false, "compare two artifacts: crnbench -compare OLD.json NEW.json emits a markdown delta table and runs no benchmarks")
+	if err := fs.Parse(argv); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // -h is a successful exit, not an error
+		}
+		return errFlagParse // the FlagSet already printed the problem
+	}
 
 	if *compare {
-		if flag.NArg() != 2 {
-			fatal(fmt.Errorf("-compare needs exactly two artifact paths: OLD.json NEW.json"))
+		if fs.NArg() != 2 {
+			return fmt.Errorf("-compare needs exactly two artifact paths: OLD.json NEW.json")
 		}
-		old, err := loadArtifact(flag.Arg(0))
+		old, err := loadArtifact(fs.Arg(0))
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fresh, err := loadArtifact(flag.Arg(1))
+		fresh, err := loadArtifact(fs.Arg(1))
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Print(perf.Compare(old, fresh))
-		return
+		fmt.Fprint(stdout, perf.Compare(old, fresh))
+		return nil
 	}
-
-	var scale perf.Scale
-	switch *scaleName {
-	case "quick":
-		scale = perf.Quick
-	case "full":
-		scale = perf.Full
-	default:
-		fatal(fmt.Errorf("unknown scale %q (want quick or full)", *scaleName))
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments %v", fs.Args())
+	}
+	scale := perf.Scale(*scaleName)
+	if scale != perf.Quick && scale != perf.Full {
+		return fmt.Errorf("unknown scale %q (want quick or full)", *scaleName)
 	}
 	if *trials < 1 {
-		fatal(fmt.Errorf("trials %d < 1", *trials))
+		return fmt.Errorf("trials %d < 1", *trials)
+	}
+	if *gate && (*outPath == "" || *outPath == "-") {
+		return fmt.Errorf("-gate needs -out FILE (it re-parses the written artifact)")
+	}
+	if *baseline != "" && !*gate {
+		return fmt.Errorf("-baseline needs -gate")
 	}
 
 	opts := perf.Options{Scale: scale, Trials: *trials, Seed: *seed}
 	if !*quiet {
-		fmt.Fprintf(os.Stderr, "crnbench: %d cells × %d trials (%s)\n",
+		fmt.Fprintf(stderr, "crnbench: %d cells × %d trials (%s)\n",
 			len(perf.Cases(scale)), *trials, scale)
 		opts.OnCell = func(done, total int, m *perf.Measurement) {
-			fmt.Fprintf(os.Stderr, "  [%d/%d] %s %.3g slots/sec %.4f allocs/slot\n",
+			fmt.Fprintf(stderr, "  [%d/%d] %s %.3g slots/sec %.4f allocs/slot\n",
 				done, total, m.Key, m.SlotsPerSec, m.AllocsPerSlot)
 		}
 	}
 	start := time.Now()
 	art := perf.Run(opts)
 	if !*quiet {
-		fmt.Fprintf(os.Stderr, "crnbench: completed in %v\n\n", time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stderr, "crnbench: completed in %v\n\n", time.Since(start).Round(time.Millisecond))
 		if *outPath != "-" {
-			fmt.Print(table(art).String())
+			fmt.Fprint(stdout, table(art).String())
 		}
 	}
 
-	if *outPath != "" {
-		if *outPath == "-" {
-			if err := report.WriteJSON(os.Stdout, art); err != nil {
-				fatal(err)
-			}
-		} else if err := report.SaveJSON(*outPath, art); err != nil {
-			fatal(err)
+	if *outPath == "-" {
+		if err := report.WriteJSON(stdout, art); err != nil {
+			return err
+		}
+	} else if *outPath != "" {
+		if err := report.SaveJSON(*outPath, art); err != nil {
+			return err
 		}
 	}
-	if *gate {
-		if *outPath == "" || *outPath == "-" {
-			fatal(fmt.Errorf("-gate needs -out FILE (it re-parses the written artifact)"))
-		}
-		data, err := os.ReadFile(*outPath)
+	if !*gate {
+		return nil
+	}
+	back, err := loadArtifact(*outPath)
+	if err != nil {
+		return fmt.Errorf("emitted artifact: %w", err)
+	}
+	if err := perf.Check(back, scale); err != nil {
+		return err
+	}
+	if *baseline != "" {
+		ref, err := loadArtifact(*baseline)
 		if err != nil {
-			fatal(err)
+			return fmt.Errorf("baseline: %w", err)
 		}
-		var back perf.Artifact
-		if err := json.Unmarshal(data, &back); err != nil {
-			fatal(fmt.Errorf("emitted artifact does not parse: %w", err))
+		if err := perf.CheckFloors(back, ref); err != nil {
+			return err
 		}
-		if err := perf.Check(&back, scale); err != nil {
-			fatal(err)
-		}
-		if *baseline != "" {
-			committed, err := os.ReadFile(*baseline)
-			if err != nil {
-				fatal(err)
-			}
-			var ref perf.Artifact
-			if err := json.Unmarshal(committed, &ref); err != nil {
-				fatal(fmt.Errorf("baseline %s does not parse: %w", *baseline, err))
-			}
-			if err := perf.CheckFloors(&back, &ref); err != nil {
-				fatal(err)
-			}
-		}
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "crnbench: gate ok (%d cells, %s ≤ %.2f allocs/slot)\n",
-				len(back.Cells), strings.Join(perf.GateKeys(scale), ", "), perf.GateAllocsPerSlot)
-			if *baseline != "" {
-				fmt.Fprintf(os.Stderr, "crnbench: slots/sec floors ok vs %s (headroom %.0f%%)\n",
-					*baseline, 100*(1-perf.FloorHeadroom))
-			}
-		}
-	} else if *baseline != "" {
-		fatal(fmt.Errorf("-baseline needs -gate"))
 	}
+	if !*quiet {
+		fmt.Fprintf(stderr, "crnbench: gate ok (%d cells, %s ≤ %.2f allocs/slot)\n",
+			len(back.Cells), strings.Join(perf.GateKeys(scale), ", "), perf.GateAllocsPerSlot)
+		if *baseline != "" {
+			fmt.Fprintf(stderr, "crnbench: slots/sec floors ok vs %s (headroom %.0f%%)\n",
+				*baseline, 100*(1-perf.FloorHeadroom))
+		}
+	}
+	return nil
 }
 
 func loadArtifact(path string) (*perf.Artifact, error) {
@@ -160,9 +176,4 @@ func table(art *perf.Artifact) *report.Table {
 			m.Slots, m.Delivered, m.PeakInFlight)
 	}
 	return t
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "crnbench: %v\n", err)
-	os.Exit(1)
 }

@@ -175,3 +175,45 @@ func TestHelpIsNotAnError(t *testing.T) {
 		t.Fatalf("usage not printed:\n%s", stderr)
 	}
 }
+
+// TestScenarioRefusals: what the scenario builder refuses, every
+// transport refuses with an error and at once; what it maps to a
+// default or a floor, the simulator reference runs.
+func TestScenarioRefusals(t *testing.T) {
+	for _, args := range [][]string{
+		{"-protocol", "beb", "-kappa", "0"},
+		{"-arrival", "burst", "-window", "-5"},
+		{"-protocol", "aloha", "-model", "classical", "-aloha-p", "2"},
+		{"-protocol", "beb", "-model", "classical:none", "-adversary", "reactive:4/8"},
+		{"-n", "-3"},
+		{"-n", "10", "-horizon", "0"},
+		{"-arrival", "bernoulli", "-rate", "-0.1"},
+		{"-latency-samples", "-5"},
+	} {
+		for _, tr := range []string{"sim", "inproc", "udp"} {
+			start := time.Now()
+			_, _, err := runCLI(t, append(args, "-transport", tr)...)
+			if err == nil || strings.Contains(err.Error(), "\n") {
+				t.Errorf("crnemu %v -transport %s: err = %v, want a one-line refusal", args, tr, err)
+			}
+			if d := time.Since(start); d > 5*time.Second {
+				t.Errorf("crnemu %v -transport %s took %v to refuse the run", args, tr, d)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		args    []string
+		arrival string
+	}{
+		{[]string{"-protocol", "genie", "-arrival", "burst", "-window", "0", "-rate", "0.001", "-horizon", "200"}, `"Arrival":"burst(16/16384)"`},
+		{[]string{"-protocol", "genie", "-n", "0", "-rate", "0.5", "-horizon", "200"}, `"Arrival":"batch(100@0)"`},
+	} {
+		if got := artifactOf(t, tc.args, "-transport", "sim"); !strings.Contains(got, tc.arrival) {
+			t.Errorf("crnemu %v: artifact lacks %s:\n%s", tc.args, tc.arrival, got)
+		}
+	}
+	aloha := []string{"-protocol", "aloha", "-model", "classical", "-n", "20", "-transport", "sim"}
+	if artifactOf(t, aloha, "-aloha-p", "0") != artifactOf(t, aloha, "-aloha-p", "0.001") {
+		t.Error("-aloha-p 0 does not run at the 0.001 default")
+	}
+}

@@ -14,7 +14,6 @@ import (
 	"repro/internal/emu"
 	"repro/internal/jam"
 	"repro/internal/medium"
-	"repro/internal/nocd"
 	"repro/internal/potential"
 	"repro/internal/protocol"
 	"repro/internal/rng"
@@ -151,22 +150,6 @@ func NewMultiplicativeWeights(seed uint64) Protocol {
 	return baseline.NewMultiplicativeWeights(rng.New(seed), baseline.DefaultMWConfig())
 }
 
-// NewRobustNoCD returns the sawtooth robust contention-resolution
-// scheme for channels without collision detection (Jiang–Zheng spirit):
-// every transmission-probability scale recurs in every phase, trading a
-// constant factor for tolerance of jamming and mis-estimated backlogs.
-func NewRobustNoCD(seed uint64) Protocol {
-	return nocd.NewRobust(rng.New(seed))
-}
-
-// NewUnboundedNoCD returns the unknown-n geometric back-on scheme for
-// channels without collision detection (Fernández Anta–Mosteiro–Muñoz
-// spirit): monotone rounds of geometrically growing length at halving
-// transmission probability.
-func NewUnboundedNoCD(seed uint64) Protocol {
-	return nocd.NewUnbounded(rng.New(seed))
-}
-
 // ProtocolNames lists the registered protocol kinds in canonical axis
 // order — the names sweeps and the CLIs select protocols by.
 var ProtocolNames = protocol.Names()
@@ -226,21 +209,6 @@ type Adversary = adversary.Adversary
 // "sigmarho:SIGMA/RHO".  Adversaries are stateful: parse a fresh one per
 // run.
 func ParseAdversary(desc string) (Adversary, error) { return adversary.Parse(desc) }
-
-// IsAdaptiveAdversary reports whether the adversary reacts to channel
-// feedback.  Adaptive adversaries need a medium whose feedback exposes
-// idle slots truthfully (see MediumMasksSilence); Run rejects
-// incompatible pairings.
-func IsAdaptiveAdversary(adv Adversary) bool {
-	_, ok := adv.(adversary.Adaptive)
-	return ok
-}
-
-// MediumMasksSilence reports whether the medium's feedback fails to
-// expose provably idle slots as silent — classical:none (no channel
-// sensing) and any jam-wrapped medium do.  Such media cannot host an
-// adaptive adversary.
-func MediumMasksSilence(m Medium) bool { return medium.MasksSilence(m) }
 
 // NewReactiveJammer returns the adaptive reactive jammer: it arms after
 // trigger consecutive audibly-busy, event-free slots (a decoding window

@@ -59,23 +59,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/adversary"
-	"repro/internal/arrival"
 	"repro/internal/channel"
-	"repro/internal/medium"
 	"repro/internal/protocol"
 	"repro/internal/rng"
+	"repro/internal/scenario"
 	"repro/internal/sim"
-
-	// Link every protocol-implementing package so the registry is
-	// complete for name validation and station replica construction.
-	_ "repro/internal/baseline"
-	_ "repro/internal/core"
-	_ "repro/internal/nocd"
 )
 
 // protoSeedSalt decorrelates the protocol replicas' shared rng stream
@@ -86,16 +77,16 @@ const protoSeedSalt = 0x70726f746f636f6c // "protocol"
 const (
 	defaultSlotTimeout    = 10 * time.Second
 	defaultStationTimeout = 2 * time.Minute
-	defaultAlohaP         = 0.001
-	defaultBurstWindow    = 16384
 	// doneDrainTimeout bounds how long Run waits for the final Done
 	// frames to be acknowledged before tearing links down.
 	doneDrainTimeout = 2 * time.Second
 )
 
-// Config parametrizes one emulation run.  The scenario fields mirror
-// the simulator/sweep axes; the emulation-only fields select the
-// station topology and transport.
+// Config parametrizes one emulation run.  The scenario fields are the
+// scenario builder's descriptor (internal/scenario.Desc), under the
+// same names but Medium for its Model; the builder holds their rules
+// and defaults, as it does for crnsim and the sweep.  The
+// emulation-only fields select the station topology and transport.
 type Config struct {
 	// Protocol is the registry axis name ("dba", "beb", ...).
 	Protocol string
@@ -106,13 +97,14 @@ type Config struct {
 	// Kappa is the decoding threshold when the descriptor does not embed
 	// one.
 	Kappa int
-	// MaxWindow caps decoding-window length (0 = default 4κ).
+	// MaxWindow caps decoding-window length where the descriptor embeds
+	// no cap (0 = default 4κ on a bare coded medium).
 	MaxWindow int
 
-	// Arrival selects the arrival process: batch, bernoulli, poisson,
-	// even, or burst.  Rate is its uniform intensity parameter; BatchN
-	// overrides the batch size (0 = Rate×Horizon); BurstWindow sets the
-	// burst window (0 = 16384).
+	// Arrival selects the arrival process: batch (also ""), bernoulli,
+	// poisson, even, or burst.  Rate is its uniform intensity parameter;
+	// BatchN overrides the batch size (0 = Rate×Horizon); BurstWindow
+	// sets the burst window (0 = 16384).
 	Arrival     string
 	Rate        float64
 	BatchN      int
@@ -123,8 +115,8 @@ type Config struct {
 	// see adversary.Parse).
 	Adversary string
 
-	// Horizon, Drain, DrainLimit, Seed, LatencySamples, and SeriesCap
-	// have sim.Config semantics.
+	// Horizon (≥ 1), Drain, DrainLimit, Seed, LatencySamples, and
+	// SeriesCap have sim.Config semantics.
 	Horizon        int64
 	Drain          bool
 	DrainLimit     int64
@@ -146,119 +138,30 @@ type Config struct {
 	SlotTimeout time.Duration
 }
 
-// buildInfo is what build derives beyond the sim.Config: the station
-// wire parameters.
-type buildInfo struct {
-	protoName string
-	kappa     int
-	alohaP    float64
-	protoSeed uint64
-}
-
-// build validates the configuration and assembles the engine config
-// plus station parameters.  Media and adversaries are stateful, so
-// every call constructs fresh instances — call once per run.
-func (c Config) build() (sim.Config, buildInfo, arrival.Process, error) {
-	var zero sim.Config
+// build validates the configuration and builds one run through the
+// scenario builder.  Media, adversaries and protocols are stateful, so
+// every call builds fresh ones — call once per run.
+func (c Config) build() (scenario.Built, error) {
 	if c.Stations < 1 {
-		return zero, buildInfo{}, nil, fmt.Errorf("emu: Stations must be at least 1 (got %d)", c.Stations)
+		return scenario.Built{}, fmt.Errorf("emu: Stations must be at least 1 (got %d)", c.Stations)
 	}
-	ms, err := medium.ParseSpec(c.Medium)
-	if err != nil {
-		return zero, buildInfo{}, nil, err
-	}
-	info, ok := protocol.Lookup(c.Protocol)
-	if !ok {
-		return zero, buildInfo{}, nil, fmt.Errorf("emu: unknown protocol %q (want one of %s)",
-			c.Protocol, strings.Join(protocol.Names(), ", "))
-	}
-	if info.CodedOnly && ms.Model != "coded" {
-		return zero, buildInfo{}, nil, fmt.Errorf("emu: protocol %q needs the coded channel, not %q", c.Protocol, ms.String())
-	}
-	if info.NoCDOnly && !(ms.Model == "classical" && ms.CD == medium.CDNone) {
-		return zero, buildInfo{}, nil, fmt.Errorf("emu: protocol %q is a no-collision-detection protocol; pair it with classical:none, not %q", c.Protocol, ms.String())
-	}
-	kappa := c.Kappa
-	var med medium.Medium
-	if ms != (medium.Spec{Model: "coded"}) {
-		med, err = ms.Build(kappa, c.MaxWindow)
-		if err != nil {
-			return zero, buildInfo{}, nil, err
-		}
-		kappa = med.Kappa()
-	} else if kappa < 1 {
-		return zero, buildInfo{}, nil, fmt.Errorf("emu: Kappa must be at least 1 (got %d)", kappa)
-	}
-	if kappa < info.MinKappa {
-		return zero, buildInfo{}, nil, fmt.Errorf("emu: protocol %q needs κ ≥ %d, not %d", c.Protocol, info.MinKappa, kappa)
-	}
-	if c.Horizon < 0 {
-		return zero, buildInfo{}, nil, fmt.Errorf("emu: negative horizon %d", c.Horizon)
-	}
-	arr, err := c.buildArrival()
-	if err != nil {
-		return zero, buildInfo{}, nil, err
-	}
-	adv, err := adversary.Parse(c.Adversary)
-	if err != nil {
-		return zero, buildInfo{}, nil, err
-	}
-	alohaP := c.AlohaP
-	if alohaP == 0 {
-		alohaP = defaultAlohaP
-	}
-	cfg := sim.Config{
-		Kappa:          kappa,
+	return scenario.Desc{
+		Model:          c.Medium,
+		Protocol:       c.Protocol,
+		Arrival:        c.Arrival,
+		Adversary:      c.Adversary,
+		Kappa:          c.Kappa,
 		MaxWindow:      c.MaxWindow,
+		Rate:           c.Rate,
+		BatchN:         c.BatchN,
+		BurstWindow:    int64(c.BurstWindow),
+		AlohaP:         c.AlohaP,
 		Horizon:        c.Horizon,
 		Drain:          c.Drain,
 		DrainLimit:     c.DrainLimit,
-		Seed:           c.Seed,
-		SeriesCap:      c.SeriesCap,
 		LatencySamples: c.LatencySamples,
-		Adversary:      adv,
-		Medium:         med,
-	}
-	bi := buildInfo{
-		protoName: c.Protocol,
-		kappa:     kappa,
-		alohaP:    alohaP,
-		protoSeed: c.Seed ^ protoSeedSalt,
-	}
-	return cfg, bi, arr, nil
-}
-
-// buildArrival maps the uniform rate axis onto the arrival kinds,
-// mirroring the sweep harness.
-func (c Config) buildArrival() (arrival.Process, error) {
-	switch c.Arrival {
-	case "batch", "":
-		n := c.BatchN
-		if n == 0 {
-			n = int(c.Rate * float64(c.Horizon))
-			if n < 1 {
-				n = 1
-			}
-		}
-		return &arrival.Batch{At: 0, N: n}, nil
-	case "bernoulli":
-		return &arrival.Bernoulli{Rate: c.Rate}, nil
-	case "poisson":
-		return &arrival.Poisson{Lambda: c.Rate}, nil
-	case "even":
-		return arrival.NewEvenPaced(c.Rate), nil
-	case "burst":
-		w := c.BurstWindow
-		if w == 0 {
-			w = defaultBurstWindow
-		}
-		per := int(c.Rate * float64(w))
-		if per < 1 {
-			per = 1
-		}
-		return &arrival.WindowBurst{Window: int64(w), PerWindow: per}, nil
-	}
-	return nil, fmt.Errorf("emu: unknown arrival %q (want batch, bernoulli, poisson, even, or burst)", c.Arrival)
+		SeriesCap:      c.SeriesCap,
+	}.Build(c.Seed, c.Seed^protoSeedSalt, nil)
 }
 
 // wireConfig is the JSON blob the coordinator sends each station in
@@ -292,23 +195,18 @@ type Result struct {
 // SimReference runs the plain simulator on the emulation configuration
 // — the reference the lossless gate compares against.
 func SimReference(cfg Config) (*sim.Result, error) {
-	simCfg, bi, arr, err := cfg.build()
+	b, err := cfg.build()
 	if err != nil {
 		return nil, err
 	}
-	proto := protocol.Build(bi.protoName, protocol.Params{
-		Kappa:  bi.kappa,
-		Rand:   rng.New(bi.protoSeed),
-		AlohaP: bi.alohaP,
-	})
-	return sim.Run(simCfg, proto, arr), nil
+	return sim.Run(b.Config, b.Proto, b.Arrival), nil
 }
 
 // Run executes one swarm-mode emulation: cfg.Stations station
 // goroutines over in-proc pipes (Transport "inproc", the default) or
 // loopback UDP ("udp"), coordinated in this process.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
-	if _, _, _, err := cfg.build(); err != nil {
+	if _, err := cfg.build(); err != nil {
 		return nil, err
 	}
 	stationTimeout := cfg.SlotTimeout
@@ -413,7 +311,7 @@ func Coordinate(ctx context.Context, cfg Config, links []Transport) (*sim.Result
 		}
 		return err
 	}
-	simCfg, bi, arr, err := cfg.build()
+	b, err := cfg.build()
 	if err != nil {
 		return nil, abort(err)
 	}
@@ -425,10 +323,10 @@ func Coordinate(ctx context.Context, cfg Config, links []Transport) (*sim.Result
 		timeout = defaultSlotTimeout
 	}
 
-	// The Result labels the protocol by its Name(), which may embellish
-	// the axis name; ask a scratch instance.
-	scratch := protocol.Build(bi.protoName, protocol.Params{Kappa: bi.kappa, Rand: rng.New(0), AlohaP: bi.alohaP})
-	_, isWaker := scratch.(protocol.Waker)
+	// The coordinator's own instance never runs: it names the protocol
+	// in the Result (Name may embellish the axis name) and says whether
+	// it is a Waker.
+	_, isWaker := b.Proto.(protocol.Waker)
 
 	// Handshake: every station says Hello, and is told who it is.
 	for i, t := range links {
@@ -443,10 +341,10 @@ func Coordinate(ctx context.Context, cfg Config, links []Transport) (*sim.Result
 			return nil, abort(fmt.Errorf("emu: station %d: expected hello, got %s", i, f.Type))
 		}
 		blob, err := json.Marshal(wireConfig{
-			Protocol:  bi.protoName,
-			Kappa:     bi.kappa,
-			AlohaP:    bi.alohaP,
-			ProtoSeed: bi.protoSeed,
+			Protocol:  cfg.Protocol,
+			Kappa:     b.Config.Kappa,
+			AlohaP:    b.AlohaP,
+			ProtoSeed: cfg.Seed ^ protoSeedSalt,
 			Stations:  cfg.Stations,
 			Index:     i,
 		})
@@ -458,7 +356,7 @@ func Coordinate(ctx context.Context, cfg Config, links []Transport) (*sim.Result
 		}
 	}
 
-	l := sim.NewLoop(simCfg, scratch.Name(), arr)
+	l := sim.NewLoop(b.Config, b.Proto.Name(), b.Arrival)
 	m := l.Medium()
 	var txs []channel.PacketID
 	// One Begin, rewritten for every broadcast (Send keeps no reference

@@ -12,7 +12,6 @@ import (
 	"repro/internal/arrival"
 	"repro/internal/channel"
 	"repro/internal/protocol"
-	"repro/internal/rng"
 	"repro/internal/sim"
 )
 
@@ -242,20 +241,19 @@ type wakingCounter struct {
 // countSlots runs the simulator on cfg under a slotCounter.
 func countSlots(t testing.TB, cfg Config) *slotCounter {
 	t.Helper()
-	simCfg, bi, arr, err := cfg.build()
+	b, err := cfg.build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	proto := protocol.Build(bi.protoName, protocol.Params{Kappa: bi.kappa, Rand: rng.New(bi.protoSeed), AlohaP: bi.alohaP})
-	c := &slotCounter{Protocol: proto, arr: arr, horizon: simCfg.Horizon, injected: -1, last: -1, coastEnd: -1}
+	c := &slotCounter{Protocol: b.Proto, arr: b.Arrival, horizon: b.Config.Horizon, injected: -1, last: -1, coastEnd: -1}
 	var p protocol.Protocol = c
-	if w, ok := proto.(protocol.Waker); ok {
+	if w, ok := b.Proto.(protocol.Waker); ok {
 		c.waker = true
 		p = wakingCounter{c, w}
 	} else {
-		c.coaster, _ = proto.(protocol.Coaster)
+		c.coaster, _ = b.Proto.(protocol.Coaster)
 	}
-	sim.Run(simCfg, p, arr)
+	sim.Run(b.Config, p, b.Arrival)
 	return c
 }
 
@@ -531,6 +529,15 @@ func TestRunValidatesConfig(t *testing.T) {
 		{Protocol: "dba", Kappa: 2, Horizon: 1, Stations: 1},
 		{Protocol: "dba", Medium: "coded:4", Kappa: 8, Horizon: 1, Stations: 1},
 		{Protocol: "unbounded", Medium: "classical:ternary", Horizon: 1, Stations: 1},
+		// The scenario builder's refusals, as crnemu's flags reach them.
+		{Protocol: "beb", Kappa: 0, Horizon: 1, Stations: 1},
+		{Protocol: "beb", Kappa: 8, Arrival: "burst", Rate: 0.5, BurstWindow: -5, Horizon: 1, Stations: 1},
+		{Protocol: "aloha", Medium: "classical", AlohaP: 2, BatchN: 10, Horizon: 1, Stations: 1},
+		{Protocol: "beb", Medium: "classical:none", Adversary: "reactive:4/8", BatchN: 10, Horizon: 1, Stations: 1},
+		{Protocol: "beb", Kappa: 8, BatchN: -3, Horizon: 1, Stations: 1},
+		{Protocol: "beb", Kappa: 8, BatchN: 10, Horizon: 0, Stations: 1},
+		{Protocol: "beb", Kappa: 8, Arrival: "bernoulli", Rate: -0.1, Horizon: 10, Stations: 1},
+		{Protocol: "beb", Kappa: 8, BatchN: 10, Horizon: 1, LatencySamples: -5, Stations: 1},
 	}
 	for _, cfg := range bad {
 		if _, err := Run(context.Background(), cfg); err == nil {

@@ -2,11 +2,12 @@ package nocd
 
 import "repro/internal/protocol"
 
-// Registry entries for the no-CD schemes.  NoCDOnly steers the sweep
-// layer: these schedules assume stations hear nothing but their own
-// delivery, so grids pair them only with the classical:none model.
-// (The sim layer itself runs them on any medium — E16 puts the
-// unbounded scheme on the capture channel deliberately.)
+// Registry entries for the no-CD schemes.  These schedules assume
+// stations hear nothing but their own delivery, so NoCDOnly makes the
+// scenario builder pair them only with the classical:none model: every
+// command refuses them elsewhere and the sweep skips those cells.  Only
+// E16 builds them directly, to put the unbounded scheme on the capture
+// channel deliberately.
 func init() {
 	protocol.Register(protocol.Info{
 		Name:     "robust",

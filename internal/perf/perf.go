@@ -21,13 +21,8 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/adversary"
-	"repro/internal/arrival"
-	"repro/internal/baseline"
-	"repro/internal/core"
-	"repro/internal/medium"
-	"repro/internal/protocol"
 	"repro/internal/rng"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
@@ -211,11 +206,11 @@ func measure(c Case, seed uint64, trials int) Measurement {
 	seedGen := rng.New(seed ^ hashKey(c.Key()))
 	for t := 0; t < trials; t++ {
 		trialSeed := seedGen.Uint64()
-		cfg, proto, arr := build(c, trialSeed)
+		b := build(c, trialSeed)
 		runtime.ReadMemStats(&ms)
 		m0, b0 := ms.Mallocs, ms.TotalAlloc
 		start := time.Now()
-		res := sim.Run(cfg, proto, arr)
+		res := sim.Run(b.Config, b.Proto, b.Arrival)
 		elapsed += time.Since(start)
 		runtime.ReadMemStats(&ms)
 		mallocs += ms.Mallocs - m0
@@ -235,47 +230,21 @@ func measure(c Case, seed uint64, trials int) Measurement {
 	return m
 }
 
-// build constructs one trial's engine inputs.  Components are stateful:
-// every trial gets fresh instances.
-func build(c Case, seed uint64) (sim.Config, protocol.Protocol, arrival.Process) {
-	cfg := sim.Config{Kappa: c.Kappa, Seed: seed}
-	if c.Model != "coded" {
-		med, err := medium.New(c.Model, c.Kappa, 0)
-		if err != nil {
-			panic(err)
-		}
-		cfg.Medium = med
-	}
-	adv, err := adversary.Parse(c.Adversary)
-	if err != nil {
-		panic(err)
-	}
-	cfg.Adversary = adv
-	var proto protocol.Protocol
-	switch c.Protocol {
-	case "dba":
-		proto = core.New(c.Kappa, rng.New(seed^protoSeedSalt))
-	case "genie":
-		proto = baseline.NewGenieAloha(rng.New(seed^protoSeedSalt), 1)
-	case "beb":
-		proto = baseline.NewExponentialBackoff(rng.New(seed ^ protoSeedSalt))
-	case "mw":
-		proto = baseline.NewMultiplicativeWeights(rng.New(seed^protoSeedSalt), baseline.DefaultMWConfig())
-	default:
-		panic(fmt.Sprintf("perf: unknown protocol %q", c.Protocol))
-	}
-	var arr arrival.Process
+// build constructs one trial's engine inputs through the scenario
+// builder.  Components are stateful: every trial gets fresh instances.
+func build(c Case, seed uint64) scenario.Built {
+	d := scenario.Desc{Model: c.Model, Protocol: c.Protocol, Adversary: c.Adversary, Kappa: c.Kappa, Drain: true}
 	if c.Rate > 0 {
-		cfg.Horizon = int64(c.N)
-		cfg.Drain = true
-		arr = arrival.NewEvenPaced(c.Rate)
+		d.Arrival, d.Rate, d.Horizon = "even", c.Rate, int64(c.N)
 	} else {
-		cfg.Horizon = 1
-		cfg.Drain = true
-		cfg.DrainLimit = 64*int64(c.N) + 1<<21
-		arr = &arrival.Batch{At: 0, N: c.N}
+		d.Arrival, d.BatchN, d.Horizon = "batch", c.N, 1
+		d.DrainLimit = 64*int64(c.N) + 1<<21
 	}
-	return cfg, proto, arr
+	b, err := d.Build(seed, seed^protoSeedSalt, nil)
+	if err != nil {
+		panic(err) // the grid names only valid cells
+	}
+	return b
 }
 
 // hashKey folds a cell key into a seed perturbation (FNV-1a), so every

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/protocol"
 	"repro/internal/sim"
 )
 
@@ -196,10 +197,18 @@ func (e *executor) runTrial(c *cellRun, t int, r *sim.Runner) {
 	if execDelay != nil {
 		execDelay(e.owner, c.ci, t)
 	}
+	// errCount receives the number of error epochs (Definition 2) a dba
+	// trial observes.
 	var errCount int64
-	proto := e.spec.buildProtocol(sc, seed^protoSeedSalt, &errCount)
-	cfg := e.spec.config(sc, seed)
-	c.trials[t] = reduceTrial(r.Run(cfg, proto, e.spec.buildArrival(sc)), errCount)
+	b, err := e.spec.desc(sc).Build(seed, seed^protoSeedSalt, protocol.EpochObserverFunc(func(info protocol.EpochInfo) {
+		if info.Error {
+			errCount++
+		}
+	}))
+	if err != nil {
+		panic(err) // Validate checks every cell
+	}
+	c.trials[t] = reduceTrial(r.Run(b.Config, b.Proto, b.Arrival), errCount)
 	// Each slot of c.trials has one writer; the countdown orders every
 	// write before the landing goroutine's reads.
 	if c.left.Add(-1) == 0 {

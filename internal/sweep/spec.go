@@ -17,30 +17,16 @@ package sweep
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 
 	"repro/internal/adversary"
 	"repro/internal/medium"
-	"repro/internal/protocol"
-)
-
-// Model, protocol, and arrival kinds a Spec may name.
-var (
-	// Models lists the known channel-model descriptors in canonical
-	// order (see internal/medium).
-	Models = medium.Models
-	// Protocols lists the known protocol kinds in canonical order,
-	// straight from the protocol registry (exec.go links every
-	// implementing package, so the axis is complete by the time this
-	// package initializes).
-	Protocols = protocol.Names()
-	// Arrivals lists the known arrival kinds in canonical order.
-	Arrivals = []string{"batch", "bernoulli", "poisson", "even", "burst"}
-	// Adversaries lists the adversary descriptor forms a Spec may name
-	// (see internal/adversary).
-	Adversaries = adversary.Kinds
+	"repro/internal/scenario"
+	"repro/internal/sim"
 )
 
 // Spec declares a scenario grid.  Every combination of one channel
@@ -52,35 +38,31 @@ var (
 // packets per window), or horizon-fill fraction (batch: rate×Horizon
 // packets at slot 0, unless BatchN overrides).
 //
-// Six combinations are skipped during expansion rather than rejected,
-// so one grid can mix channel models and adversaries freely: dba pairs
-// only with the coded model (the algorithm is defined for κ ≥ 6); the
-// no-CD protocols (robust, unbounded) pair only with classical:none
-// (their schedules assume no channel sensing — pairing them with richer
-// feedback would sweep cells whose extra information they ignore);
-// classical models collapse the κ axis to the single value 1 (the
-// collision channel has no threshold to sweep); the capture model skips
-// κ = 1 (it collapses to the classical collision channel there, which
-// the classical axis already covers); jamming and adaptive adversaries
-// pair only with jammer "none" (double-jamming cells would only square
-// the grid, and an adaptive adversary cannot sit over a jammed,
-// silence-spoiling medium); and adaptive adversaries are skipped under
-// silence-masking models (classical:none has no channel sensing, so the
-// reactive trigger — and the determinism contract's gap-equals-silence
-// rule — is undefined there).
+// A combination the scenario builder refuses as a pairing is skipped
+// during expansion rather than rejected, so one grid can mix channel
+// models and adversaries freely (see internal/scenario: dba only on the
+// coded model, the no-CD protocols only on classical:none, one noise
+// source per cell, no adaptive adversary over a silence-masking model).
+// The sweep shapes the κ axis itself: classical models collapse it to
+// the single value 1 (the collision channel has no threshold to sweep),
+// and the capture model skips κ = 1 (it collapses to the classical
+// collision channel there, which the classical axis already covers).
+// Every other cell must pass the builder's Check, or Validate refuses
+// the spec.
 type Spec struct {
 	// Name labels the sweep in artifacts (optional).
 	Name string `json:"name,omitempty"`
 
-	// Models ⊆ {coded, classical, classical:none, classical:binary,
-	// classical:ternary, capture}.  Empty means {"coded"}; "classical"
-	// is shorthand for "classical:ternary".
+	// Models are channel-model descriptors without embedded parameters
+	// (medium.Models).  Empty means {"coded"}; "classical" is shorthand
+	// for "classical:ternary".
 	Models []string `json:"models,omitempty"`
-	// Protocols ⊆ {dba, beb, aloha, genie, mw, robust, unbounded}.
+	// Protocols are registered protocol names (protocol.Names).
 	Protocols []string `json:"protocols"`
-	// Arrivals ⊆ {batch, bernoulli, poisson, even, burst}.
+	// Arrivals are arrival kinds: batch, bernoulli, poisson, even, burst.
 	Arrivals []string `json:"arrivals"`
-	// Kappas are the decoding thresholds (≥ 1; ≥ 6 if dba is swept).
+	// Kappas are the decoding thresholds (≥ 1; ≥ a swept protocol's
+	// minimum, 6 for dba, wherever its cells exist).
 	Kappas []int `json:"kappas"`
 	// Rates are the offered loads, each in (0, ∞).
 	Rates []float64 `json:"rates"`
@@ -138,62 +120,37 @@ func (s Scenario) Key() string {
 		s.Model, s.Protocol, s.Arrival, s.Kappa, s.Rate, s.Jammer, s.Adversary)
 }
 
-func contains(set []string, s string) bool {
-	for _, x := range set {
-		if x == s {
-			return true
-		}
-	}
-	return false
-}
-
 // isClassical reports whether the model descriptor names a classical
 // collision-channel variant.
 func isClassical(model string) bool { return strings.HasPrefix(model, "classical") }
 
 // Validate checks the spec and normalizes defaults (empty Models
-// becomes {"coded"}, empty Jammers becomes {"none"}).  It returns the
-// first problem found.
+// becomes {"coded"}, empty Jammers and Adversaries {"none"}).  It checks
+// the axes itself and every cell Expand keeps through the scenario
+// builder, and returns the first problem found.
 func (s *Spec) Validate() error {
 	if len(s.Models) == 0 {
 		s.Models = []string{"coded"}
 	}
-	hasCoded := false
+	if len(s.Jammers) == 0 {
+		s.Jammers = []string{"none"}
+	}
+	if len(s.Adversaries) == 0 {
+		s.Adversaries = []string{"none"}
+	}
 	for _, m := range s.Models {
-		ms, err := medium.ParseSpec(m)
-		if err != nil {
-			return fmt.Errorf("sweep: unknown model %q (want one of %s)",
-				m, strings.Join(Models, ", "))
-		}
-		if ms.Kappa != 0 || ms.MaxWindow != 0 {
+		if ms, err := medium.ParseSpec(m); err == nil && (ms.Kappa != 0 || ms.MaxWindow != 0) {
 			// κ is a sweep axis and the window cap a spec field; a
 			// parametrized descriptor would smuggle either into the model
 			// coordinate and silently fork cell identities.
 			return fmt.Errorf("sweep: model %q embeds parameters; use the kappas axis and max_window field instead", m)
 		}
-		// The capture model shares the coded channel's κ-ary decoding
-		// power but not its cross-slot windows; a coded-only protocol's
-		// minimum κ (dba's κ ≥ 6) and the dba pairing rule below are
-		// about coded specifically.
-		hasCoded = hasCoded || m == "coded"
 	}
 	if len(s.Protocols) == 0 {
 		return fmt.Errorf("sweep: no protocols")
 	}
-	for _, p := range s.Protocols {
-		if !contains(Protocols, p) {
-			return fmt.Errorf("sweep: unknown protocol %q (want one of %s)",
-				p, strings.Join(Protocols, ", "))
-		}
-	}
 	if len(s.Arrivals) == 0 {
 		return fmt.Errorf("sweep: no arrivals")
-	}
-	for _, a := range s.Arrivals {
-		if !contains(Arrivals, a) {
-			return fmt.Errorf("sweep: unknown arrival %q (want one of %s)",
-				a, strings.Join(Arrivals, ", "))
-		}
 	}
 	if len(s.Kappas) == 0 {
 		return fmt.Errorf("sweep: no kappas")
@@ -202,25 +159,6 @@ func (s *Spec) Validate() error {
 		if k < 1 {
 			return fmt.Errorf("sweep: kappa %d < 1", k)
 		}
-		for _, p := range s.Protocols {
-			info, _ := protocol.Lookup(p)
-			if k < info.MinKappa && (hasCoded || !info.CodedOnly) {
-				return fmt.Errorf("sweep: kappa %d < %d but %s is swept (the analysis needs κ ≥ %d)",
-					k, info.MinKappa, p, info.MinKappa)
-			}
-		}
-	}
-	if !hasCoded && len(s.Protocols) == 1 && s.Protocols[0] == "dba" {
-		return fmt.Errorf("sweep: dba pairs only with the coded model, but no coded model is swept")
-	}
-	allNoCD := true
-	for _, p := range s.Protocols {
-		info, _ := protocol.Lookup(p)
-		allNoCD = allNoCD && info.NoCDOnly
-	}
-	if allNoCD && !contains(s.Models, "classical:none") {
-		return fmt.Errorf("sweep: no-CD protocols (%s) pair only with the classical:none model, but it is not swept",
-			strings.Join(s.Protocols, ", "))
 	}
 	if len(s.Rates) == 0 {
 		return fmt.Errorf("sweep: no rates")
@@ -230,21 +168,12 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("sweep: rate %g is not positive", r)
 		}
 	}
-	if len(s.Jammers) == 0 {
-		s.Jammers = []string{"none"}
-	}
-	for _, j := range s.Jammers {
-		if _, err := parseJammer(j); err != nil {
-			return err
-		}
-	}
-	if len(s.Adversaries) == 0 {
-		s.Adversaries = []string{"none"}
-	}
-	for _, a := range s.Adversaries {
-		if _, err := adversary.Parse(a); err != nil {
-			return err
-		}
+	// Every name parses in every cell that holds it, and a cell the
+	// builder refuses for anything but a pairing is kept, so past this
+	// point every value on every axis parses.
+	cells, refused, invalid := s.expand()
+	if invalid != nil {
+		return invalid
 	}
 	// Two spellings of one value (0.5 and 0.50, classical and
 	// classical:ternary, random:0.2 and random:0.20) would run one
@@ -256,50 +185,32 @@ func (s *Spec) Validate() error {
 		distinct("arrivals", s.Arrivals, nil),
 		distinct("kappas", s.Kappas, nil),
 		distinct("rates", s.Rates, nil),
-		distinct("jammers", s.Jammers, func(j string) any { jm, _ := parseJammer(j); return jm }),
+		distinct("jammers", s.Jammers, func(j string) any { jm, _ := scenario.ParseJammer(j); return jm }),
 		distinct("adversaries", s.Adversaries, func(a string) any { adv, _ := adversary.Parse(a); return adv }),
 	} {
 		if err != nil {
 			return err
 		}
 	}
-	// An empty entry parses as the axis default, but the skip rules and
-	// cell keys see the raw string: it would drop or fork cells.  An
-	// omitted axis still defaults above.
+	// An empty entry parses as the axis default, but the κ shaping and
+	// cell keys see the raw string: it would fork cells.  An omitted
+	// axis still defaults above.
 	for _, ax := range []struct {
 		name string
 		vals []string
-	}{{"models", s.Models}, {"jammers", s.Jammers}, {"adversaries", s.Adversaries}} {
-		if contains(ax.vals, "") {
+	}{{"models", s.Models}, {"arrivals", s.Arrivals}, {"jammers", s.Jammers}, {"adversaries", s.Adversaries}} {
+		if slices.Contains(ax.vals, "") {
 			return fmt.Errorf("sweep: empty entry on the %s axis (name the value, or omit the axis for its default)", ax.name)
 		}
 	}
 	if s.Trials < 1 {
 		return fmt.Errorf("sweep: trials %d < 1", s.Trials)
 	}
-	if s.Horizon < 1 {
-		return fmt.Errorf("sweep: horizon %d < 1", s.Horizon)
-	}
-	if s.DrainLimit < 0 {
-		return fmt.Errorf("sweep: drain limit %d < 0", s.DrainLimit)
-	}
-	if s.MaxWindow < 0 {
-		return fmt.Errorf("sweep: max window %d < 0", s.MaxWindow)
-	}
-	if s.LatencySamples < -1 {
-		return fmt.Errorf("sweep: latency samples %d < -1 (0 = engine default, -1 = off)", s.LatencySamples)
-	}
-	if s.BatchN < 0 {
-		return fmt.Errorf("sweep: batch n %d < 0", s.BatchN)
-	}
-	if s.BurstWindow < 0 {
-		return fmt.Errorf("sweep: burst window %d < 0", s.BurstWindow)
-	}
-	if s.AlohaP < 0 || s.AlohaP > 1 {
-		return fmt.Errorf("sweep: aloha p %g outside [0,1]", s.AlohaP)
-	}
-	if len(s.Expand()) == 0 {
-		return fmt.Errorf("sweep: the skip rules leave no cells (every protocol/model/κ combination named is skipped)")
+	if len(cells) == 0 {
+		if refused != nil {
+			return fmt.Errorf("sweep: the skip rules leave no cells; the first one skipped: %w", refused)
+		}
+		return fmt.Errorf("sweep: the skip rules leave no cells (capture skips κ = 1)")
 	}
 	return nil
 }
@@ -337,83 +248,50 @@ var classicalKappas = []int{1}
 // Expand enumerates the grid's cells in canonical nesting order (model,
 // then protocol, then arrival, then κ, then rate, then jammer, then
 // adversary).  The order is part of the artifact contract: cell seeds
-// are assigned along it.  Six skip rules keep mixed grids runnable:
-// dba cells exist only under the coded model; no-CD protocols exist
-// only under classical:none; classical models collapse the κ axis to
-// {1}; the capture model skips κ = 1 (where it collapses to classical);
-// jamming and adaptive adversaries pair only with jammer "none"; and
-// adaptive adversaries are skipped under silence-masking models (the
-// feedback they react to does not exist there).
+// are assigned along it.  It skips every combination the scenario
+// builder refuses as a pairing, collapses a classical model's κ axis to
+// {1}, and drops κ = 1 under the capture model (where it collapses to
+// the classical collision channel).
 func (s *Spec) Expand() []Scenario {
-	models := s.Models
-	if len(models) == 0 {
-		models = []string{"coded"}
+	cells, _, _ := s.expand()
+	return cells
+}
+
+// expand is Expand, also returning the first combination the builder
+// refused as a pairing and the first kept cell it refuses outright.
+func (s *Spec) expand() (cells []Scenario, refused, invalid error) {
+	axis := func(vals []string, def string) []string {
+		if len(vals) == 0 {
+			return []string{def}
+		}
+		return vals
 	}
-	jammers := s.Jammers
-	if len(jammers) == 0 {
-		jammers = []string{"none"}
-	}
-	advs := s.Adversaries
-	if len(advs) == 0 {
-		advs = []string{"none"}
-	}
-	// Classify each adversary descriptor once; the skip rules consult
-	// the flags in the innermost loop.
-	advJams := make([]bool, len(advs))
-	advAdaptive := make([]bool, len(advs))
-	for i, a := range advs {
-		advJams[i] = adversary.IsJammer(a)
-		advAdaptive[i] = adversary.IsAdaptive(a)
-	}
-	var cells []Scenario
-	for _, m := range models {
+	jammers, advs := axis(s.Jammers, "none"), axis(s.Adversaries, "none")
+	for _, m := range axis(s.Models, "coded") {
 		kappas := s.Kappas
 		if isClassical(m) {
 			kappas = classicalKappas
 		} else if m == "capture" {
-			// Capture at κ = 1 is the classical collision channel, which
-			// the classical axis already covers; sweep only the κ where
-			// capture is its own model.
-			filtered := make([]int, 0, len(kappas))
-			for _, k := range kappas {
-				if k >= 2 {
-					filtered = append(filtered, k)
-				}
-			}
-			kappas = filtered
-		}
-		// Adaptive adversaries need truthful silence feedback; ask the
-		// model itself rather than hard-coding descriptor names.
-		masksSilence := false
-		if built, err := medium.New(m, 1, 0); err == nil {
-			masksSilence = medium.MasksSilence(built)
+			kappas = slices.DeleteFunc(slices.Clone(kappas), func(k int) bool { return k < 2 })
 		}
 		for _, p := range s.Protocols {
-			info, _ := protocol.Lookup(p)
-			if info.CodedOnly && m != "coded" {
-				continue // dba is defined for the coded channel (κ ≥ 6)
-			}
-			if info.NoCDOnly && m != "classical:none" {
-				continue // no-CD schedules assume no channel sensing
-			}
 			for _, a := range s.Arrivals {
 				for _, k := range kappas {
 					for _, r := range s.Rates {
 						for _, j := range jammers {
-							for ai, adv := range advs {
-								if (advJams[ai] || advAdaptive[ai]) && j != "none" {
-									// One noise source per cell; and an
-									// adaptive adversary cannot sit over a
-									// jammed (silence-spoiling) medium.
+							for _, adv := range advs {
+								sc := Scenario{Model: m, Protocol: p, Arrival: a, Kappa: k, Rate: r, Jammer: j, Adversary: adv}
+								err := s.desc(sc).Check()
+								if errors.Is(err, scenario.ErrPairing) {
+									if refused == nil {
+										refused = err
+									}
 									continue
 								}
-								if advAdaptive[ai] && masksSilence {
-									continue // no silence feedback to react to
+								if err != nil && invalid == nil {
+									invalid = fmt.Errorf("sweep: cell %s: %w", sc.Key(), err)
 								}
-								cells = append(cells, Scenario{
-									Model: m, Protocol: p, Arrival: a, Kappa: k, Rate: r,
-									Jammer: j, Adversary: adv,
-								})
+								cells = append(cells, sc)
 							}
 						}
 					}
@@ -421,7 +299,30 @@ func (s *Spec) Expand() []Scenario {
 			}
 		}
 	}
-	return cells
+	return cells, refused, invalid
+}
+
+// desc is the scenario builder's descriptor of one cell.
+func (s *Spec) desc(sc Scenario) scenario.Desc {
+	return scenario.Desc{
+		Model:          sc.Model,
+		Protocol:       sc.Protocol,
+		Arrival:        sc.Arrival,
+		Jammer:         sc.Jammer,
+		Adversary:      sc.Adversary,
+		Kappa:          sc.Kappa,
+		MaxWindow:      s.MaxWindow,
+		Rate:           sc.Rate,
+		BatchN:         s.BatchN,
+		BurstWindow:    s.BurstWindow,
+		AlohaP:         s.AlohaP,
+		Horizon:        s.Horizon,
+		Drain:          !s.NoDrain,
+		DrainLimit:     s.DrainLimit,
+		LatencySamples: s.LatencySamples,
+		// No cell summary reads the backlog series.
+		SeriesCap: sim.SeriesOff,
+	}
 }
 
 // ParseSpec decodes a JSON spec, rejecting unknown fields so typos in

@@ -124,6 +124,7 @@ func TestValidateRejects(t *testing.T) {
 		// An empty entry parses as the default, but the skip rules see
 		// "": dba's cell would be dropped, or jam= keys minted.
 		"empty model":     func(s *Spec) { s.Models = []string{""} },
+		"empty arrival":   func(s *Spec) { s.Arrivals = []string{""} },
 		"empty jammer":    func(s *Spec) { s.Jammers = []string{""}; s.Adversaries = []string{"none", "reactive:4/48"} },
 		"empty adversary": func(s *Spec) { s.Adversaries = []string{""} },
 	}
