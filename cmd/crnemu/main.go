@@ -19,6 +19,10 @@
 //	crnemu -transport udp -protocol beb -model classical:ternary -arrival bernoulli -rate 0.02 -horizon 20000
 //	crnemu -transport udp -drop 0.01 -dup 0.01 -stats-interval 1s -protocol dba -kappa 8 -n 2000
 //	crnemu -transport sim -protocol dba -kappa 8 -n 500 -json
+//
+// A bad flag, a stray argument, conflicting modes or a scenario the
+// builder refuses (internal/scenario, as for crnsim) exits 2 before
+// anything starts; an emulation that fails once started exits 1.
 package main
 
 import (
@@ -38,17 +42,34 @@ import (
 	"repro/internal/sim"
 )
 
-// errFlagParse marks errors the FlagSet has already written to stderr,
-// so main exits non-zero without printing them a second time.
-var errFlagParse = errors.New("flag parse error")
-
 func main() {
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		if !errors.Is(err, errFlagParse) {
-			fmt.Fprintf(os.Stderr, "crnemu: %v\n", err)
-		}
-		os.Exit(1)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// usageError marks an error that is the invocation's own: a bad flag or
+// stray argument, conflicting modes, or a scenario the builder refuses.
+type usageError struct{ error }
+
+func (e usageError) Unwrap() error { return e.error }
+
+func usagef(format string, args ...any) error {
+	return usageError{fmt.Errorf(format, args...)}
+}
+
+// run is main minus the process boundary: it returns the exit status,
+// 2 for a usage error and 1 for an emulation that failed once started
+// (-h exits 0).  The error is reported as one "crnemu: …" line on
+// stderr.
+func run(argv []string, stdout, stderr io.Writer) int {
+	err := emulate(argv, stdout, stderr)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return 0
 	}
+	fmt.Fprintf(stderr, "crnemu: %v\n", err)
+	if errors.As(err, new(usageError)) {
+		return 2
+	}
+	return 1
 }
 
 // artifact is the deterministic JSON the -json flag emits.  It carries
@@ -145,11 +166,11 @@ func watchStats(w io.Writer, interval time.Duration, links []emu.Transport) (sto
 	}
 }
 
-// run is main minus the process boundary, so flag handling and every
-// transport are testable in-process.
-func run(argv []string, stdout, stderr io.Writer) error {
+// emulate parses argv and runs the emulation it names, so flag handling
+// and every transport are testable in-process.
+func emulate(argv []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("crnemu", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+	fs.SetOutput(io.Discard)
 	model := fs.String("model", "coded", "channel model descriptor: coded[:K[/W]], classical[:none|binary|ternary], capture[:K]")
 	protoName := fs.String("protocol", "dba", "protocol: dba, beb, aloha, genie, mw, robust, unbounded")
 	kappa := fs.Int("kappa", 64, "decoding threshold κ when the model descriptor embeds none")
@@ -176,25 +197,28 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	asJSON := fs.Bool("json", false, "emit the run artifact as JSON on stdout")
 	if err := fs.Parse(argv); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
-			return nil // -h is a successful exit, not an error
+			fs.SetOutput(stderr)
+			fmt.Fprintln(stderr, "Usage of crnemu:")
+			fs.PrintDefaults()
+			return err
 		}
-		return errFlagParse // the FlagSet already printed the problem
+		return usageError{err}
 	}
 	if fs.NArg() > 0 {
-		return fmt.Errorf("unexpected arguments %v", fs.Args())
+		return usagef("unexpected arguments %v", fs.Args())
 	}
 	switch *transport {
 	case "inproc", "udp", "sim":
 	default:
-		return fmt.Errorf("unknown transport %q (want inproc, udp, or sim)", *transport)
+		return usagef("unknown transport %q (want inproc, udp, or sim)", *transport)
 	}
 	transportSet := false
 	fs.Visit(func(f *flag.Flag) { transportSet = transportSet || f.Name == "transport" })
 	if *listenAddr != "" && *joinAddr != "" {
-		return fmt.Errorf("-listen coordinates and -join runs a station; start them as separate processes")
+		return usagef("-listen coordinates and -join runs a station; start them as separate processes")
 	}
 	if transportSet && (*listenAddr != "" || *joinAddr != "") {
-		return fmt.Errorf("-transport selects a swarm run; -listen and -join always link separate processes over UDP")
+		return usagef("-transport selects a swarm run; -listen and -join always link separate processes over UDP")
 	}
 
 	fault := emu.Fault{DropRate: *dropRate, DupRate: *dupRate, Seed: *faultSeed}
@@ -236,6 +260,9 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		Transport:      *transport,
 		Fault:          fault,
 		SlotTimeout:    *slotTimeout,
+	}
+	if err := cfg.Check(); err != nil {
+		return usageError{err}
 	}
 	// Reference mode: the simulator on the identical configuration,
 	// emitting the identical artifact — the cmp target for the

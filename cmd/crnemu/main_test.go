@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"regexp"
 	"strings"
 	"sync"
@@ -9,11 +10,12 @@ import (
 	"time"
 )
 
-func runCLI(t *testing.T, args ...string) (stdout, stderr string, err error) {
+// runCLI runs crnemu in-process and returns its output and exit status.
+func runCLI(t *testing.T, args ...string) (stdout, stderr string, code int) {
 	t.Helper()
 	var out, errBuf bytes.Buffer
-	err = run(args, &out, &errBuf)
-	return out.String(), errBuf.String(), err
+	code = run(args, &out, &errBuf)
+	return out.String(), errBuf.String(), code
 }
 
 // scenarios are small batch runs: DBA on the coded channel, and beb,
@@ -27,9 +29,9 @@ var scenarios = map[string][]string{
 func artifactOf(t *testing.T, scenario []string, extra ...string) string {
 	t.Helper()
 	args := append(append([]string{"-json"}, scenario...), extra...)
-	out, stderr, err := runCLI(t, args...)
-	if err != nil {
-		t.Fatalf("crnemu %v: %v\n%s", args, err, stderr)
+	out, stderr, code := runCLI(t, args...)
+	if code != 0 {
+		t.Fatalf("crnemu %v: exit %d\n%s", args, code, stderr)
 	}
 	if !strings.HasPrefix(out, `{"result":`) {
 		t.Fatalf("crnemu %v: not a JSON artifact:\n%s", args, out)
@@ -80,7 +82,7 @@ func TestListenJoinMatchesSim(t *testing.T) {
 
 	var out bytes.Buffer
 	coordErr := new(syncBuffer)
-	done := make(chan error, 1)
+	done := make(chan int, 1)
 	go func() {
 		done <- run(append([]string{"-json", "-listen", "127.0.0.1:0"}, sc...), &out, coordErr)
 	}()
@@ -94,20 +96,24 @@ func TestListenJoinMatchesSim(t *testing.T) {
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
-	joined := make(chan error, 2)
+	joined := make(chan string, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
 			var jOut, jErr bytes.Buffer
-			joined <- run([]string{"-join", addr}, &jOut, &jErr)
+			if code := run([]string{"-join", addr}, &jOut, &jErr); code != 0 {
+				joined <- fmt.Sprintf("exit %d: %s", code, jErr.String())
+				return
+			}
+			joined <- ""
 		}()
 	}
 	for i := 0; i < 2; i++ {
-		if err := <-joined; err != nil {
-			t.Errorf("station: %v", err)
+		if msg := <-joined; msg != "" {
+			t.Errorf("station: %s", msg)
 		}
 	}
-	if err := <-done; err != nil {
-		t.Fatalf("coordinator: %v\n%s", err, coordErr)
+	if code := <-done; code != 0 {
+		t.Fatalf("coordinator: exit %d\n%s", code, coordErr)
 	}
 	if out.String() != ref {
 		t.Errorf("-listen/-join artifact differs from sim:\n got %s\nwant %s", out.String(), ref)
@@ -115,9 +121,9 @@ func TestListenJoinMatchesSim(t *testing.T) {
 }
 
 func TestUnknownTransportRejected(t *testing.T) {
-	_, _, err := runCLI(t, "-transport", "tcp")
-	if err == nil || !strings.Contains(err.Error(), `unknown transport "tcp"`) {
-		t.Fatalf("err = %v, want the unknown-transport error", err)
+	_, stderr, code := runCLI(t, "-transport", "tcp")
+	if code != 2 || !strings.Contains(stderr, `unknown transport "tcp"`) {
+		t.Fatalf("exit %d, stderr %q; want exit 2 with the unknown-transport error", code, stderr)
 	}
 }
 
@@ -129,8 +135,8 @@ func TestModeConflictsRejected(t *testing.T) {
 		{"-join", "127.0.0.1:1", "-transport", "udp"},
 		{"-listen", "127.0.0.1:0", "-join", "127.0.0.1:1"},
 	} {
-		if _, _, err := runCLI(t, args...); err == nil {
-			t.Errorf("crnemu %v accepted", args)
+		if _, stderr, code := runCLI(t, args...); code != 2 {
+			t.Errorf("crnemu %v: exit %d, want 2 (%s)", args, code, stderr)
 		}
 	}
 }
@@ -149,9 +155,9 @@ func TestDBASmallKappaRejected(t *testing.T) {
 		{"-protocol", "dba", "-model", "coded:4", "-transport", "inproc"},
 	} {
 		start := time.Now()
-		_, _, err := runCLI(t, args...)
-		if err == nil || !strings.Contains(err.Error(), "needs κ ≥ 6") {
-			t.Errorf("crnemu %v: err = %v, want the minimum-κ error", args, err)
+		_, stderr, code := runCLI(t, args...)
+		if code != 2 || !strings.Contains(stderr, "needs κ ≥ 6") {
+			t.Errorf("crnemu %v: exit %d, stderr %q; want exit 2 with the minimum-κ error", args, code, stderr)
 		}
 		if d := time.Since(start); d > 5*time.Second {
 			t.Errorf("crnemu %v took %v to refuse the run", args, d)
@@ -160,16 +166,16 @@ func TestDBASmallKappaRejected(t *testing.T) {
 }
 
 func TestPositionalArgsRejected(t *testing.T) {
-	_, _, err := runCLI(t, "-transport", "sim", "stray")
-	if err == nil || !strings.Contains(err.Error(), "unexpected arguments") {
-		t.Fatalf("err = %v, want the unexpected-arguments error", err)
+	_, stderr, code := runCLI(t, "-transport", "sim", "stray")
+	if code != 2 || !strings.Contains(stderr, "unexpected arguments") {
+		t.Fatalf("exit %d, stderr %q; want exit 2 with the unexpected-arguments error", code, stderr)
 	}
 }
 
 func TestHelpIsNotAnError(t *testing.T) {
-	_, stderr, err := runCLI(t, "-h")
-	if err != nil {
-		t.Fatalf("-h returned %v, want nil (exit 0)", err)
+	_, stderr, code := runCLI(t, "-h")
+	if code != 0 {
+		t.Fatalf("-h exited %d, want 0", code)
 	}
 	if !strings.Contains(stderr, "-transport") {
 		t.Fatalf("usage not printed:\n%s", stderr)
@@ -192,9 +198,9 @@ func TestScenarioRefusals(t *testing.T) {
 	} {
 		for _, tr := range []string{"sim", "inproc", "udp"} {
 			start := time.Now()
-			_, _, err := runCLI(t, append(args, "-transport", tr)...)
-			if err == nil || strings.Contains(err.Error(), "\n") {
-				t.Errorf("crnemu %v -transport %s: err = %v, want a one-line refusal", args, tr, err)
+			_, stderr, code := runCLI(t, append(args, "-transport", tr)...)
+			if code != 2 || strings.Count(stderr, "\n") != 1 {
+				t.Errorf("crnemu %v -transport %s: exit %d, stderr %q; want exit 2 and a one-line refusal", args, tr, code, stderr)
 			}
 			if d := time.Since(start); d > 5*time.Second {
 				t.Errorf("crnemu %v -transport %s took %v to refuse the run", args, tr, d)
@@ -215,5 +221,29 @@ func TestScenarioRefusals(t *testing.T) {
 	aloha := []string{"-protocol", "aloha", "-model", "classical", "-n", "20", "-transport", "sim"}
 	if artifactOf(t, aloha, "-aloha-p", "0") != artifactOf(t, aloha, "-aloha-p", "0.001") {
 		t.Error("-aloha-p 0 does not run at the 0.001 default")
+	}
+}
+
+// TestExitCodes pins crnemu's exit statuses beyond the refusals above
+// (stray arguments, unknown transports, mode conflicts and scenario
+// refusals all exit 2): a bad flag, and a refusal in coordinator mode,
+// before it listens, exit 2 too; 1 is only for an emulation that failed
+// once started — here a coordinator no station joins.
+func TestExitCodes(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		code int
+		says string
+	}{
+		{[]string{"-bogus"}, 2, "flag provided but not defined: -bogus"},
+		{[]string{"-kappa", "many"}, 2, `invalid value "many" for flag -kappa`},
+		{[]string{"-protocol", "beb", "-kappa", "0", "-listen", "127.0.0.1:0"}, 2, "κ 0 outside"},
+		{[]string{"-stations", "0", "-transport", "inproc"}, 2, "Stations must be at least 1"},
+		{[]string{"-protocol", "beb", "-n", "20", "-listen", "127.0.0.1:0", "-stations", "1", "-slot-timeout", "20ms"}, 1, "accepting station 1/1"},
+	} {
+		_, stderr, code := runCLI(t, tc.args...)
+		if code != tc.code || !strings.Contains(stderr, tc.says) {
+			t.Errorf("crnemu %v: exit %d, stderr %q; want exit %d saying %q", tc.args, code, stderr, tc.code, tc.says)
+		}
 	}
 }

@@ -14,11 +14,19 @@
 //	experiments -scale full -run E3         # paper-sized Theorem 16 run
 //	experiments -csv out/                   # also write out/E1-*.csv ...
 //	experiments -json out/experiments.json  # machine-readable artifact
+//	experiments -run E8 -json - > e8.json   # the artifact alone on stdout
+//
+// With -json - stdout carries the JSON artifact and nothing else; the
+// banner, tables and timings go to stderr.  A bad flag, a stray
+// argument, or an unknown scale or experiment ID exits 2 before any
+// experiment runs; a CSV or JSON file that cannot be written exits 1.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -40,13 +48,35 @@ type jsonRun struct {
 }
 
 func main() {
-	scaleFlag := flag.String("scale", "quick", "experiment sizing: quick or full")
-	runFlag := flag.String("run", "all", "comma-separated experiment IDs (e.g. E1,E3) or 'all'")
-	seed := flag.Uint64("seed", 2022, "base random seed")
-	parallel := flag.Int("parallel", 1, "concurrent experiments (0 = one per core)")
-	csvDir := flag.String("csv", "", "directory to write per-table CSV files (optional)")
-	jsonPath := flag.String("json", "", "path to write the JSON artifact (optional, '-' = stdout)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main minus the process boundary: it returns the exit status.
+func run(argv []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	scaleFlag := fs.String("scale", "quick", "experiment sizing: quick or full")
+	runFlag := fs.String("run", "all", "comma-separated experiment IDs (e.g. E1,E3) or 'all'")
+	seed := fs.Uint64("seed", 2022, "base random seed")
+	parallel := fs.Int("parallel", 1, "concurrent experiments (0 = one per core)")
+	csvDir := fs.String("csv", "", "directory to write per-table CSV files (optional)")
+	jsonPath := fs.String("json", "", "path to write the JSON artifact (optional, '-' = stdout, the text then goes to stderr)")
+	usage := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "experiments: "+format+"\n", args...)
+		return 2
+	}
+	if err := fs.Parse(argv); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			fs.SetOutput(stderr)
+			fmt.Fprintln(stderr, "Usage of experiments:")
+			fs.PrintDefaults()
+			return 0
+		}
+		return usage("%v", err)
+	}
+	if fs.NArg() > 0 {
+		return usage("unexpected arguments %v", fs.Args())
+	}
 
 	var scale experiments.Scale
 	switch strings.ToLower(*scaleFlag) {
@@ -55,8 +85,7 @@ func main() {
 	case "full":
 		scale = experiments.Full
 	default:
-		fmt.Fprintf(os.Stderr, "experiments: unknown scale %q (want quick or full)\n", *scaleFlag)
-		os.Exit(2)
+		return usage("unknown scale %q (want quick or full)", *scaleFlag)
 	}
 
 	var runners []experiments.Runner
@@ -66,8 +95,7 @@ func main() {
 		for _, id := range strings.Split(*runFlag, ",") {
 			r := experiments.ByID(strings.TrimSpace(id))
 			if r == nil {
-				fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q\n", id)
-				os.Exit(2)
+				return usage("unknown experiment %q", id)
 			}
 			runners = append(runners, *r)
 		}
@@ -81,13 +109,18 @@ func main() {
 		workers = len(runners)
 	}
 
-	fmt.Printf("Contention Resolution for Coded Radio Networks — reproduction harness\n")
-	fmt.Printf("scale=%s seed=%d experiments=%d parallel=%d\n\n", scale, *seed, len(runners), workers)
+	// With the artifact on stdout, the text report goes to stderr.
+	text := stdout
+	if *jsonPath == "-" {
+		text = stderr
+	}
+	fmt.Fprintf(text, "Contention Resolution for Coded Radio Networks — reproduction harness\n")
+	fmt.Fprintf(text, "scale=%s seed=%d experiments=%d parallel=%d\n\n", scale, *seed, len(runners), workers)
 	grandStart := time.Now()
 
 	// Experiments run concurrently on the engine's shared worker pool
 	// (sim.ForEach, the same fan-out the trial runner uses); each output
-	// streams to stdout in index order as soon as it and its
+	// streams to the text report in index order as soon as it and its
 	// predecessors are done, so a serial run keeps the old
 	// print-as-you-go behavior.  Experiments are internally deterministic
 	// given scale and seed, so concurrency never changes the simulated
@@ -107,8 +140,8 @@ func main() {
 
 	for i := range runners {
 		<-done[i]
-		fmt.Print(outputs[i].String())
-		fmt.Printf("[%s completed in %v]\n\n",
+		fmt.Fprint(text, outputs[i].String())
+		fmt.Fprintf(text, "[%s completed in %v]\n\n",
 			runners[i].ID, elapsed[i].Round(time.Millisecond))
 	}
 
@@ -117,8 +150,8 @@ func main() {
 			for i, t := range out.Tables {
 				name := fmt.Sprintf("%s-%d", out.ID, i+1)
 				if err := t.SaveCSV(*csvDir, name); err != nil {
-					fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-					os.Exit(1)
+					fmt.Fprintf(stderr, "experiments: %v\n", err)
+					return 1
 				}
 			}
 		}
@@ -127,14 +160,15 @@ func main() {
 		artifact := jsonRun{Scale: scale.String(), Seed: *seed, Experiments: outputs}
 		var err error
 		if *jsonPath == "-" {
-			err = report.WriteJSON(os.Stdout, artifact)
+			err = report.WriteJSON(stdout, artifact)
 		} else {
 			err = report.SaveJSON(*jsonPath, artifact)
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "experiments: %v\n", err)
+			return 1
 		}
 	}
-	fmt.Printf("all experiments completed in %v\n", time.Since(grandStart).Round(time.Millisecond))
+	fmt.Fprintf(text, "all experiments completed in %v\n", time.Since(grandStart).Round(time.Millisecond))
+	return 0
 }

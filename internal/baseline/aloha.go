@@ -41,26 +41,48 @@ var _ protocol.Protocol = (*SlottedAloha)(nil)
 // NewSlottedAloha returns slotted ALOHA with fixed transmission
 // probability p in (0, 1].
 func NewSlottedAloha(r *rng.Rand, p float64) *SlottedAloha {
-	if r == nil {
-		panic("baseline: nil rng")
-	}
-	if p <= 0 || p > 1 {
-		panic("baseline: ALOHA probability must be in (0,1]")
-	}
-	return &SlottedAloha{rand: r, p: p}
+	a := new(SlottedAloha)
+	a.ResetStatic(r, p)
+	return a
 }
 
 // NewGenieAloha returns backlog-aware ALOHA transmitting with probability
 // min(1, c/backlog) each slot.  c = 1 maximizes classical throughput at
 // 1/e.
 func NewGenieAloha(r *rng.Rand, c float64) *SlottedAloha {
-	if r == nil {
-		panic("baseline: nil rng")
+	a := new(SlottedAloha)
+	a.ResetGenie(r, c)
+	return a
+}
+
+// ResetStatic leaves a exactly as NewSlottedAloha(r, p) builds one, but
+// keeps its storage (the packet list, location pages and sampling
+// scratch).  NewSlottedAloha is ResetStatic on a zero SlottedAloha.
+func (a *SlottedAloha) ResetStatic(r *rng.Rand, p float64) {
+	if p <= 0 || p > 1 {
+		panic("baseline: ALOHA probability must be in (0,1]")
 	}
+	a.reset(r, p, 0)
+}
+
+// ResetGenie leaves a exactly as NewGenieAloha(r, c) builds one, but
+// keeps its storage, as ResetStatic does.
+func (a *SlottedAloha) ResetGenie(r *rng.Rand, c float64) {
 	if c <= 0 {
 		panic("baseline: genie numerator must be positive")
 	}
-	return &SlottedAloha{rand: r, c: c}
+	a.reset(r, 0, c)
+}
+
+func (a *SlottedAloha) reset(r *rng.Rand, p, c float64) {
+	if r == nil {
+		panic("baseline: nil rng")
+	}
+	a.rand, a.p, a.c = r, p, c
+	a.ids = a.ids[:0]
+	a.loc.Reset()
+	a.stats = AlohaStats{}
+	a.scratch = a.scratch[:0]
 }
 
 // Name implements protocol.Protocol.

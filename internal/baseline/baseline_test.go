@@ -10,6 +10,14 @@ import (
 	"repro/internal/rng"
 )
 
+// newPopulation returns an empty population with activation probability
+// p0, update factor f > 1, and probability ceiling pMax.
+func newPopulation(p0, factor, pMax float64) *population {
+	p := new(population)
+	p.reset(p0, factor, pMax)
+	return p
+}
+
 // runBatch drives a protocol on a channel with a batch of n packets until
 // done or the slot limit, returning completion time (-1 if unfinished)
 // and the delivered count.

@@ -118,11 +118,28 @@ func NewPolynomialBackoff(r *rng.Rand, exp float64) *Backoff {
 const windowTableLen = 64
 
 func newBackoff(r *rng.Rand, name string, windowFn func(int64) int64) *Backoff {
-	e := &Backoff{rand: r, name: name, windowFn: windowFn}
+	e := &Backoff{name: name, windowFn: windowFn}
 	for k := range e.windows {
 		e.windows[k] = windowFn(int64(k))
 	}
+	e.Reset(r)
 	return e
+}
+
+// Reset leaves e exactly as its constructor built it, window schedule
+// included, for a new run on stream r, but keeps its storage: the
+// transmission heap, the failure-count pages and the in-flight buffer.
+// Every constructor fixes the schedule and then calls Reset.
+func (e *Backoff) Reset(r *rng.Rand) {
+	if r == nil {
+		panic("baseline: nil rng")
+	}
+	e.rand = r
+	e.sched = e.sched[:0]
+	e.failures.Reset()
+	e.inFlight = e.inFlight[:0]
+	e.pending = 0
+	e.stats = BEBStats{}
 }
 
 // window returns the window after k failures.

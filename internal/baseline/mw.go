@@ -28,7 +28,7 @@ type MWStats struct {
 // exactly, because every good slot fires an immediate size-1 event.
 type MultiplicativeWeights struct {
 	rand  *rng.Rand
-	pop   *population
+	pop   population
 	stats MWStats
 }
 
@@ -53,13 +53,22 @@ func DefaultMWConfig() MWConfig {
 // NewMultiplicativeWeights returns the protocol with the given
 // parameters.
 func NewMultiplicativeWeights(r *rng.Rand, cfg MWConfig) *MultiplicativeWeights {
+	m := new(MultiplicativeWeights)
+	m.Reset(r, cfg)
+	return m
+}
+
+// Reset leaves m exactly as NewMultiplicativeWeights(r, cfg) builds
+// one, but keeps the population's storage: its location pages, bucket
+// structs and member lists.  NewMultiplicativeWeights is Reset on a
+// zero MultiplicativeWeights.
+func (m *MultiplicativeWeights) Reset(r *rng.Rand, cfg MWConfig) {
 	if r == nil {
 		panic("baseline: nil rng")
 	}
-	return &MultiplicativeWeights{
-		rand: r,
-		pop:  newPopulation(cfg.P0, 1+cfg.Epsilon, cfg.PMax),
-	}
+	m.rand = r
+	m.pop.reset(cfg.P0, 1+cfg.Epsilon, cfg.PMax)
+	m.stats = MWStats{}
 }
 
 // Name implements protocol.Protocol.

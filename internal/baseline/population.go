@@ -78,9 +78,12 @@ type popLoc struct {
 	idx int32
 }
 
-// newPopulation returns an empty population with activation probability
-// p0, update factor f > 1, and probability ceiling pMax.
-func newPopulation(p0, factor, pMax float64) *population {
+// reset empties p and sets its activation probability p0, update
+// factor f > 1, and probability ceiling pMax.  A zero population is
+// ready after it; a used one keeps its storage: emptied buckets (member
+// lists included) wait for reuse on the free list, and the location
+// pages and probability tables are refilled in place.
+func (p *population) reset(p0, factor, pMax float64) {
 	if p0 <= 0 || p0 > 1 {
 		panic("baseline: p0 must be in (0,1]")
 	}
@@ -90,11 +93,15 @@ func newPopulation(p0, factor, pMax float64) *population {
 	if pMax <= 0 || pMax > 1 {
 		panic("baseline: pMax must be in (0,1]")
 	}
-	p := &population{
-		p0:     p0,
-		factor: factor,
-		pMax:   pMax,
+	for _, b := range p.buckets {
+		b.ids = b.ids[:0]
+		p.free = append(p.free, b)
 	}
+	clear(p.buckets)
+	p.buckets = p.buckets[:0]
+	p.loc.Reset()
+	p.shift, p.size = 0, 0
+	p.p0, p.factor, p.pMax = p0, factor, pMax
 	p.eCap = int(math.Ceil(math.Log(pMax/p0) / math.Log(factor)))
 	if p.eCap < 0 {
 		p.eCap = 0
@@ -103,12 +110,12 @@ func newPopulation(p0, factor, pMax float64) *population {
 	if p.eFloor > 0 {
 		p.eFloor = 0
 	}
+	p.probs, p.logq = p.probs[:0], p.logq[:0]
 	for e := p.eFloor; e <= p.eCap; e++ {
 		v := p.rawProb(e)
 		p.probs = append(p.probs, v)
 		p.logq = append(p.logq, math.Log1p(-v))
 	}
-	return p
 }
 
 // rawProb evaluates the probability at effective exponent e.

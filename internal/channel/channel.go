@@ -137,7 +137,7 @@ type occRef struct {
 
 // Channel is the base station side of the Coded Radio Network Model.
 // It classifies slots and detects decoding events per Definition 1.
-// The zero value is not usable; call New.
+// The zero value is not usable; call New (or ResetTo).
 type Channel struct {
 	kappa     int
 	maxWindow int // 0 = unbounded
@@ -188,13 +188,9 @@ type Channel struct {
 // maxWindow = 0 means unbounded.  The paper notes windows of length O(κ)
 // suffice for the Decodable Backoff Algorithm; the harness default is 4κ.
 func New(kappa, maxWindow int) *Channel {
-	if kappa < 1 {
-		panic("channel: kappa must be at least 1")
-	}
-	if maxWindow < 0 {
-		panic("channel: negative maxWindow")
-	}
-	return &Channel{kappa: kappa, maxWindow: maxWindow}
+	c := new(Channel)
+	c.ResetTo(kappa, maxWindow)
+	return c
 }
 
 // Kappa returns the decoding threshold.
@@ -528,11 +524,21 @@ func (c *Channel) reset() {
 	c.occ.Zero()
 }
 
-// Reset returns the channel to its initial state: the detector forgets
-// all pending broadcast information and every counter is zeroed, as if
-// freshly constructed with the same kappa and maxWindow.  It lets one
-// channel be reused across runs without reallocation.
-func (c *Channel) Reset() {
+// ResetTo returns the channel to its initial state for decoding
+// threshold kappa and window cap maxWindow: the detector forgets all
+// pending broadcast information and every counter is zeroed, exactly as
+// New(kappa, maxWindow) builds a channel, but the storage stays — the
+// last-occurrence pages, member lists, entry and occupancy buffers and
+// scratch slices — so one channel serves run after run, at any κ,
+// without reallocating.  New is ResetTo on a zero Channel.
+func (c *Channel) ResetTo(kappa, maxWindow int) {
+	if kappa < 1 {
+		panic("channel: kappa must be at least 1")
+	}
+	if maxWindow < 0 {
+		panic("channel: negative maxWindow")
+	}
+	c.kappa, c.maxWindow = kappa, maxWindow
 	c.reset()
 	c.lastOcc.Reset()
 	c.stats = Stats{}

@@ -174,18 +174,41 @@ var _ protocol.Coaster = (*DecodableBackoff)(nil)
 // New returns a Decodable Backoff instance for decoding threshold kappa
 // (the paper requires κ ≥ 6) using the given random stream.
 func New(kappa int, r *rng.Rand, opts ...Option) *DecodableBackoff {
+	d := new(DecodableBackoff)
+	d.Reset(kappa, r, opts...)
+	return d
+}
+
+// Reset leaves d exactly as New(kappa, r, opts...) builds one, options
+// included, but keeps its storage: the packet-location pages, the
+// bucket structs and the inactive, joiner and scratch buffers.  New is
+// Reset on a zero DecodableBackoff.
+func (d *DecodableBackoff) Reset(kappa int, r *rng.Rand, opts ...Option) {
 	if kappa < 6 {
 		panic("core: kappa must be at least 6 (required by the analysis)")
 	}
 	if r == nil {
 		panic("core: nil rng")
 	}
-	d := &DecodableBackoff{
+	for _, b := range d.buckets {
+		d.recycleBucket(b)
+	}
+	clear(d.buckets)
+	d.loc.Reset()
+	*d = DecodableBackoff{
 		kappa:     kappa,
 		factor:    math.Pow(float64(kappa), 0.25),
 		p0:        1 / math.Sqrt(float64(kappa)),
 		admission: true,
 		rand:      r,
+
+		buckets:     d.buckets[:0],
+		freeBuckets: d.freeBuckets,
+		overScratch: d.overScratch[:0],
+		inactive:    d.inactive[:0],
+		joiners:     d.joiners[:0],
+		loc:         d.loc,
+		txScratch:   d.txScratch[:0],
 	}
 	for _, opt := range opts {
 		opt(d)
@@ -195,7 +218,6 @@ func New(kappa int, r *rng.Rand, opts ...Option) *DecodableBackoff {
 	if d.eCap < 0 {
 		d.eCap = 0
 	}
-	return d
 }
 
 // Name implements protocol.Protocol.

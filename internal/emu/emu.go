@@ -138,13 +138,29 @@ type Config struct {
 	SlotTimeout time.Duration
 }
 
+// Check reports the first rule the configuration breaks — a station
+// count below 1, or anything the scenario builder refuses — or nil if
+// SimReference, Run and Coordinate would start the run.  A caller can
+// thereby tell a refused configuration from a run that failed.
+func (c Config) Check() error {
+	if c.Stations < 1 {
+		return fmt.Errorf("emu: Stations must be at least 1 (got %d)", c.Stations)
+	}
+	return c.desc().Check()
+}
+
 // build validates the configuration and builds one run through the
 // scenario builder.  Media, adversaries and protocols are stateful, so
 // every call builds fresh ones — call once per run.
 func (c Config) build() (scenario.Built, error) {
-	if c.Stations < 1 {
-		return scenario.Built{}, fmt.Errorf("emu: Stations must be at least 1 (got %d)", c.Stations)
+	if err := c.Check(); err != nil {
+		return scenario.Built{}, err
 	}
+	return c.desc().Build(c.Seed, c.Seed^protoSeedSalt, nil)
+}
+
+// desc is the configuration's scenario.
+func (c Config) desc() scenario.Desc {
 	return scenario.Desc{
 		Model:          c.Medium,
 		Protocol:       c.Protocol,
@@ -161,7 +177,7 @@ func (c Config) build() (scenario.Built, error) {
 		DrainLimit:     c.DrainLimit,
 		LatencySamples: c.LatencySamples,
 		SeriesCap:      c.SeriesCap,
-	}.Build(c.Seed, c.Seed^protoSeedSalt, nil)
+	}
 }
 
 // wireConfig is the JSON blob the coordinator sends each station in
@@ -206,7 +222,7 @@ func SimReference(cfg Config) (*sim.Result, error) {
 // goroutines over in-proc pipes (Transport "inproc", the default) or
 // loopback UDP ("udp"), coordinated in this process.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
-	if _, err := cfg.build(); err != nil {
+	if err := cfg.Check(); err != nil {
 		return nil, err
 	}
 	stationTimeout := cfg.SlotTimeout

@@ -41,10 +41,22 @@ var (
 // NewCapture returns a capture channel decoding up to kappa
 // simultaneous transmissions per slot.
 func NewCapture(kappa int) *Capture {
+	c := new(Capture)
+	c.ResetTo(kappa)
+	return c
+}
+
+// ResetTo leaves the medium exactly as NewCapture(kappa) builds one
+// while keeping its event storage and duplicate-check scratch.
+// NewCapture is ResetTo on a zero Capture.
+func (c *Capture) ResetTo(kappa int) {
 	if kappa < 1 {
 		panic("medium: capture kappa must be at least 1")
 	}
-	return &Capture{kappa: kappa}
+	c.kappa = kappa
+	c.stats = channel.Stats{}
+	c.last = channel.Feedback{}
+	c.lastBad = false
 }
 
 // Name implements Medium.
@@ -127,9 +139,5 @@ func (c *Capture) AddSilent(n int64) {
 // Stats implements Medium.
 func (c *Capture) Stats() channel.Stats { return c.stats }
 
-// Reset implements Medium.
-func (c *Capture) Reset() {
-	c.stats = channel.Stats{}
-	c.last = channel.Feedback{}
-	c.lastBad = false
-}
+// Reset implements Medium: ResetTo with the medium's own κ.
+func (c *Capture) Reset() { c.ResetTo(c.kappa) }

@@ -96,10 +96,22 @@ var (
 // NewClassical returns a classical collision channel with the given
 // collision-detection feedback mode.
 func NewClassical(cd CD) *Classical {
+	c := new(Classical)
+	c.ResetTo(cd)
+	return c
+}
+
+// ResetTo leaves the medium exactly as NewClassical(cd) builds one while
+// keeping its duplicate-check scratch.  NewClassical is ResetTo on a
+// zero Classical.
+func (c *Classical) ResetTo(cd CD) {
 	if cd > CDTernary {
 		panic("medium: invalid collision-detection mode")
 	}
-	return &Classical{cd: cd}
+	c.cd = cd
+	c.stats = channel.Stats{}
+	c.last = channel.Feedback{}
+	c.lastBad = false
 }
 
 // Name implements Medium.
@@ -188,9 +200,5 @@ func (c *Classical) AddSilent(n int64) {
 // Stats implements Medium.
 func (c *Classical) Stats() channel.Stats { return c.stats }
 
-// Reset implements Medium.
-func (c *Classical) Reset() {
-	c.stats = channel.Stats{}
-	c.last = channel.Feedback{}
-	c.lastBad = false
-}
+// Reset implements Medium: ResetTo with the medium's own feedback mode.
+func (c *Classical) Reset() { c.ResetTo(c.cd) }

@@ -8,7 +8,7 @@ import "repro/internal/channel"
 // silence and decoding events; they cannot tell good slots from bad
 // ones, so Feedback never sets Collision.
 type Coded struct {
-	ch   *channel.Channel
+	ch   channel.Channel
 	last channel.Feedback
 }
 
@@ -22,11 +22,21 @@ var (
 // decoding-window length cap maxWindow (0 = unbounded), mirroring
 // channel.New.
 func NewCoded(kappa, maxWindow int) *Coded {
-	return &Coded{ch: channel.New(kappa, maxWindow)}
+	c := new(Coded)
+	c.ResetTo(kappa, maxWindow)
+	return c
+}
+
+// ResetTo leaves the medium exactly as NewCoded(kappa, maxWindow)
+// builds one while keeping the detector's storage (channel.ResetTo), so
+// a medium recycled from run to run may change κ without reallocating.
+func (c *Coded) ResetTo(kappa, maxWindow int) {
+	c.ch.ResetTo(kappa, maxWindow)
+	c.last = channel.Feedback{}
 }
 
 // Channel exposes the underlying detector for tests and diagnostics.
-func (c *Coded) Channel() *channel.Channel { return c.ch }
+func (c *Coded) Channel() *channel.Channel { return &c.ch }
 
 // Name implements Medium.
 func (c *Coded) Name() string { return "coded" }
@@ -67,8 +77,6 @@ func (c *Coded) AddSilent(n int64) { c.ch.AddSilent(n) }
 // Stats implements Medium.
 func (c *Coded) Stats() channel.Stats { return c.ch.Stats() }
 
-// Reset implements Medium.
-func (c *Coded) Reset() {
-	c.ch.Reset()
-	c.last = channel.Feedback{}
-}
+// Reset implements Medium: ResetTo with the medium's own κ and window
+// cap.
+func (c *Coded) Reset() { c.ResetTo(c.ch.Kappa(), c.ch.MaxWindow()) }

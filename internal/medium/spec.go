@@ -117,6 +117,15 @@ func (s Spec) String() string {
 // at zero; an embedded value always wins.  Classical media ignore both
 // (κ = 1 semantics, no decoding windows).
 func (s Spec) Build(kappa, maxWindow int) (Medium, error) {
+	return s.Rebuild(nil, kappa, maxWindow)
+}
+
+// Rebuild is Build that re-initialises reuse in place, keeping its
+// storage, when reuse is a medium of the model the spec describes (at
+// any κ, window cap or feedback mode), and allocates otherwise.  reuse
+// must be nil or a medium no run is using any more; whatever Rebuild
+// returns is exactly what Build would have built.
+func (s Spec) Rebuild(reuse Medium, kappa, maxWindow int) (Medium, error) {
 	switch s.Model {
 	case "coded":
 		k, w := s.Kappa, s.MaxWindow
@@ -132,10 +141,18 @@ func (s Spec) Build(kappa, maxWindow int) (Medium, error) {
 		if w < 0 {
 			return nil, fmt.Errorf("medium: coded channel needs window cap ≥ 0 (got %d)", w)
 		}
+		if c, ok := reuse.(*Coded); ok {
+			c.ResetTo(k, w)
+			return c, nil
+		}
 		return NewCoded(k, w), nil
 	case "classical":
 		if s.CD > CDTernary {
 			return nil, fmt.Errorf("medium: invalid collision-detection mode %d", s.CD)
+		}
+		if c, ok := reuse.(*Classical); ok {
+			c.ResetTo(s.CD)
+			return c, nil
 		}
 		return NewClassical(s.CD), nil
 	case "capture":
@@ -145,6 +162,10 @@ func (s Spec) Build(kappa, maxWindow int) (Medium, error) {
 		}
 		if k < 1 {
 			return nil, fmt.Errorf("medium: capture channel needs kappa ≥ 1 (got %d)", k)
+		}
+		if c, ok := reuse.(*Capture); ok {
+			c.ResetTo(k)
+			return c, nil
 		}
 		return NewCapture(k), nil
 	}

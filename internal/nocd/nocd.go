@@ -145,11 +145,24 @@ func NewRobust(r *rng.Rand) *Scheme {
 }
 
 func newScheme(r *rng.Rand, name string, sched schedule) *Scheme {
+	s := &Scheme{name: name, sched: sched}
+	s.Reset(r)
+	return s
+}
+
+// Reset leaves s exactly as its constructor built it, schedule kind
+// included, for a new run on stream r, but keeps its storage: the
+// packet list, location pages and scratch buffers.  Both constructors
+// fix the schedule kind and then call Reset.
+func (s *Scheme) Reset(r *rng.Rand) {
 	if r == nil {
 		panic("nocd: nil rng")
 	}
-	sched.reset()
-	return &Scheme{rand: r, name: name, sched: sched}
+	s.rand = r
+	s.sched.reset()
+	s.ids = s.ids[:0]
+	s.loc.Reset()
+	s.stats = Stats{}
 }
 
 // Name implements protocol.Protocol.

@@ -41,9 +41,13 @@ type Info struct {
 	// MinKappa is the smallest decoding threshold the protocol is
 	// defined for (0: any).  Decodable Backoff's analysis needs κ ≥ 6.
 	MinKappa int
-	// Build constructs a fresh instance (protocols are stateful; one per
-	// trial).
-	Build func(p Params) Protocol
+	// Build returns an instance for p.  Protocols are stateful, so every
+	// run needs its own: with a nil reuse Build constructs one, and
+	// given reuse — an instance this entry built whose run has returned
+	// — it may instead re-initialise reuse in place, keeping its buffers,
+	// and return it.  Either way the instance behaves exactly as a fresh
+	// one built for p.
+	Build func(p Params, reuse Protocol) Protocol
 }
 
 // canonicalNames fixes the registry's axis order.  The order is part of
@@ -104,12 +108,17 @@ func Lookup(name string) (Info, bool) {
 
 // Build constructs a fresh instance of the named protocol, panicking on
 // unknown names (callers validate names against Names() first).
-func Build(name string, p Params) Protocol {
+func Build(name string, p Params) Protocol { return Rebuild(name, p, nil) }
+
+// Rebuild is Build that may re-initialise reuse in place (see
+// Info.Build): reuse must be nil or an instance built under the same
+// name whose run has returned.
+func Rebuild(name string, p Params, reuse Protocol) Protocol {
 	info, ok := registry[name]
 	if !ok {
 		panic(fmt.Sprintf("protocol: unknown protocol %q", name))
 	}
-	return info.Build(p)
+	return info.Build(p, reuse)
 }
 
 func contains(set []string, s string) bool {

@@ -1,10 +1,14 @@
 package protocol_test
 
 import (
+	"reflect"
 	"testing"
 
+	"repro/internal/arrival"
+	"repro/internal/medium"
 	"repro/internal/protocol"
 	"repro/internal/rng"
+	"repro/internal/sim"
 
 	_ "repro/internal/baseline" // register beb, aloha, genie, mw
 	_ "repro/internal/core"     // register dba
@@ -89,11 +93,56 @@ func TestRegistryBuild(t *testing.T) {
 	}
 }
 
+// TestRebuildMatchesFreshBuild resets a used instance of every
+// registered protocol — one left mid-run, with packets pending — to
+// other inputs (another seed, κ 12 for 8, ALOHA p 0.2 for 0.05, an
+// epoch observer where it had none) and requires the instance itself
+// back, running exactly as a fresh build for those inputs: the same
+// Result, and the same epochs reported.
+func TestRebuildMatchesFreshBuild(t *testing.T) {
+	// The first run stops 40 slots into a 400-packet batch topped up
+	// every slot, so a dba instance is cut with packets in every stage;
+	// the second drains a Bernoulli load.
+	run := func(info protocol.Info, kappa int, proto protocol.Protocol) *sim.Result {
+		cfg := sim.Config{Kappa: kappa, Horizon: 40, Seed: uint64(kappa), LatencySamples: 64}
+		var arr arrival.Process = &arrival.Merge{A: &arrival.Batch{N: 400}, B: &arrival.Bernoulli{Rate: 0.9}}
+		if kappa == 12 {
+			cfg.Horizon, cfg.Drain, arr = 600, true, &arrival.Bernoulli{Rate: 0.4}
+		}
+		if info.NoCDOnly {
+			cfg.Medium = medium.NewClassical(medium.CDNone)
+		}
+		return sim.Run(cfg, proto, arr)
+	}
+	for _, info := range protocol.Registered() {
+		used := protocol.Build(info.Name, protocol.Params{Kappa: 8, Rand: rng.New(1), AlohaP: 0.05})
+		if res := run(info, 8, used); res.Pending == 0 {
+			t.Errorf("%s: the first run left nothing pending", info.Name)
+		}
+		var fresh, reset []protocol.EpochInfo
+		params := func(epochs *[]protocol.EpochInfo) protocol.Params {
+			return protocol.Params{Kappa: 12, Rand: rng.New(2), AlohaP: 0.2,
+				EpochObserver: protocol.EpochObserverFunc(func(e protocol.EpochInfo) { *epochs = append(*epochs, e) })}
+		}
+		want := run(info, 12, protocol.Build(info.Name, params(&fresh)))
+		again := protocol.Rebuild(info.Name, params(&reset), used)
+		if again != used {
+			t.Errorf("%s: Rebuild built a new instance instead of resetting the used one", info.Name)
+		}
+		if got := run(info, 12, again); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the reset instance ran\n%v\nwhere a fresh build ran\n%v", info.Name, got, want)
+		}
+		if !reflect.DeepEqual(reset, fresh) {
+			t.Errorf("%s: the reset instance reported %d epochs, a fresh build %d", info.Name, len(reset), len(fresh))
+		}
+	}
+}
+
 // TestRegisterRejects covers the registration guards.  Accepted
 // registrations cannot be undone, so only the panicking paths are
 // exercised; "dba" doubles as the duplicate case.
 func TestRegisterRejects(t *testing.T) {
-	build := func(protocol.Params) protocol.Protocol { return nil }
+	build := func(protocol.Params, protocol.Protocol) protocol.Protocol { return nil }
 	for name, info := range map[string]protocol.Info{
 		"empty name":    {Build: build},
 		"nil build":     {Name: "beb"},

@@ -4,8 +4,9 @@
 // engine benchmark (internal/perf).  A Desc names the channel model,
 // protocol, arrival process, jammer and adversary and carries the
 // numbers that size the run; Check holds every validation and pairing
-// rule; Build returns the engine configuration, the protocol (built
-// through the registry) and the arrival process.
+// rule; Build returns the engine configuration, the medium and protocol
+// (built through the model descriptor and the registry) and the arrival
+// process; a Slot runs such builds one after another on recycled state.
 //
 // Pairing rules say which protocol, model and noise sources may share a
 // run: the registry's CodedOnly and NoCDOnly flags, at most one noise
@@ -106,6 +107,7 @@ type Desc struct {
 // emulation replica is built from.  Config.Kappa is the effective
 // decoding threshold the protocol was built for: a descriptor's
 // embedded κ wins over Desc.Kappa, and the classical models decode 1.
+// Config.Medium is always set, a bare "coded" included.
 type Built struct {
 	Config  sim.Config
 	Proto   protocol.Protocol
@@ -215,8 +217,17 @@ func masksSilence(ms medium.Spec, kappa int) bool {
 // the engine (arrivals, jamming, the latency reservoir) and protoSeed
 // the protocol's own stream; obs, if non-nil, receives the protocol's
 // epochs.  Media, adversaries, protocols and arrival processes are
-// stateful, so every call builds fresh ones.
+// stateful, so every call builds fresh ones; Slot.Run builds the same
+// run on what its previous trial left.
 func (d Desc) Build(engineSeed, protoSeed uint64, obs protocol.EpochObserver) (Built, error) {
+	return d.build(engineSeed, protoSeed, obs, nil, nil)
+}
+
+// build is Build that hands reuseProto (nil, or an instance of
+// d.Protocol whose run has returned) and reuseMedium (nil, or a medium
+// no run uses any more) to the protocol registry and the model
+// descriptor, which re-initialise what they can in place.
+func (d Desc) build(engineSeed, protoSeed uint64, obs protocol.EpochObserver, reuseProto protocol.Protocol, reuseMedium medium.Medium) (Built, error) {
 	c, err := d.check()
 	if err != nil {
 		return Built{}, err
@@ -237,18 +248,60 @@ func (d Desc) Build(engineSeed, protoSeed uint64, obs protocol.EpochObserver) (B
 		Jammer:         c.jammer,
 		Adversary:      c.adv,
 	}
-	// A bare "coded" leaves Medium nil, so the engine builds the coded
-	// channel with its default window cap (4κ); any other descriptor
-	// builds its own medium.
-	if c.model != (medium.Spec{Model: "coded"}) {
-		if cfg.Medium, err = c.model.Build(c.kappa, d.MaxWindow); err != nil {
-			return Built{}, err
-		}
+	// A bare "coded" takes the engine's default window cap (4κ); a
+	// descriptor that embeds κ reads MaxWindow 0 as no cap.
+	window := d.MaxWindow
+	if c.model == (medium.Spec{Model: "coded"}) {
+		window = cfg.Window()
 	}
-	proto := protocol.Build(d.Protocol, protocol.Params{
+	if cfg.Medium, err = c.model.Rebuild(reuseMedium, c.kappa, window); err != nil {
+		return Built{}, err
+	}
+	proto := protocol.Rebuild(d.Protocol, protocol.Params{
 		Kappa: c.kappa, Rand: rng.New(protoSeed), AlohaP: alohaP, EpochObserver: obs,
-	})
+	}, reuseProto)
 	return Built{Config: cfg, Proto: proto, Arrival: d.arrival(), AlohaP: alohaP}, nil
+}
+
+// Slot runs trials one after another, each on what the one before it
+// left: the engine buffers of its sim.Runner, and the previous trial's
+// protocol and medium, which the registry and the model descriptor
+// re-initialise in place (protocol.Info.Build, medium.Spec.Rebuild)
+// when the next trial names the same protocol and the same channel
+// model — at any κ, window cap or feedback mode — instead of building
+// fresh ones.  What the next trial does not name is dropped, so a Slot
+// holds at most one trial's state, and it takes back only what a trial
+// that returned ran on: a trial that panics leaves the Slot holding
+// nothing.  A Slot's Run
+// returns exactly the Result a fresh build run by sim.Run gives, save
+// that its LatencySample is the Runner's, valid until the Slot's next
+// Run.  The zero value is ready to use; a Slot is not safe for
+// concurrent use.
+type Slot struct {
+	runner sim.Runner
+	// name, proto and medium are what the last trial ran on, once it
+	// returned: its protocol, registered as name, and its medium.
+	name   string
+	proto  protocol.Protocol
+	medium medium.Medium
+}
+
+// Run builds the trial d describes from engineSeed, protoSeed and obs,
+// as Desc.Build does, on the Slot's recycled state, and runs it.
+func (s *Slot) Run(d Desc, engineSeed, protoSeed uint64, obs protocol.EpochObserver) (*sim.Result, error) {
+	var reuse protocol.Protocol
+	if s.name == d.Protocol {
+		reuse = s.proto
+	}
+	med := s.medium
+	s.name, s.proto, s.medium = "", nil, nil
+	b, err := d.build(engineSeed, protoSeed, obs, reuse, med)
+	if err != nil {
+		return nil, err
+	}
+	res := s.runner.Run(b.Config, b.Proto, b.Arrival)
+	s.name, s.proto, s.medium = d.Protocol, b.Proto, b.Config.Medium
+	return res, nil
 }
 
 // arrival builds the arrival process, mapping Rate onto each kind's own

@@ -3,9 +3,13 @@ package scenario
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/adversary"
+	"repro/internal/arena"
+	"repro/internal/medium"
+	"repro/internal/protocol"
 	"repro/internal/sim"
 )
 
@@ -95,21 +99,23 @@ func TestCheckRules(t *testing.T) {
 // and the κ a run is built at.
 func TestBuildDefaults(t *testing.T) {
 	for _, tc := range []struct {
-		name      string
-		edit      func(*Desc)
-		arrival   string
-		kappa     int
-		alohaP    float64
-		hasMedium bool
+		name    string
+		edit    func(*Desc)
+		arrival string
+		kappa   int
+		alohaP  float64
+		window  int // the coded channel's window cap; -1 for other models
 	}{
-		{"batch of rate×horizon", func(d *Desc) { d.BatchN = 0 }, "batch(50@0)", 8, defaultAlohaP, false},
-		{"batch of at least 1", func(d *Desc) { d.BatchN, d.Rate = 0, 0.001 }, "batch(1@0)", 8, defaultAlohaP, false},
-		{"empty arrival is batch", func(d *Desc) { d.Arrival = "" }, "batch(20@0)", 8, defaultAlohaP, false},
-		{"burst window default", func(d *Desc) { d.Arrival = "burst" }, "burst(8192/16384)", 8, defaultAlohaP, false},
-		{"burst of at least 1", func(d *Desc) { d.Arrival, d.Rate, d.BurstWindow = "burst", 0.001, 64 }, "burst(1/64)", 8, defaultAlohaP, false},
-		{"ALOHA p given", func(d *Desc) { d.Protocol, d.AlohaP = "aloha", 0.25 }, "batch(20@0)", 8, 0.25, false},
-		{"classical decodes 1", func(d *Desc) { d.Model = "classical:binary" }, "batch(20@0)", 1, defaultAlohaP, true},
-		{"embedded κ wins", func(d *Desc) { d.Model = "capture:4" }, "batch(20@0)", 4, defaultAlohaP, true},
+		{"batch of rate×horizon", func(d *Desc) { d.BatchN = 0 }, "batch(50@0)", 8, defaultAlohaP, 32},
+		{"batch of at least 1", func(d *Desc) { d.BatchN, d.Rate = 0, 0.001 }, "batch(1@0)", 8, defaultAlohaP, 32},
+		{"empty arrival is batch", func(d *Desc) { d.Arrival = "" }, "batch(20@0)", 8, defaultAlohaP, 32},
+		{"burst window default", func(d *Desc) { d.Arrival = "burst" }, "burst(8192/16384)", 8, defaultAlohaP, 32},
+		{"burst of at least 1", func(d *Desc) { d.Arrival, d.Rate, d.BurstWindow = "burst", 0.001, 64 }, "burst(1/64)", 8, defaultAlohaP, 32},
+		{"ALOHA p given", func(d *Desc) { d.Protocol, d.AlohaP = "aloha", 0.25 }, "batch(20@0)", 8, 0.25, 32},
+		{"window cap given", func(d *Desc) { d.MaxWindow = 12 }, "batch(20@0)", 8, defaultAlohaP, 12},
+		{"embedded κ uncaps", func(d *Desc) { d.Model = "coded:6" }, "batch(20@0)", 6, defaultAlohaP, 0},
+		{"classical decodes 1", func(d *Desc) { d.Model = "classical:binary" }, "batch(20@0)", 1, defaultAlohaP, -1},
+		{"embedded κ wins", func(d *Desc) { d.Model = "capture:4" }, "batch(20@0)", 4, defaultAlohaP, -1},
 	} {
 		d := base()
 		tc.edit(&d)
@@ -123,9 +129,14 @@ func TestBuildDefaults(t *testing.T) {
 		if b.Config.Kappa != tc.kappa || b.AlohaP != tc.alohaP {
 			t.Errorf("%s: κ %d, ALOHA p %g; want κ %d, p %g", tc.name, b.Config.Kappa, b.AlohaP, tc.kappa, tc.alohaP)
 		}
-		// A bare "coded" leaves the engine its default window cap.
-		if (b.Config.Medium != nil) != tc.hasMedium {
-			t.Errorf("%s: medium %v", tc.name, b.Config.Medium)
+		// A bare "coded" takes the engine's default window cap, 4κ.
+		window := -1
+		if c, ok := b.Config.Medium.(*medium.Coded); ok {
+			window = c.Channel().MaxWindow()
+		}
+		if window != tc.window || b.Config.Medium.Kappa() != tc.kappa {
+			t.Errorf("%s: medium %s κ=%d with window cap %d; want κ %d, window cap %d",
+				tc.name, b.Config.Medium.Name(), b.Config.Medium.Kappa(), window, tc.kappa, tc.window)
 		}
 	}
 }
@@ -188,4 +199,91 @@ func mustParse(t *testing.T, desc string) adversary.Adversary {
 		t.Fatalf("Check accepted adversary %q that does not parse: %v", desc, err)
 	}
 	return a
+}
+
+// TestWarmSlotAllocatesNoProtocolBuffers pins what a Slot recycles of
+// the protocol.  On a 4096-packet batch, a trial run on a warmed Slot
+// must allocate fewer objects than the same trial run with a freshly
+// built protocol, on a warmed Runner and a recycled medium, by at least
+// the location pages the protocol's arena maps, and, for beb, mw and
+// genie, by the append steps that grow its transmission heap,
+// activation bucket or packet list to the whole batch (dba grows its
+// inactive list and activation bucket once each).
+func TestWarmSlotAllocatesNoProtocolBuffers(t *testing.T) {
+	appendSteps := func(n int) (steps int) {
+		var s []int64
+		for i := 0; i < n; i++ {
+			if len(s) == cap(s) {
+				steps++
+			}
+			s = append(s, 0)
+		}
+		return steps
+	}
+	for _, proto := range []string{"beb", "mw", "genie", "dba"} {
+		t.Run(proto, func(t *testing.T) {
+			d := Desc{Protocol: proto, Kappa: 8, BatchN: 4096, Horizon: 1, Drain: true,
+				LatencySamples: sim.LatencySamplesOff, SeriesCap: sim.SeriesOff}
+			var r sim.Runner
+			var m medium.Medium
+			var res *sim.Result
+			fresh := testing.AllocsPerRun(3, func() {
+				b, err := d.build(1, 2, nil, nil, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res = r.Run(b.Config, b.Proto, b.Arrival)
+				m = b.Config.Medium
+			})
+			var s Slot
+			warm := testing.AllocsPerRun(3, func() { s.Run(d, 1, 2, nil) }) // its warm-up call warms s
+			want := res.PeakInFlight / arena.PageSize
+			if proto == "dba" {
+				want += 2
+			} else {
+				want += appendSteps(res.PeakInFlight)
+			}
+			if saved := fresh - warm; saved < float64(want) {
+				t.Fatalf("a warmed Slot allocates %v objects per trial, a fresh protocol on warmed engine buffers and medium %v: saved %v, want >= %d",
+					warm, fresh, saved, want)
+			}
+		})
+	}
+}
+
+// TestSlotKeepsOnlyReturnedTrials: a trial that panics mid-run leaves
+// its Slot holding neither its protocol nor its medium, and the Slot's
+// next trial runs exactly as a fresh build.
+func TestSlotKeepsOnlyReturnedTrials(t *testing.T) {
+	d := Desc{Protocol: "dba", Kappa: 8, BatchN: 200, Horizon: 1, Drain: true}
+	var s Slot
+	if _, err := s.Run(d, 1, 2, nil); err != nil {
+		t.Fatal(err)
+	}
+	if s.proto == nil || s.medium == nil {
+		t.Fatal("a returned trial's protocol and medium were not kept")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the observer's panic did not end the trial")
+			}
+		}()
+		s.Run(d, 3, 4, protocol.EpochObserverFunc(func(protocol.EpochInfo) { panic("observer") }))
+	}()
+	if s.proto != nil || s.medium != nil {
+		t.Fatal("the Slot kept what a panicking trial ran on")
+	}
+	b, err := d.Build(5, 6, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sim.Run(b.Config, b.Proto, b.Arrival)
+	got, err := s.Run(d, 5, 6, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("after a panicking trial the Slot ran\n%v\nwhere a fresh build ran\n%v", got, want)
+	}
 }

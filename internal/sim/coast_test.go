@@ -74,7 +74,7 @@ func TestCoastMatchesFullStep(t *testing.T) {
 			t.Parallel()
 			fast := sc.run(sc.cfg)
 			plainCfg := sc.cfg
-			plainCfg.Medium = &plainMedium{inner: medium.NewCoded(sc.cfg.Kappa, plainCfg.maxWindow())}
+			plainCfg.Medium = &plainMedium{inner: medium.NewCoded(sc.cfg.Kappa, plainCfg.Window())}
 			plain := sc.run(plainCfg)
 			if resultDigest(fast) != resultDigest(plain) {
 				t.Errorf("coast path diverged from full-step reference\nfast:  %v\nplain: %v", fast, plain)

@@ -1,21 +1,16 @@
-package sim
+package sim_test
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 	"testing"
 
-	"repro/internal/adversary"
-	"repro/internal/arrival"
-	"repro/internal/jam"
-	"repro/internal/medium"
 	"repro/internal/protocol"
-	"repro/internal/rng"
+	"repro/internal/scenario"
+	"repro/internal/sim"
 )
 
 var update = flag.Bool("update", false, "rewrite "+digestTable+" from the current code")
@@ -23,74 +18,55 @@ var update = flag.Bool("update", false, "rewrite "+digestTable+" from the curren
 // digestTable pins the full Result of every digestCells run.
 const digestTable = "testdata/result_digests.txt"
 
-// resultDigest is the SHA-256 of a Result's JSON together with the
-// latency state encoding/json cannot see (the Summary moments and the
-// reservoir sample), so equal digests mean equal Results.
-func resultDigest(r *Result) string {
-	var sample []float64
-	if r.LatencySample != nil {
-		sample = r.LatencySample.Values()
-	}
-	b, err := json.Marshal(struct {
-		Result                          *Result
-		LatN                            int64
-		LatMean, LatVar, LatMin, LatMax float64
-		Sample                          []float64
-	}{r, r.Latency.N(), r.Latency.Mean(), r.Latency.Variance(), r.Latency.Min(), r.Latency.Max(), sample})
-	if err != nil {
-		return "unencodable: " + err.Error()
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
-}
+// digestProtoSalt derives a digest cell's protocol seed from its seed.
+const digestProtoSalt = 0x70726f746f
 
-// digestCell is one pinned run: a table key and the run it names,
-// executed by the given run function (Run, or a Runner's Run).
+// digestCell is one pinned run: a table key and the scenario and seed
+// it names.
 type digestCell struct {
-	key string
-	run func(run func(Config, protocol.Protocol, arrival.Process) *Result) *Result
+	key  string
+	desc scenario.Desc
+	seed uint64
 }
 
-// digestArrivals are the sweep layer's arrival kinds at offered load
-// 0.2 over a 1500-slot horizon (a batch of 300, a burst of 50 per
-// 250-slot window).
-var digestArrivals = []struct {
-	name  string
-	build func() arrival.Process
-}{
-	{"batch", func() arrival.Process { return &arrival.Batch{At: 0, N: 300} }},
-	{"bernoulli", func() arrival.Process { return &arrival.Bernoulli{Rate: 0.2} }},
-	{"poisson", func() arrival.Process { return &arrival.Poisson{Lambda: 0.2} }},
-	{"even", func() arrival.Process { return arrival.NewEvenPaced(0.2) }},
-	{"burst", func() arrival.Process { return &arrival.WindowBurst{Window: 250, PerWindow: 50} }},
+// build builds the cell's run from fresh state.  A bare "coded" cell
+// leaves its medium to the engine (Config.Medium nil), so the table pins
+// the engine's default construction as well as the builder's, which a
+// scenario.Slot uses.
+func (c *digestCell) build() scenario.Built {
+	b, err := c.desc.Build(c.seed, c.seed^digestProtoSalt, nil)
+	if err != nil {
+		panic(fmt.Sprintf("%s: %v", c.key, err))
+	}
+	if c.desc.Model == "coded" {
+		b.Config.Medium = nil
+	}
+	return b
 }
 
-// digestDisruptions are every adversary kind and both legacy
-// Config.Jammer forms.
+// digestArrivals are the sweep layer's arrival kinds; at the cells'
+// offered load 0.2 over a 1500-slot horizon, the batch is 300 packets
+// and the burst 50 per 250-slot window.
+var digestArrivals = []string{"batch", "bernoulli", "poisson", "even", "burst"}
+
+// digestDisruptions are every adversary kind and both legacy jammer
+// forms.
 var digestDisruptions = []struct {
 	name  string
-	apply func(cfg *Config)
+	apply func(d *scenario.Desc)
 }{
-	{"adv=random:0.1", func(cfg *Config) { cfg.Adversary = mustAdversary("random:0.1") }},
-	{"adv=burst:4/28", func(cfg *Config) { cfg.Adversary = mustAdversary("burst:4/28") }},
-	{"adv=reactive:4/16", func(cfg *Config) { cfg.Adversary = mustAdversary("reactive:4/16") }},
-	{"adv=sigmarho:40/0.05", func(cfg *Config) { cfg.Adversary = mustAdversary("sigmarho:40/0.05") }},
-	{"jam=random:0.1", func(cfg *Config) { cfg.Jammer = &jam.Random{Rate: 0.1} }},
-	{"jam=periodic:32/4", func(cfg *Config) { cfg.Jammer = &jam.Periodic{Period: 32, Burst: 4} }},
+	{"adv=random:0.1", func(d *scenario.Desc) { d.Adversary = "random:0.1" }},
+	{"adv=burst:4/28", func(d *scenario.Desc) { d.Adversary = "burst:4/28" }},
+	{"adv=reactive:4/16", func(d *scenario.Desc) { d.Adversary = "reactive:4/16" }},
+	{"adv=sigmarho:40/0.05", func(d *scenario.Desc) { d.Adversary = "sigmarho:40/0.05" }},
+	{"jam=random:0.1", func(d *scenario.Desc) { d.Jammer = "random:0.1" }},
+	{"jam=periodic:32/4", func(d *scenario.Desc) { d.Jammer = "periodic:32/4" }},
 }
 
-func mustAdversary(desc string) adversary.Adversary {
-	a, err := adversary.Parse(desc)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
-
-// digestCells enumerates the pinned runs, two seeds each, under the
-// sweep layer's skip rules (dba only on coded media, the no-CD schemes
-// only on classical:none, adaptive adversaries never on a medium that
-// masks silence):
+// digestCells enumerates the pinned runs, two seeds each, skipping
+// what the scenario builder refuses as a pairing (dba only on coded
+// media, the no-CD schemes only on classical:none, adaptive adversaries
+// never on a medium that masks silence):
 //
 //   - every registered protocol × every medium.Spec form × every
 //     arrival kind, undisturbed;
@@ -98,67 +74,39 @@ func mustAdversary(desc string) adversary.Adversary {
 //     jammer, on coded, classical:ternary and classical:none, under
 //     batch and Bernoulli arrivals.
 //
-// Bare "coded" takes the engine's default construction (Config.Medium
-// nil, window cap 4κ); "coded:12" has an unbounded window.
+// Bare "coded" has the engine's default window cap, 4κ; "coded:12" has
+// none.  κ is 8, or 4 on the capture models.
 func digestCells() []digestCell {
 	var cells []digestCell
-	add := func(media string, info protocol.Info, arr int, dis string, apply func(*Config)) {
-		spec, err := medium.ParseSpec(media)
-		if err != nil {
+	add := func(media string, info protocol.Info, arr, dis string, apply func(*scenario.Desc)) {
+		d := scenario.Desc{
+			Model: media, Protocol: info.Name, Arrival: arr, Kappa: 8,
+			Rate: 0.2, BurstWindow: 250, AlohaP: 0.05,
+			Horizon: 1500, Drain: true, DrainLimit: 6000, LatencySamples: 128,
+		}
+		if strings.HasPrefix(media, "capture") {
+			d.Kappa = 4
+		}
+		if apply != nil {
+			apply(&d)
+		}
+		if err := d.Check(); errors.Is(err, scenario.ErrPairing) {
+			return
+		} else if err != nil {
 			panic(err)
 		}
-		if info.CodedOnly && spec.Model != "coded" {
-			return
-		}
-		if info.NoCDOnly && (spec.Model != "classical" || spec.CD != medium.CDNone) {
-			return
-		}
-		kappa := 8
-		if spec.Model == "capture" {
-			kappa = 4
-		}
-		var probe Config
-		if apply != nil {
-			apply(&probe)
-		}
-		if _, adaptive := probe.Adversary.(adversary.Adaptive); adaptive {
-			if m, _ := spec.Build(kappa, 0); medium.MasksSilence(m) {
-				return
-			}
-		}
 		for seed := uint64(1); seed <= 2; seed++ {
-			seed := seed
 			cells = append(cells, digestCell{
-				key: fmt.Sprintf("%s %s %s %s seed=%d", info.Name, media, digestArrivals[arr].name, dis, seed),
-				run: func(run func(Config, protocol.Protocol, arrival.Process) *Result) *Result {
-					cfg := Config{Horizon: 1500, Drain: true, DrainLimit: 6000, Seed: seed, LatencySamples: 128}
-					if apply != nil {
-						// Adversaries are stateful: a fresh instance per run.
-						apply(&cfg)
-					}
-					k := kappa
-					if media == "coded" {
-						cfg.Kappa = k
-					} else {
-						m, err := spec.Build(k, 0)
-						if err != nil {
-							panic(err)
-						}
-						cfg.Medium = m
-						k = m.Kappa()
-					}
-					proto := protocol.Build(info.Name, protocol.Params{
-						Kappa: k, Rand: rng.New(seed ^ 0x70726f746f), AlohaP: 0.05,
-					})
-					return run(cfg, proto, digestArrivals[arr].build())
-				},
+				key:  fmt.Sprintf("%s %s %s %s seed=%d", info.Name, media, arr, dis, seed),
+				desc: d,
+				seed: seed,
 			})
 		}
 	}
 	media := []string{"coded", "coded:12", "coded:12/24", "classical:none", "classical:binary", "classical:ternary", "capture", "capture:3"}
 	for _, info := range protocol.Registered() {
 		for _, m := range media {
-			for a := range digestArrivals {
+			for _, a := range digestArrivals {
 				add(m, info, a, "none", nil)
 			}
 		}
@@ -166,7 +114,7 @@ func digestCells() []digestCell {
 	for _, info := range protocol.Registered() {
 		for _, m := range []string{"coded", "classical:ternary", "classical:none"} {
 			for _, d := range digestDisruptions {
-				for a := range digestArrivals[:2] {
+				for _, a := range digestArrivals[:2] {
 					add(m, info, a, d.name, d.apply)
 				}
 			}
@@ -187,7 +135,10 @@ func digestCells() []digestCell {
 func TestResultDigests(t *testing.T) {
 	cells := digestCells()
 	got := make([]string, len(cells))
-	ForEach(len(cells), 0, func(i int) { got[i] = resultDigest(cells[i].run(Run)) })
+	sim.ForEach(len(cells), 0, func(i int) {
+		b := cells[i].build()
+		got[i] = sim.ResultDigest(sim.Run(b.Config, b.Proto, b.Arrival))
+	})
 	var b strings.Builder
 	for i, c := range cells {
 		fmt.Fprintf(&b, "%s %s\n", c.key, got[i])
@@ -236,32 +187,60 @@ func readDigestTable(t *testing.T) map[string]string {
 	return want
 }
 
-// TestRunnerReplayMatchesDigests runs every digest cell through one
-// shared Runner, in table order and then reversed, and requires the
-// committed digest each time: the buffers a Runner carries from run to
-// run (in-flight pages, reservoir storage, packet-ID and transmitter
-// buffers) must leave no trace in the next Result.  Cells that deliver
-// nothing check that an emptied reservoir reads like a fresh one.
+// TestRunnerReplayMatchesDigests replays every digest cell, in table
+// order and then reversed, and requires the committed digest each time,
+// twice over:
+//
+//   - "runner": fresh builds on one shared sim.Runner, so the buffers a
+//     Runner carries from run to run (in-flight pages, reservoir
+//     storage, packet-ID and transmitter buffers) must leave no trace in
+//     the next Result;
+//   - "slot": one scenario.Slot, which also carries each cell's
+//     protocol and medium into the next cell that names the same
+//     protocol and model kind and re-initialises them there, across κ
+//     8, 12, 4 and 3, window caps 32, 24 and none, and every feedback
+//     mode.
+//
+// Cells that deliver nothing check that an emptied reservoir reads like
+// a fresh one.
 func TestRunnerReplayMatchesDigests(t *testing.T) {
 	want := readDigestTable(t)
 	cells := digestCells()
-	var r Runner
-	moved := 0
-	check := func(pass string, c digestCell) {
-		if got := resultDigest(c.run(r.Run)); got != want[c.key] {
-			moved++
-			if moved <= 20 {
-				t.Errorf("%s pass, %s: digest %s, table %s", pass, c.key, got, want[c.key])
+	var r sim.Runner
+	var s scenario.Slot
+	for _, pass := range []struct {
+		name string
+		run  func(c *digestCell) *sim.Result
+	}{
+		{"runner", func(c *digestCell) *sim.Result {
+			b := c.build()
+			return r.Run(b.Config, b.Proto, b.Arrival)
+		}},
+		{"slot", func(c *digestCell) *sim.Result {
+			res, err := s.Run(c.desc, c.seed, c.seed^digestProtoSalt, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", c.key, err)
+			}
+			return res
+		}},
+	} {
+		moved := 0
+		check := func(order string, c *digestCell) {
+			if got := sim.ResultDigest(pass.run(c)); got != want[c.key] {
+				moved++
+				if moved <= 20 {
+					t.Errorf("%s %s pass, %s: digest %s, table %s", pass.name, order, c.key, got, want[c.key])
+				}
 			}
 		}
-	}
-	for _, c := range cells {
-		check("forward", c)
-	}
-	for i := len(cells) - 1; i >= 0; i-- {
-		check("reverse", cells[i])
-	}
-	if moved > 0 {
-		t.Errorf("%d of %d shared-Runner digests moved", moved, 2*len(cells))
+		for i := range cells {
+			check("forward", &cells[i])
+		}
+		for i := len(cells) - 1; i >= 0; i-- {
+			check("reverse", &cells[i])
+		}
+		if moved > 0 {
+			t.Errorf("%d of %d %s-replay digests moved", moved, 2*len(cells), pass.name)
+		}
 	}
 }

@@ -71,7 +71,7 @@ func (r *Runner) loop(cfg Config, protoName string, arr arrival.Process) *Loop {
 	}
 	m := cfg.Medium
 	if m == nil {
-		m = medium.NewCoded(cfg.Kappa, cfg.maxWindow())
+		m = medium.NewCoded(cfg.Kappa, cfg.Window())
 	}
 	m = medium.Jam(m, cfg.Jammer, cfg.Seed^jamSeedSalt)
 	if cfg.Adversary != nil {

@@ -71,8 +71,10 @@ type Config struct {
 	Jammer jam.Jammer
 	// Medium selects the channel model the run uses; nil selects the
 	// coded κ-threshold channel built from Kappa and MaxWindow.  Media
-	// are stateful: construct one per run, never share across
-	// concurrent runs.  See internal/medium for the implementations.
+	// are stateful: each run needs one no other run is using, which may
+	// be one an earlier run returned, re-initialised in between
+	// (medium.Spec.Rebuild, as a scenario.Slot does).  See
+	// internal/medium for the implementations.
 	Medium medium.Medium
 	// Adversary optionally disrupts the run (see internal/adversary).  A
 	// jamming adversary is composed over the medium exactly like Jammer
@@ -102,7 +104,10 @@ const LatencySamplesOff = -1
 // Result.BacklogSeries stays nil and SegmentMeanBacklog returns 0.
 const SeriesOff = -1
 
-func (c *Config) maxWindow() int {
+// Window is the decoding-window cap of the coded channel the engine
+// builds when Medium is nil, in medium.NewCoded's terms: 4κ for a zero
+// MaxWindow, 0 (uncapped) for NoWindowCap, and MaxWindow otherwise.
+func (c *Config) Window() int {
 	switch {
 	case c.MaxWindow == NoWindowCap:
 		return 0

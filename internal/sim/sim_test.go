@@ -247,16 +247,16 @@ func TestValidation(t *testing.T) {
 
 func TestMaxWindowDefaults(t *testing.T) {
 	cfg := Config{Kappa: 16}
-	if cfg.maxWindow() != 64 {
-		t.Fatalf("default maxWindow %d, want 64", cfg.maxWindow())
+	if cfg.Window() != 64 {
+		t.Fatalf("default maxWindow %d, want 64", cfg.Window())
 	}
 	cfg.MaxWindow = NoWindowCap
-	if cfg.maxWindow() != 0 {
-		t.Fatalf("NoWindowCap maxWindow %d, want 0", cfg.maxWindow())
+	if cfg.Window() != 0 {
+		t.Fatalf("NoWindowCap maxWindow %d, want 0", cfg.Window())
 	}
 	cfg.MaxWindow = 7
-	if cfg.maxWindow() != 7 {
-		t.Fatalf("explicit maxWindow %d", cfg.maxWindow())
+	if cfg.Window() != 7 {
+		t.Fatalf("explicit maxWindow %d", cfg.Window())
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"repro/internal/protocol"
-	"repro/internal/sim"
+	"repro/internal/scenario"
 )
 
 // execDelay is a test hook run at the start of every trial (deliberately
@@ -49,8 +49,10 @@ func (p *plan) cellSeeds(i int) []uint64 {
 // yet a worker claims a cell only into a free slot, so it never holds
 // more than Parallelism unfinished leases.  The goroutine that lands a
 // cell's last trial completes the cell (see land) while the other slots
-// keep running.  Each slot owns a sim.Runner, which runs the slot's
-// trials one after another on the same engine buffers.
+// keep running.  Each slot is a scenario.Slot, which runs the slot's
+// trials one after another on the same engine buffers and re-initialises
+// the previous trial's protocol and medium in place when the next trial
+// names the same protocol and model kind.
 type executor struct {
 	*plan
 	opts *Options
@@ -102,9 +104,9 @@ func (e *executor) run(ctx context.Context) error {
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	slots := make(chan *sim.Runner, par) // the free trial slots
+	slots := make(chan *scenario.Slot, par) // the free trial slots
 	for range par {
-		slots <- new(sim.Runner)
+		slots <- new(scenario.Slot)
 	}
 	var trials sync.WaitGroup
 	var cur *cellRun
@@ -189,9 +191,9 @@ func (e *executor) renew(id string, landed <-chan struct{}) {
 	}
 }
 
-// runTrial executes trial t of a cell on the slot's Runner, and lands
-// the cell if it was the last trial to finish.
-func (e *executor) runTrial(c *cellRun, t int, r *sim.Runner) {
+// runTrial executes trial t of a cell on a trial slot, and lands the
+// cell if it was the last trial to finish.
+func (e *executor) runTrial(c *cellRun, t int, s *scenario.Slot) {
 	sc := e.cells[c.ci]
 	seed := e.cellSeeds(c.ci)[t]
 	if execDelay != nil {
@@ -200,7 +202,7 @@ func (e *executor) runTrial(c *cellRun, t int, r *sim.Runner) {
 	// errCount receives the number of error epochs (Definition 2) a dba
 	// trial observes.
 	var errCount int64
-	b, err := e.spec.desc(sc).Build(seed, seed^protoSeedSalt, protocol.EpochObserverFunc(func(info protocol.EpochInfo) {
+	res, err := s.Run(e.spec.desc(sc), seed, seed^protoSeedSalt, protocol.EpochObserverFunc(func(info protocol.EpochInfo) {
 		if info.Error {
 			errCount++
 		}
@@ -208,7 +210,7 @@ func (e *executor) runTrial(c *cellRun, t int, r *sim.Runner) {
 	if err != nil {
 		panic(err) // Validate checks every cell
 	}
-	c.trials[t] = reduceTrial(r.Run(b.Config, b.Proto, b.Arrival), errCount)
+	c.trials[t] = reduceTrial(res, errCount)
 	// Each slot of c.trials has one writer; the countdown orders every
 	// write before the landing goroutine's reads.
 	if c.left.Add(-1) == 0 {
