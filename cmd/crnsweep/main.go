@@ -6,6 +6,13 @@
 // reproduce byte-identical output at any parallelism — adaptive
 // adversaries included — so sweep results are diffable across commits.
 //
+// The jammers axis names oblivious jammers of the adversary layer:
+// random:RATE is the adversaries axis' random:RATE, and
+// periodic:PERIOD/BURST its burst:BURST/(PERIOD−BURST).  They run on a
+// seed stream of their own, so a jammer can sit beside an injecting
+// adversary (never beside a jamming or adaptive one), and they are kept
+// for the jam=… segment of the cell keys they write.
+//
 // Execution is cacheable and resumable (DESIGN.md §6.2): -cache-dir
 // persists every completed cell as a content-addressed record, and
 // -resume re-executes only the cells whose records are missing.
@@ -92,7 +99,7 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	arrivals := fs.String("arrivals", "bernoulli", "comma-separated arrivals: batch, bernoulli, poisson, even, burst")
 	kappas := fs.String("kappas", "8,64", "comma-separated decoding thresholds")
 	rates := fs.String("rates", "0.3,0.6", "comma-separated offered loads")
-	jammers := fs.String("jammers", "none", "comma-separated jammers: none, random:RATE, periodic:PERIOD/BURST")
+	jammers := fs.String("jammers", "none", "comma-separated jammers, oblivious and on their own seed stream: none, random:RATE, periodic:PERIOD/BURST (the first BURST slots of every PERIOD)")
 	adversaries := fs.String("adversaries", "none", "comma-separated adversaries: none, random:RATE, burst:B/GAP, reactive:TRIGGER/BURST, sigmarho:SIGMA/RHO")
 	trials := fs.Int("trials", 2, "independent trials per cell")
 	horizon := fs.Int64("horizon", 20000, "arrival horizon in slots")

@@ -12,7 +12,6 @@ import (
 	"repro/internal/channel"
 	"repro/internal/core"
 	"repro/internal/emu"
-	"repro/internal/jam"
 	"repro/internal/medium"
 	"repro/internal/potential"
 	"repro/internal/protocol"
@@ -150,14 +149,6 @@ func NewMultiplicativeWeights(seed uint64) Protocol {
 	return baseline.NewMultiplicativeWeights(rng.New(seed), baseline.DefaultMWConfig())
 }
 
-// ProtocolNames lists the registered protocol kinds in canonical axis
-// order — the names sweeps and the CLIs select protocols by.
-var ProtocolNames = protocol.Names()
-
-// ProtocolRegistry exposes the protocol registry's entries (name,
-// one-line summary, medium pairing) in canonical axis order.
-func ProtocolRegistry() []protocol.Info { return protocol.Registered() }
-
 // NewBatch injects n packets at slot 0.
 func NewBatch(n int) Arrivals { return &arrival.Batch{At: 0, N: n} }
 
@@ -191,11 +182,6 @@ func NewCappedArrivals(inner Arrivals, window int64, max int) Arrivals {
 func NewDisruptor(burstSize int) Arrivals {
 	return &arrival.Disruptor{BurstSize: burstSize}
 }
-
-// Jammer spoils slots with noise energy (failure injection beyond the
-// paper's model); see NewRandomJammer and NewPeriodicJammer.  For
-// adaptive jammers and arrival adversaries, use Config.Adversary.
-type Jammer = jam.Jammer
 
 // Adversary is a first-class adversary: a process that hears per-slot
 // channel feedback and disrupts the run by jamming slots or injecting
@@ -251,21 +237,6 @@ func NewAdversaryArrivals(adv Adversary) (Arrivals, bool) {
 // processes stay adaptive under composition).
 func NewMergedArrivals(a, b Arrivals) Arrivals { return &arrival.Merge{A: a, B: b} }
 
-// NewRandomJammer jams each slot independently with the given rate.
-func NewRandomJammer(rate float64) Jammer { return &jam.Random{Rate: rate} }
-
-// NewPeriodicJammer jams burst consecutive slots at the start of every
-// period slots.
-func NewPeriodicJammer(period, burst int64) Jammer {
-	return &jam.Periodic{Period: period, Burst: burst}
-}
-
-// NewPolynomialBackoff returns polynomial backoff with window (k+1)^exp
-// after k failures.
-func NewPolynomialBackoff(seed uint64, exp float64) Protocol {
-	return baseline.NewPolynomialBackoff(rng.New(seed), exp)
-}
-
 // Run simulates one execution of the protocol under the arrival process.
 func Run(cfg Config, proto Protocol, arr Arrivals) *Result {
 	return sim.Run(cfg, proto, arr)
@@ -299,13 +270,6 @@ type SweepShard = sweep.Shard
 // SweepCache is a directory of content-addressed completed-cell
 // records; passing one in SweepOptions makes sweeps resumable.
 type SweepCache = cache.Store
-
-// SweepSchemaVersion names the engine semantics sweep cell identities
-// are minted under; cell records from other versions are never reused.
-const SweepSchemaVersion = sweep.SchemaVersion
-
-// ParseSweepSpec decodes and validates a JSON sweep spec.
-func ParseSweepSpec(data []byte) (*SweepSpec, error) { return sweep.ParseSpec(data) }
 
 // ParseSweepShard decodes a "k/N" shard descriptor with 1 ≤ k ≤ N.
 func ParseSweepShard(desc string) (SweepShard, error) { return sweep.ParseShard(desc) }

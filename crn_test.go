@@ -146,9 +146,9 @@ func TestMediumFacade(t *testing.T) {
 		build(model, 8, 32)
 	}
 	// The coded medium can be passed explicitly, and a jammer composes
-	// over it.
+	// over it: 2 jammed slots in every 10.
 	res := Run(Config{Horizon: 1, Drain: true, Seed: 9, Medium: build("coded:16/64", 0, 0),
-		Jammer: NewPeriodicJammer(10, 2)}, NewDecodableBackoff(16, 10), NewBatch(n))
+		Adversary: NewBurstJammer(2, 8)}, NewDecodableBackoff(16, 10), NewBatch(n))
 	if res.Delivered != n {
 		t.Fatalf("jammed coded medium delivered %d of %d", res.Delivered, n)
 	}

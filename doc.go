@@ -62,8 +62,8 @@
 //	res := crn.Run(crn.Config{Horizon: 1, Drain: true, Seed: 2, Medium: med},
 //	    crn.NewExponentialBackoff(1), crn.NewBatch(1000))
 //
-// Jamming is a run property, not a channel model: set Config.Jammer or
-// Config.Adversary and the engine composes it over the medium.
+// Jamming is a run property, not a channel model: set Config.Adversary
+// and the engine composes it over the medium.
 //
 // # Real-network emulation
 //

@@ -41,7 +41,6 @@ import (
 	"math"
 
 	"repro/internal/channel"
-	"repro/internal/jam"
 	"repro/internal/rng"
 )
 
@@ -103,11 +102,9 @@ type Injector interface {
 }
 
 // Random jams each slot independently with probability Rate — the
-// oblivious baseline jammer.  It is jam.Random itself, carried onto
-// the adversary interface by embedding, so the "jammers" and
-// "adversaries" axes share one implementation and can never drift.
+// oblivious baseline jammer.
 type Random struct {
-	jam.Random
+	Rate float64
 }
 
 // validRandomRate is the single source of the random jammer's rate
@@ -122,8 +119,11 @@ func NewRandom(rate float64) *Random {
 	if !validRandomRate(rate) {
 		panic("adversary: Random needs a rate in [0, 1]")
 	}
-	return &Random{jam.Random{Rate: rate}}
+	return &Random{Rate: rate}
 }
+
+// Name implements Adversary.
+func (j *Random) Name() string { return fmt.Sprintf("random(%.3f)", j.Rate) }
 
 // Observe implements Adversary: the random jammer is oblivious.
 func (j *Random) Observe(channel.Feedback) {}
@@ -131,17 +131,16 @@ func (j *Random) Observe(channel.Feedback) {}
 // Reset implements Adversary.
 func (j *Random) Reset() {}
 
-// Jams implements Jammer, delegating to jam.Random's decision.  It
-// consumes only slot-keyed randomness, so it is invariant under
-// fast-forwarding.
-func (j *Random) Jams(now int64, r *rng.Rand) bool { return j.Jammed(now, r) }
+// Jams implements Jammer.  It consumes only slot-keyed randomness, so it
+// is invariant under fast-forwarding.
+func (j *Random) Jams(now int64, r *rng.Rand) bool { return r.Bernoulli(j.Rate) }
 
 // BurstGap is a duty-cycled jammer: it jams Burst consecutive slots,
-// stays quiet for Gap slots, and repeats.  It is jam.Periodic in the
-// (B, gap) parametrization the jamming literature uses: average rate
-// B/(B+gap), with all the energy concentrated in bursts — bursts longer
-// than a decoding epoch reliably forge overfull epochs, which the same
-// average rate spread randomly almost never does.
+// stays quiet for Gap slots, and repeats, so every period of Burst+Gap
+// slots opens with its burst.  Its average rate is B/(B+gap), with all
+// the energy concentrated in bursts: bursts longer than a decoding
+// epoch reliably forge overfull epochs, which the same average rate
+// spread randomly almost never does.
 type BurstGap struct {
 	Burst int64
 	Gap   int64
@@ -384,29 +383,3 @@ func (s *SigmaRho) NextAfter(now int64) int64 {
 	}
 	return t + 1
 }
-
-// legacy adapts a jam.Jammer onto the adversary interface, so the
-// pre-existing jammers (and sim.Config.Jammer) ride through the same
-// composition path as first-class adversaries.
-type legacy struct{ j jam.Jammer }
-
-// FromJam wraps a package-jam jammer as an (oblivious) adversary Jammer.
-// A nil jammer yields a nil Jammer.
-func FromJam(j jam.Jammer) Jammer {
-	if j == nil {
-		return nil
-	}
-	return legacy{j}
-}
-
-// Name implements Adversary.
-func (l legacy) Name() string { return l.j.Name() }
-
-// Observe implements Adversary: package-jam jammers are oblivious.
-func (l legacy) Observe(channel.Feedback) {}
-
-// Reset implements Adversary: package-jam jammers are stateless.
-func (l legacy) Reset() {}
-
-// Jams implements Jammer.
-func (l legacy) Jams(now int64, r *rng.Rand) bool { return l.j.Jammed(now, r) }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/arrival"
 	"repro/internal/channel"
-	"repro/internal/jam"
 	"repro/internal/rng"
 )
 
@@ -64,17 +63,26 @@ func TestParseReturnsFreshInstances(t *testing.T) {
 	}
 }
 
+// TestKindClassification: which disruption channel each descriptor's
+// adversary takes, and which reacts to feedback, by the capability
+// interfaces the engine and the scenario builder test for.
 func TestKindClassification(t *testing.T) {
-	for desc, wantJam := range map[string]bool{
-		"random:0.1": true, "burst:10/90": true, "reactive:4/8": true,
-		"sigmarho:10/0.1": false, "none": false, "bogus": false,
+	for desc, want := range map[string]struct{ jams, adaptive, injects bool }{
+		"random:0.1":      {jams: true},
+		"burst:10/90":     {jams: true},
+		"reactive:4/8":    {jams: true, adaptive: true},
+		"sigmarho:10/0.1": {injects: true},
 	} {
-		if IsJammer(desc) != wantJam {
-			t.Errorf("IsJammer(%q) = %v, want %v", desc, !wantJam, wantJam)
+		adv, err := Parse(desc)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !IsAdaptive("reactive:4/8") || IsAdaptive("random:0.1") || IsAdaptive("sigmarho:1/0") {
-		t.Fatal("IsAdaptive misclassifies")
+		_, jams := adv.(Jammer)
+		_, adaptive := adv.(Adaptive)
+		_, injects := adv.(Injector)
+		if jams != want.jams || adaptive != want.adaptive || injects != want.injects {
+			t.Errorf("%s: jams %v, adaptive %v, injects %v; want %+v", desc, jams, adaptive, injects, want)
+		}
 	}
 }
 
@@ -108,21 +116,30 @@ func TestBurstGapDutyCycle(t *testing.T) {
 	}
 }
 
-func TestRandomMatchesLegacyJammer(t *testing.T) {
-	// The ported random jammer must consume randomness exactly like
-	// jam.Random, so legacy seeds reproduce identical jam patterns.
-	ported, legacyJ := NewRandom(0.3), FromJam(&jam.Random{Rate: 0.3})
-	for now := int64(0); now < 200; now++ {
-		a, b := rng.New(uint64(now)), rng.New(uint64(now))
-		if ported.Jams(now, a) != legacyJ.Jams(now, b) {
-			t.Fatalf("slot %d: ported and legacy random jammers disagree", now)
+func TestRandomRate(t *testing.T) {
+	j := NewRandom(0.25)
+	r := rng.New(2)
+	hits := 0
+	const n = 100000
+	for now := int64(0); now < n; now++ {
+		if j.Jams(now, r) {
+			hits++
 		}
 	}
-	if legacyJ.Name() != "random(0.300)" {
-		t.Fatalf("legacy adapter name %q", legacyJ.Name())
+	if got := float64(hits) / n; math.Abs(got-0.25) > 0.01 {
+		t.Fatalf("random jam rate %v", got)
 	}
-	if FromJam(nil) != nil {
-		t.Fatal("FromJam(nil) should be nil")
+}
+
+func TestRandomEdges(t *testing.T) {
+	r := rng.New(3)
+	for now := int64(0); now < 1000; now++ {
+		if NewRandom(0).Jams(now, r) {
+			t.Fatalf("rate 0 jammed slot %d", now)
+		}
+		if !NewRandom(1).Jams(now, r) {
+			t.Fatalf("rate 1 left slot %d clear", now)
+		}
 	}
 }
 

@@ -65,28 +65,6 @@ func Parse(desc string) (Adversary, error) {
 	return nil, fmt.Errorf("adversary: unknown descriptor %q (want %s)", desc, strings.Join(Kinds, ", "))
 }
 
-// IsJammer reports whether the descriptor names a jamming adversary.
-// It assumes desc parses; unknown descriptors report false.
-func IsJammer(desc string) bool {
-	adv, err := Parse(desc)
-	if err != nil || adv == nil {
-		return false
-	}
-	_, ok := adv.(Jammer)
-	return ok
-}
-
-// IsAdaptive reports whether the descriptor names an adversary that
-// reacts to channel feedback (it implements the Adaptive marker).
-func IsAdaptive(desc string) bool {
-	adv, err := Parse(desc)
-	if err != nil {
-		return false
-	}
-	_, ok := adv.(Adaptive)
-	return ok
-}
-
 func splitInts(spec string) (int64, int64, error) {
 	slash := strings.IndexByte(spec, '/')
 	if slash < 0 {

@@ -402,7 +402,9 @@ func (c *Channel) prune(now int64) {
 		c.stats.PrunedPackets += int64(n)
 		c.total -= n
 	}
-	c.entries = c.entries[drop:]
+	// Slide the kept entries (at most the window) to the front, so the
+	// buffer keeps its capacity and record's append stops reallocating.
+	c.entries = c.entries[:copy(c.entries, c.entries[drop:])]
 	c.firstAbs += drop
 	c.occ.ShiftDown(drop)
 }

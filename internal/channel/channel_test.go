@@ -217,6 +217,30 @@ func TestMaxWindowPruning(t *testing.T) {
 	}
 }
 
+// TestPruneKeepsWindowBuffer: a window-capped channel that prunes on
+// every slot keeps its entry buffer, so a long run of good slots with no
+// event allocates nothing once warm.
+func TestPruneKeepsWindowBuffer(t *testing.T) {
+	c := New(8, 4)
+	txs := ids(1, 2, 3, 4, 5) // five packets never fit a 4-slot window
+	now := int64(0)
+	run := func() {
+		for range 100 {
+			if _, ev := c.Step(now, txs); ev != nil {
+				t.Fatalf("slot %d: unexpected event %+v", now, ev)
+			}
+			now++
+		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+		t.Fatalf("%v allocations per 100 pruning slots, want 0", allocs)
+	}
+	if st := c.Stats(); st.GoodSlots != now {
+		t.Fatalf("%d good slots of %d", st.GoodSlots, now)
+	}
+}
+
 func TestDuplicateTransmitterPanics(t *testing.T) {
 	c := New(4, 0)
 	defer func() {

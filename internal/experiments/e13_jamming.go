@@ -6,9 +6,9 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/arrival"
 	"repro/internal/core"
-	"repro/internal/jam"
 	"repro/internal/report"
 	"repro/internal/rng"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
@@ -43,13 +43,13 @@ func E13Jamming(scale Scale, seed uint64) *Output {
 		rate := rate
 		// Trials run concurrently: each writes its own slot, summed after.
 		overfulls := make([]int64, trials)
+		jammed := scenario.Desc{Protocol: "dba", Kappa: kappa, Arrival: "even", Rate: load,
+			Horizon: horizon, Drain: true, Jammer: fmt.Sprintf("random:%g", rate)}
 		results := sim.RunTrials(trials, seed+uint64(rate*1000), 0,
 			func(trial int, s uint64) *sim.Result {
-				d := core.New(kappa, rng.New(s^0xE13))
-				res := sim.Run(sim.Config{Kappa: kappa, Horizon: horizon, Drain: true,
-					Seed: s, Jammer: &jam.Random{Rate: rate}},
-					d, arrival.NewEvenPaced(load))
-				overfulls[trial] = d.Stats().OverfullEpochs
+				b := mustBuild(jammed, s, s^0xE13)
+				res := sim.Run(b.Config, b.Proto, b.Arrival)
+				overfulls[trial] = b.Proto.(*core.DecodableBackoff).Stats().OverfullEpochs
 				return res
 			})
 		var overfull int64
@@ -76,15 +76,16 @@ func E13Jamming(scale Scale, seed uint64) *Output {
 	// reliably forges overfull epochs.
 	duty := report.NewTable("Periodic jammer at 10% duty cycle vs random 10%",
 		"jammer", "delivered frac", "final backlog")
-	for _, j := range []jam.Jammer{
-		&jam.Random{Rate: 0.10},
-		&jam.Periodic{Period: 1000, Burst: 100},
-	} {
-		j := j
+	for _, desc := range []string{"random:0.10", "periodic:1000/100"} {
+		jammed := scenario.Desc{Protocol: "dba", Kappa: kappa, Arrival: "even", Rate: load,
+			Horizon: horizon, Drain: true, Jammer: desc}
+		j, err := scenario.ParseJammer(desc)
+		if err != nil {
+			panic(err)
+		}
 		results := sim.RunTrials(trials, seed^0x1357, 0, func(trial int, s uint64) *sim.Result {
-			return sim.Run(sim.Config{Kappa: kappa, Horizon: horizon, Drain: true,
-				Seed: s, Jammer: j},
-				core.New(kappa, rng.New(s^0x2468)), arrival.NewEvenPaced(load))
+			b := mustBuild(jammed, s, s^0x2468)
+			return sim.Run(b.Config, b.Proto, b.Arrival)
 		})
 		frac := sim.Aggregate(results, func(r *sim.Result) float64 {
 			return float64(r.Delivered) / float64(r.Arrivals)
@@ -141,4 +142,13 @@ func E13Jamming(scale Scale, seed uint64) *Output {
 		"safety is preserved at every rate tested: injected = delivered + pending",
 		"adversary grid: feedback turns jamming from a tax into a veto — the reactive jammer times its bursts to the slots that would have completed decoding windows, collapsing throughput far below oblivious jamming at far higher effective duty, while the (σ,ρ) front-loader attacks peak backlog rather than throughput; the whole family sweeps as a grid via crnsweep -adversaries")
 	return out
+}
+
+// mustBuild builds a run from a descriptor known to be valid.
+func mustBuild(d scenario.Desc, engineSeed, protoSeed uint64) scenario.Built {
+	b, err := d.Build(engineSeed, protoSeed, nil)
+	if err != nil {
+		panic(err)
+	}
+	return b
 }

@@ -3,7 +3,6 @@ package medium
 import (
 	"repro/internal/adversary"
 	"repro/internal/channel"
-	"repro/internal/jam"
 	"repro/internal/rng"
 )
 
@@ -32,7 +31,8 @@ import (
 // inner medium that itself spoils idle slots (another jam wrapper):
 // densely stepped, the inner noise occupies slots the fast path treats
 // as silence, and the adaptive state diverges.  sim.Run rejects that
-// stacking (adaptive Config.Adversary over Config.Jammer).
+// stacking (an adaptive Config.Adversary over a jammed Config.Medium,
+// which is how the scenario builder composes a jammer descriptor).
 type Jammed struct {
 	inner  Medium
 	jammer adversary.Jammer
@@ -61,14 +61,6 @@ var (
 	_ Medium   = (*Jammed)(nil)
 	_ Repeater = (*Jammed)(nil)
 )
-
-// Jam wraps inner with the given package-jam jammer, seeding the
-// jammer's slot-keyed randomness from seed.  A nil jammer returns inner
-// unchanged.  It is the legacy entry point; first-class adversaries use
-// JamAdversary.
-func Jam(inner Medium, j jam.Jammer, seed uint64) Medium {
-	return JamAdversary(inner, adversary.FromJam(j), seed)
-}
 
 // JamAdversary wraps inner with a jamming adversary, seeding its
 // slot-keyed randomness from seed.  The adversary hears every stepped

@@ -17,7 +17,7 @@
 //   - Capture — the high-SNR capture channel: up to κ simultaneous
 //     transmissions are additively decodable in the slot itself
 //     (bounded-contention-coding spirit), one more destroys the slot;
-//   - Jam / JamAdversary — a wrapper composing a jamming adversary over
+//   - Jammed (JamAdversary) — a wrapper composing a jamming adversary over
 //     any medium, spoiling slots before the inner medium sees them and
 //     forwarding per-slot feedback to adaptive jammers.
 //

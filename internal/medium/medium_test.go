@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/channel"
-	"repro/internal/jam"
 )
 
 func TestNewDescriptors(t *testing.T) {
@@ -171,7 +170,7 @@ func TestDuplicateTransmittersPanic(t *testing.T) {
 		NewClassical(CDTernary).Step(0, []channel.PacketID{5, 5})
 	})
 	mustPanic("jammed slot", func() {
-		m := Jam(NewCoded(4, 0), &jam.Periodic{Period: 1, Burst: 1}, 1)
+		m := JamAdversary(NewCoded(4, 0), adversary.NewBurstGap(1, 0), 1)
 		m.Step(0, []channel.PacketID{5, 5})
 	})
 	big := make([]channel.PacketID, 40)
@@ -194,7 +193,7 @@ func TestDuplicateCheckMemoryBounded(t *testing.T) {
 		"classical": func() (Medium, *dupCheck) { m := NewClassical(CDTernary); return m, &m.dup },
 		"capture":   func() (Medium, *dupCheck) { m := NewCapture(4); return m, &m.dup },
 		"jammed": func() (Medium, *dupCheck) {
-			m := Jam(NewCoded(4, 0), &jam.Periodic{Period: 1, Burst: 1}, 1).(*Jammed)
+			m := JamAdversary(NewCoded(4, 0), adversary.NewBurstGap(1, 0), 1).(*Jammed)
 			return m, &m.dup
 		},
 	}
@@ -246,8 +245,8 @@ func TestParseCD(t *testing.T) {
 }
 
 func TestJammedSlotsNeverGood(t *testing.T) {
-	// always-on jammer via Periodic with burst == period
-	m := Jam(NewCoded(4, 0), &jam.Periodic{Period: 1, Burst: 1}, 1)
+	// always-on jammer: a burst with no gap
+	m := JamAdversary(NewCoded(4, 0), adversary.NewBurstGap(1, 0), 1)
 	class, ev := m.Step(0, []channel.PacketID{1})
 	if class != channel.Bad || ev != nil {
 		t.Fatalf("jammed slot class %v ev %v", class, ev)
@@ -268,7 +267,7 @@ func TestJammedSlotsNeverGood(t *testing.T) {
 func TestJamComposesOverCleanSlots(t *testing.T) {
 	// Duty-cycled jammer: slots 0-1 of every 4 jammed.  Clean slots pass
 	// through to the inner detector, which still decodes.
-	m := Jam(NewCoded(4, 0), &jam.Periodic{Period: 4, Burst: 2}, 1)
+	m := JamAdversary(NewCoded(4, 0), adversary.NewBurstGap(2, 2), 1)
 	if m.Kappa() != 4 {
 		t.Fatalf("kappa %d", m.Kappa())
 	}
@@ -300,7 +299,7 @@ func TestJamDecisionsAreSlotKeyed(t *testing.T) {
 	// which slots were stepped before it — the property that keeps
 	// jammer randomness aligned across engine fast-forwarding.
 	decide := func(slots []int64) map[int64]bool {
-		m := Jam(NewCoded(1, 0), &jam.Random{Rate: 0.5}, 7)
+		m := JamAdversary(NewCoded(1, 0), adversary.NewRandom(0.5), 7)
 		out := make(map[int64]bool)
 		for _, s := range slots {
 			class, _ := m.Step(s, nil)
@@ -326,14 +325,14 @@ func TestJamDecisionsAreSlotKeyed(t *testing.T) {
 
 func TestJamNilJammerPassesThrough(t *testing.T) {
 	inner := NewClassical(CDNone)
-	if Jam(inner, nil, 1) != Medium(inner) {
+	if JamAdversary(inner, nil, 1) != Medium(inner) {
 		t.Fatal("nil jammer should return the inner medium unchanged")
 	}
 }
 
 func TestJamTernaryClassicalReportsCollision(t *testing.T) {
 	// To a ternary-CD device, jamming energy sounds like a collision.
-	m := Jam(NewClassical(CDTernary), &jam.Periodic{Period: 1, Burst: 1}, 1)
+	m := JamAdversary(NewClassical(CDTernary), adversary.NewBurstGap(1, 0), 1)
 	var fb channel.Feedback
 	m.Step(0, nil)
 	m.Feedback(&fb)
@@ -341,7 +340,7 @@ func TestJamTernaryClassicalReportsCollision(t *testing.T) {
 		t.Fatalf("jammed ternary slot feedback %+v, want collision", fb)
 	}
 	// A binary-CD device cannot tell: no collision flag.
-	m = Jam(NewClassical(CDBinary), &jam.Periodic{Period: 1, Burst: 1}, 1)
+	m = JamAdversary(NewClassical(CDBinary), adversary.NewBurstGap(1, 0), 1)
 	m.Step(0, nil)
 	m.Feedback(&fb)
 	if fb.Collision {

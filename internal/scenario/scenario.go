@@ -10,12 +10,18 @@
 //
 // Pairing rules say which protocol, model and noise sources may share a
 // run: the registry's CodedOnly and NoCDOnly flags, at most one noise
-// source (a legacy jammer never beside a jamming or adaptive
-// adversary), and no adaptive adversary over a model that masks
-// silence.  Every pairing refusal wraps ErrPairing, so the sweep can
-// skip such cells while every other entry point refuses the run.  A
-// protocol's minimum κ (protocol.Info.MinKappa) is a value rule, checked
-// against the effective κ after a descriptor's embedded one.
+// source (a jammer never beside a jamming or adaptive adversary), and
+// no adaptive adversary over a model that masks silence.  Every pairing
+// refusal wraps ErrPairing, so the sweep can skip such cells while every
+// other entry point refuses the run.  A protocol's minimum κ
+// (protocol.Info.MinKappa) is a value rule, checked against the
+// effective κ after a descriptor's embedded one.
+//
+// A jammer descriptor names an oblivious jamming adversary
+// (ParseJammer).  Build wraps it over the model medium in
+// Config.Medium, on its own seed stream, so it can run beside an
+// injecting Desc.Adversary; the descriptors stay for the sweep's
+// jammers axis and the jam=… segment of its cell keys.
 //
 // Seeds stay explicit arguments of Build: each caller keeps its own
 // seed derivation, so what it builds is unchanged.
@@ -31,7 +37,6 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/arrival"
-	"repro/internal/jam"
 	"repro/internal/medium"
 	"repro/internal/protocol"
 	"repro/internal/rng"
@@ -55,6 +60,9 @@ const (
 	defaultAlohaP      = 0.001
 	// maxKappa keeps the engine's default window cap, 4κ, inside an int.
 	maxKappa = 1 << 30
+	// jamSeedSalt decorrelates a jammer's slot-keyed randomness from the
+	// engine seed's other consumers, an adversary's included.
+	jamSeedSalt = 0x4a4d // "JM"
 )
 
 // Desc describes one scenario.  A zero field selects its default where
@@ -67,7 +75,7 @@ type Desc struct {
 	Protocol string
 	// Arrival is batch (also ""), bernoulli, poisson, even or burst.
 	Arrival string
-	// Jammer is a legacy jammer descriptor (ParseJammer); "" is none.
+	// Jammer is a jammer descriptor (ParseJammer); "" is none.
 	Jammer string
 	// Adversary is an adversary descriptor (adversary.Parse); "" is
 	// none.
@@ -107,7 +115,8 @@ type Desc struct {
 // emulation replica is built from.  Config.Kappa is the effective
 // decoding threshold the protocol was built for: a descriptor's
 // embedded κ wins over Desc.Kappa, and the classical models decode 1.
-// Config.Medium is always set, a bare "coded" included.
+// Config.Medium is always set, a bare "coded" included, and wraps the
+// model in the jammer when the Desc names one.
 type Built struct {
 	Config  sim.Config
 	Proto   protocol.Protocol
@@ -121,7 +130,7 @@ type Built struct {
 type checked struct {
 	model  medium.Spec
 	kappa  int
-	jammer jam.Jammer
+	jammer adversary.Jammer
 	adv    adversary.Adversary
 }
 
@@ -220,17 +229,20 @@ func masksSilence(ms medium.Spec, kappa int) bool {
 // stateful, so every call builds fresh ones; Slot.Run builds the same
 // run on what its previous trial left.
 func (d Desc) Build(engineSeed, protoSeed uint64, obs protocol.EpochObserver) (Built, error) {
-	return d.build(engineSeed, protoSeed, obs, nil, nil)
+	b, _, err := d.build(engineSeed, protoSeed, obs, nil, nil)
+	return b, err
 }
 
 // build is Build that hands reuseProto (nil, or an instance of
-// d.Protocol whose run has returned) and reuseMedium (nil, or a medium
-// no run uses any more) to the protocol registry and the model
-// descriptor, which re-initialise what they can in place.
-func (d Desc) build(engineSeed, protoSeed uint64, obs protocol.EpochObserver, reuseProto protocol.Protocol, reuseMedium medium.Medium) (Built, error) {
+// d.Protocol whose run has returned) and reuseModel (nil, or a model
+// medium no run uses any more) to the protocol registry and the model
+// descriptor, which re-initialise what they can in place.  It also
+// returns the model medium, which Config.Medium wraps when the Desc
+// names a jammer.
+func (d Desc) build(engineSeed, protoSeed uint64, obs protocol.EpochObserver, reuseProto protocol.Protocol, reuseModel medium.Medium) (Built, medium.Medium, error) {
 	c, err := d.check()
 	if err != nil {
-		return Built{}, err
+		return Built{}, nil, err
 	}
 	alohaP := d.AlohaP
 	if alohaP == 0 {
@@ -245,7 +257,6 @@ func (d Desc) build(engineSeed, protoSeed uint64, obs protocol.EpochObserver, re
 		Seed:           engineSeed,
 		LatencySamples: d.LatencySamples,
 		SeriesCap:      d.SeriesCap,
-		Jammer:         c.jammer,
 		Adversary:      c.adv,
 	}
 	// A bare "coded" takes the engine's default window cap (4κ); a
@@ -254,18 +265,21 @@ func (d Desc) build(engineSeed, protoSeed uint64, obs protocol.EpochObserver, re
 	if c.model == (medium.Spec{Model: "coded"}) {
 		window = cfg.Window()
 	}
-	if cfg.Medium, err = c.model.Rebuild(reuseMedium, c.kappa, window); err != nil {
-		return Built{}, err
+	model, err := c.model.Rebuild(reuseModel, c.kappa, window)
+	if err != nil {
+		return Built{}, nil, err
 	}
+	cfg.Medium = medium.JamAdversary(model, c.jammer, engineSeed^jamSeedSalt)
 	proto := protocol.Rebuild(d.Protocol, protocol.Params{
 		Kappa: c.kappa, Rand: rng.New(protoSeed), AlohaP: alohaP, EpochObserver: obs,
 	}, reuseProto)
-	return Built{Config: cfg, Proto: proto, Arrival: d.arrival(), AlohaP: alohaP}, nil
+	return Built{Config: cfg, Proto: proto, Arrival: d.arrival(), AlohaP: alohaP}, model, nil
 }
 
 // Slot runs trials one after another, each on what the one before it
 // left: the engine buffers of its sim.Runner, and the previous trial's
-// protocol and medium, which the registry and the model descriptor
+// protocol and model medium (never a jammer's wrapper, which is built
+// fresh per trial), which the registry and the model descriptor
 // re-initialise in place (protocol.Info.Build, medium.Spec.Rebuild)
 // when the next trial names the same protocol and the same channel
 // model — at any κ, window cap or feedback mode — instead of building
@@ -280,7 +294,7 @@ func (d Desc) build(engineSeed, protoSeed uint64, obs protocol.EpochObserver, re
 type Slot struct {
 	runner sim.Runner
 	// name, proto and medium are what the last trial ran on, once it
-	// returned: its protocol, registered as name, and its medium.
+	// returned: its protocol, registered as name, and its model medium.
 	name   string
 	proto  protocol.Protocol
 	medium medium.Medium
@@ -295,12 +309,12 @@ func (s *Slot) Run(d Desc, engineSeed, protoSeed uint64, obs protocol.EpochObser
 	}
 	med := s.medium
 	s.name, s.proto, s.medium = "", nil, nil
-	b, err := d.build(engineSeed, protoSeed, obs, reuse, med)
+	b, model, err := d.build(engineSeed, protoSeed, obs, reuse, med)
 	if err != nil {
 		return nil, err
 	}
 	res := s.runner.Run(b.Config, b.Proto, b.Arrival)
-	s.name, s.proto, s.medium = d.Protocol, b.Proto, b.Config.Medium
+	s.name, s.proto, s.medium = d.Protocol, b.Proto, model
 	return res, nil
 }
 
@@ -328,20 +342,21 @@ func (d Desc) arrival() arrival.Process {
 	return &arrival.Batch{At: 0, N: n}
 }
 
-// ParseJammer decodes a legacy jammer descriptor: "none" (or "", a nil
-// Jammer), "random:RATE", or "periodic:PERIOD/BURST".
-func ParseJammer(desc string) (jam.Jammer, error) {
+// ParseJammer decodes a jammer descriptor into an oblivious jamming
+// adversary: "none" (or "", a nil Jammer), "random:RATE" (an
+// adversary.Random), or "periodic:PERIOD/BURST", which jams the first
+// BURST slots of every PERIOD: adversary.BurstGap{BURST, PERIOD−BURST},
+// named periodic(BURST/PERIOD), where BURST may be 0.
+func ParseJammer(desc string) (adversary.Jammer, error) {
 	switch {
 	case desc == "" || desc == "none":
 		return nil, nil
 	case strings.HasPrefix(desc, "random:"):
-		// adversary.Random embeds jam.Random, so the adversary parser is
-		// the single source of the rate validation for both.
 		adv, err := adversary.Parse(desc)
 		if err != nil {
 			return nil, fmt.Errorf("scenario: bad jammer %q (want random:RATE with RATE in [0,1])", desc)
 		}
-		return &adv.(*adversary.Random).Random, nil
+		return adv.(*adversary.Random), nil
 	case strings.HasPrefix(desc, "periodic:"):
 		p, b, ok := strings.Cut(desc[len("periodic:"):], "/")
 		period, err1 := strconv.ParseInt(p, 10, 64)
@@ -349,7 +364,17 @@ func ParseJammer(desc string) (jam.Jammer, error) {
 		if !ok || err1 != nil || err2 != nil || period < 1 || burst < 0 || burst > period {
 			return nil, fmt.Errorf("scenario: bad jammer %q (want periodic:PERIOD/BURST with 0 ≤ BURST ≤ PERIOD)", desc)
 		}
-		return &jam.Periodic{Period: period, Burst: burst}, nil
+		return &periodic{adversary.BurstGap{Burst: burst, Gap: period - burst}}, nil
 	}
 	return nil, fmt.Errorf("scenario: unknown jammer %q (want none, random:RATE, or periodic:PERIOD/BURST)", desc)
+}
+
+// periodic is the duty cycle a periodic:PERIOD/BURST descriptor names.
+// Its name, periodic(BURST/PERIOD), is part of Result.Medium and so of
+// every artifact a jammed run writes.
+type periodic struct{ adversary.BurstGap }
+
+// Name implements adversary.Adversary.
+func (j *periodic) Name() string {
+	return fmt.Sprintf("periodic(%d/%d)", j.Burst, j.Burst+j.Gap)
 }

@@ -2,14 +2,17 @@ package scenario
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
 
 	"repro/internal/adversary"
 	"repro/internal/arena"
+	"repro/internal/channel"
 	"repro/internal/medium"
 	"repro/internal/protocol"
+	"repro/internal/rng"
 	"repro/internal/sim"
 )
 
@@ -141,6 +144,98 @@ func TestBuildDefaults(t *testing.T) {
 	}
 }
 
+// TestParseJammerMatchesAdversaries shows the jammer descriptors are
+// adversaries under other names: periodic:P/B jams exactly the slots
+// burst:B/(P−B) jams, periodic:P/0 none, and random:R exactly the slots
+// adversary random:R jams from the same rng state.
+func TestParseJammerMatchesAdversaries(t *testing.T) {
+	const slots = 4000
+	same := func(jammer, adv string) {
+		t.Helper()
+		j, err := ParseJammer(jammer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := mustParse(t, adv).(adversary.Jammer)
+		for now := int64(0); now < slots; now++ {
+			if got, want := j.Jams(now, rng.New(uint64(now))), a.Jams(now, rng.New(uint64(now))); got != want {
+				t.Fatalf("slot %d: %s jams %v, %s %v", now, jammer, got, adv, want)
+			}
+		}
+	}
+	for period := int64(1); period <= 12; period++ {
+		for burst := int64(1); burst <= period; burst++ {
+			same(fmt.Sprintf("periodic:%d/%d", period, burst), fmt.Sprintf("burst:%d/%d", burst, period-burst))
+		}
+		j, err := ParseJammer(fmt.Sprintf("periodic:%d/0", period))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for now := int64(0); now < slots; now++ {
+			if j.Jams(now, nil) {
+				t.Fatalf("periodic:%d/0 jammed slot %d", period, now)
+			}
+		}
+	}
+	same("periodic:1000/100", "burst:100/900")
+	for _, rate := range []string{"0", "0.1", "0.5", "0.999", "1"} {
+		same("random:"+rate, "random:"+rate)
+	}
+}
+
+// TestPeriodicJammerPattern: periodic:P/B jams the first B slots of
+// every P.
+func TestPeriodicJammerPattern(t *testing.T) {
+	j, err := ParseJammer("periodic:10/3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for now := int64(0); now < 50; now++ {
+		if got, want := j.Jams(now, nil), now%10 < 3; got != want {
+			t.Fatalf("slot %d: jammed=%v want %v", now, got, want)
+		}
+	}
+}
+
+// TestPeriodicJammerZeroPeriod: a period below 1, or a burst outside
+// [0, P], is refused rather than built into a jammer.
+func TestPeriodicJammerZeroPeriod(t *testing.T) {
+	for _, bad := range []string{"periodic:0/0", "periodic:0/1", "periodic:-4/1", "periodic:4/5", "periodic:4/-1"} {
+		if j, err := ParseJammer(bad); err == nil {
+			t.Errorf("%s accepted as %s", bad, j.Name())
+		}
+	}
+}
+
+// TestParseJammerNone: none, spelled out or empty, is no jammer.
+func TestParseJammerNone(t *testing.T) {
+	for _, none := range []string{"", "none"} {
+		if j, err := ParseJammer(none); j != nil || err != nil {
+			t.Fatalf("ParseJammer(%q) = %v, %v, want nil, nil", none, j, err)
+		}
+	}
+}
+
+// TestParseJammerNames: each jammer carries the name Result.Medium and
+// the artifacts show.
+func TestParseJammerNames(t *testing.T) {
+	for desc, name := range map[string]string{
+		"random:0.5":    "random(0.500)",
+		"random:0.1":    "random(0.100)",
+		"periodic:2/1":  "periodic(1/2)",
+		"periodic:32/4": "periodic(4/32)",
+		"periodic:8/0":  "periodic(0/8)",
+	} {
+		j, err := ParseJammer(desc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.Name() != name {
+			t.Errorf("ParseJammer(%q).Name() = %q, want %q", desc, j.Name(), name)
+		}
+	}
+}
+
 // FuzzBuild: any descriptor Check accepts builds, and its run finishes
 // without a panic and conserves packets.  Only large values are
 // clamped, so every refusal stays reachable while each run stays small.
@@ -228,12 +323,12 @@ func TestWarmSlotAllocatesNoProtocolBuffers(t *testing.T) {
 			var m medium.Medium
 			var res *sim.Result
 			fresh := testing.AllocsPerRun(3, func() {
-				b, err := d.build(1, 2, nil, nil, m)
+				b, model, err := d.build(1, 2, nil, nil, m)
 				if err != nil {
 					t.Fatal(err)
 				}
 				res = r.Run(b.Config, b.Proto, b.Arrival)
-				m = b.Config.Medium
+				m = model
 			})
 			var s Slot
 			warm := testing.AllocsPerRun(3, func() { s.Run(d, 1, 2, nil) }) // its warm-up call warms s
@@ -248,6 +343,52 @@ func TestWarmSlotAllocatesNoProtocolBuffers(t *testing.T) {
 					warm, fresh, saved, want)
 			}
 		})
+	}
+}
+
+// TestWarmSlotRecyclesUnderJammer pins what a warm trial allocates
+// beyond its protocol's buffers, on a 4096-packet batch.  A beb trial
+// allocates no more objects than a dba trial: the coded channel keeps
+// its window buffer across the prunes a beb drain makes.  A jammer is
+// built fresh per trial, wrapper and all, while the Slot recycles the
+// model medium below it, so a jammed trial allocates at most what a
+// fresh jammer and wrapper cost beyond the same trial unjammed: their
+// construction, the medium's name, and the wrapper's duplicate-check
+// scratch for a jammed slot the whole batch transmits in.
+func TestWarmSlotRecyclesUnderJammer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	const batch = 4096
+	warm := func(proto, jammer string) float64 {
+		d := Desc{Protocol: proto, Kappa: 8, BatchN: batch, Horizon: 1, Drain: true, Jammer: jammer,
+			LatencySamples: sim.LatencySamplesOff, SeriesCap: sim.SeriesOff}
+		var s Slot
+		return testing.AllocsPerRun(3, func() { s.Run(d, 1, 2, nil) }) // its warm-up call warms s
+	}
+	model := medium.NewCoded(8, 32)
+	txs := make([]channel.PacketID, batch)
+	for i := range txs {
+		txs[i] = channel.PacketID(i)
+	}
+	wrap := testing.AllocsPerRun(3, func() {
+		j, err := ParseJammer("random:1") // jams every slot
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := medium.JamAdversary(model, j, 1)
+		m.Step(0, txs)
+		_ = m.Name()
+	})
+	plain := map[string]float64{"beb": warm("beb", ""), "dba": warm("dba", "")}
+	if plain["beb"] > plain["dba"] {
+		t.Fatalf("a warm beb trial allocates %v objects, a warm dba trial %v", plain["beb"], plain["dba"])
+	}
+	for proto, p := range plain {
+		if jammed := warm(proto, "random:0.1"); jammed > p+wrap {
+			t.Errorf("a warm jammed %s trial allocates %v objects, unjammed %v, the jammer and its wrapper %v",
+				proto, jammed, p, wrap)
+		}
 	}
 }
 

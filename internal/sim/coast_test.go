@@ -3,11 +3,11 @@ package sim
 import (
 	"testing"
 
+	"repro/internal/adversary"
 	"repro/internal/arrival"
 	"repro/internal/baseline"
 	"repro/internal/channel"
 	"repro/internal/core"
-	"repro/internal/jam"
 	"repro/internal/medium"
 	"repro/internal/rng"
 )
@@ -54,12 +54,12 @@ func TestCoastMatchesFullStep(t *testing.T) {
 				return Run(cfg, core.New(16, rng.New(302)), &arrival.Bernoulli{Rate: 0.4})
 			}},
 		{"dba/overfull+random-jam", Config{Kappa: 8, Horizon: 1, Drain: true, Seed: 33,
-			Jammer: &jam.Random{Rate: 0.3}},
+			Adversary: adversary.NewRandom(0.3)},
 			func(cfg Config) *Result {
 				return Run(cfg, core.New(8, rng.New(303)), &arrival.Batch{At: 0, N: 2000})
 			}},
 		{"dba/bernoulli+periodic-jam", Config{Kappa: 16, Horizon: 15000, Drain: true, Seed: 34,
-			Jammer: &jam.Periodic{Period: 48, Burst: 12}},
+			Adversary: adversary.NewBurstGap(12, 36)},
 			func(cfg Config) *Result {
 				return Run(cfg, core.New(16, rng.New(304)), &arrival.Bernoulli{Rate: 0.3})
 			}},

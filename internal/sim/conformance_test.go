@@ -9,7 +9,6 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/arrival"
 	"repro/internal/channel"
-	"repro/internal/jam"
 	"repro/internal/medium"
 	"repro/internal/protocol"
 	"repro/internal/rng"
@@ -145,7 +144,9 @@ func TestConformanceGrid(t *testing.T) {
 	}
 	advs := []advCase{
 		{"none", false, false, func(cfg *Config) {}},
-		{"random-jam", false, false, func(cfg *Config) { cfg.Jammer = &jam.Random{Rate: 0.1} }},
+		{"random-jam", false, false, func(cfg *Config) {
+			cfg.Medium = medium.JamAdversary(cfg.Medium, adversary.NewRandom(0.1), cfg.Seed)
+		}},
 		{"reactive", true, false, func(cfg *Config) { cfg.Adversary = adversary.NewReactive(2, 16) }},
 		{"sigmarho", false, true, func(cfg *Config) { cfg.Adversary = adversary.NewSigmaRho(40, 0.05) }},
 	}

@@ -30,15 +30,16 @@ type digestCell struct {
 }
 
 // build builds the cell's run from fresh state.  A bare "coded" cell
-// leaves its medium to the engine (Config.Medium nil), so the table pins
-// the engine's default construction as well as the builder's, which a
-// scenario.Slot uses.
+// with no jammer leaves its medium to the engine (Config.Medium nil), so
+// the table pins the engine's default construction as well as the
+// builder's, which a scenario.Slot uses; a jammer lives in the medium
+// the builder composed, so a jammed cell keeps it.
 func (c *digestCell) build() scenario.Built {
 	b, err := c.desc.Build(c.seed, c.seed^digestProtoSalt, nil)
 	if err != nil {
 		panic(fmt.Sprintf("%s: %v", c.key, err))
 	}
-	if c.desc.Model == "coded" {
+	if c.desc.Model == "coded" && c.desc.Jammer == "" {
 		b.Config.Medium = nil
 	}
 	return b
@@ -49,8 +50,9 @@ func (c *digestCell) build() scenario.Built {
 // and the burst 50 per 250-slot window.
 var digestArrivals = []string{"batch", "bernoulli", "poisson", "even", "burst"}
 
-// digestDisruptions are every adversary kind and both legacy jammer
-// forms.
+// digestDisruptions are every adversary kind, both jammer descriptor
+// forms, and a jammer beside an injector, where each one's seed salt
+// shows.
 var digestDisruptions = []struct {
 	name  string
 	apply func(d *scenario.Desc)
@@ -61,6 +63,9 @@ var digestDisruptions = []struct {
 	{"adv=sigmarho:40/0.05", func(d *scenario.Desc) { d.Adversary = "sigmarho:40/0.05" }},
 	{"jam=random:0.1", func(d *scenario.Desc) { d.Jammer = "random:0.1" }},
 	{"jam=periodic:32/4", func(d *scenario.Desc) { d.Jammer = "periodic:32/4" }},
+	{"jam=random:0.1+adv=sigmarho:40/0.05", func(d *scenario.Desc) {
+		d.Jammer, d.Adversary = "random:0.1", "sigmarho:40/0.05"
+	}},
 }
 
 // digestCells enumerates the pinned runs, two seeds each, skipping
@@ -70,9 +75,10 @@ var digestDisruptions = []struct {
 //
 //   - every registered protocol × every medium.Spec form × every
 //     arrival kind, undisturbed;
-//   - every registered protocol × every adversary kind and legacy
-//     jammer, on coded, classical:ternary and classical:none, under
-//     batch and Bernoulli arrivals.
+//   - every registered protocol × every adversary kind and jammer
+//     descriptor, and a jammer beside an injecting adversary, on coded,
+//     classical:ternary and classical:none, under batch and Bernoulli
+//     arrivals.
 //
 // Bare "coded" has the engine's default window cap, 4κ; "coded:12" has
 // none.  κ is 8, or 4 on the capture models.

@@ -14,7 +14,7 @@ import (
 // Loop is the per-slot adjudication core of the engine, extracted so
 // Run and the network emulator (internal/emu) share one implementation
 // of everything that is not protocol execution: medium composition
-// (jam wrappers, adversaries, adaptive-adversary validation), arrival
+// (the adversary's jam wrapper, adaptive-adversary validation), arrival
 // injection and packet-ID issue, feedback fan-out to arrival observers,
 // delivery/latency accounting, backlog series, the fast-forward
 // advance, and Result assembly.
@@ -54,8 +54,8 @@ type Loop struct {
 }
 
 // NewLoop validates cfg and assembles the adjudication state.  The
-// medium is composed exactly as Run composes it (jam wrapper, adversary
-// jam wrapper, adversary arrival merge); protoName labels the Result.
+// medium is composed exactly as Run composes it (adversary jam wrapper,
+// adversary arrival merge); protoName labels the Result.
 // It panics on the same invalid configurations Run always has.
 func NewLoop(cfg Config, protoName string, arr arrival.Process) *Loop {
 	return new(Runner).loop(cfg, protoName, arr)
@@ -73,17 +73,14 @@ func (r *Runner) loop(cfg Config, protoName string, arr arrival.Process) *Loop {
 	if m == nil {
 		m = medium.NewCoded(cfg.Kappa, cfg.Window())
 	}
-	m = medium.Jam(m, cfg.Jammer, cfg.Seed^jamSeedSalt)
 	if cfg.Adversary != nil {
 		if _, adaptive := cfg.Adversary.(adversary.Adaptive); adaptive && medium.MasksSilence(m) {
 			// An adaptive adversary's gap-equals-silence rule needs the
-			// medium below it to report idle slots truthfully.  The
-			// composed m is checked, so this catches classical:none, a
-			// legacy Config.Jammer (just composed above), and media the
-			// caller pre-wrapped with a jammer: in each case idle slots
-			// a fast-forwarded run skips as silent would, densely
-			// stepped, be observed as busy, and the adaptive state would
-			// depend on the stepping.
+			// medium below it to report idle slots truthfully.  This
+			// catches classical:none and media the caller pre-wrapped
+			// with a jammer: in each case idle slots a fast-forwarded run
+			// skips as silent would, densely stepped, be observed as
+			// busy, and the adaptive state would depend on the stepping.
 			panic("sim: an adaptive Adversary needs a medium whose feedback exposes idle slots truthfully (classical:none masks silence; jam wrappers spoil idle slots) — the gap-equals-silence contract cannot hold")
 		}
 		// One adversary may disrupt on both channels: jam composition
@@ -162,7 +159,7 @@ func (r *Runner) loop(cfg Config, protoName string, arr arrival.Process) *Loop {
 // Now is the slot the loop is currently adjudicating.
 func (l *Loop) Now() int64 { return l.now }
 
-// Medium is the fully composed medium (jam and adversary wrappers
+// Medium is the fully composed medium (the adversary's jam wrapper
 // included) the caller must Step each slot.
 func (l *Loop) Medium() medium.Medium { return l.m }
 

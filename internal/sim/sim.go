@@ -19,7 +19,6 @@ import (
 	"repro/internal/arena"
 	"repro/internal/arrival"
 	"repro/internal/channel"
-	"repro/internal/jam"
 	"repro/internal/medium"
 	"repro/internal/protocol"
 	"repro/internal/stats"
@@ -61,28 +60,24 @@ type Config struct {
 	// arrivals; runs that deliver no more packets than the capacity
 	// retain every latency, so their quantiles are exact.
 	LatencySamples int
-	// Jammer optionally spoils slots with noise (failure injection; see
-	// package jam).  The engine composes it over the medium via
-	// medium.Jam: jammed slots are audibly busy and decode-useless, and
-	// jam decisions are slot-keyed, so they are identical whether or not
-	// idle stretches in between were fast-forwarded.  (Fast-forwarded
-	// stretches themselves are not consulted for jamming: an empty
-	// system ignores noise.)
-	Jammer jam.Jammer
 	// Medium selects the channel model the run uses; nil selects the
 	// coded κ-threshold channel built from Kappa and MaxWindow.  Media
 	// are stateful: each run needs one no other run is using, which may
 	// be one an earlier run returned, re-initialised in between
-	// (medium.Spec.Rebuild, as a scenario.Slot does).  See
-	// internal/medium for the implementations.
+	// (medium.Spec.Rebuild, as a scenario.Slot does).  A jammed medium
+	// (medium.JamAdversary over a model) is a medium too: the scenario
+	// builder composes a jammer descriptor that way.  See internal/medium
+	// for the implementations.
 	Medium medium.Medium
 	// Adversary optionally disrupts the run (see internal/adversary).  A
-	// jamming adversary is composed over the medium exactly like Jammer
-	// (slot-keyed randomness, adaptive state fed by per-slot feedback);
-	// an arrival adversary's injections are merged with the configured
-	// arrival process, subject to the same Horizon.  Adversaries are
-	// stateful: construct one per run, never share across concurrent
-	// runs.
+	// jamming adversary is composed over the medium (medium.JamAdversary):
+	// jammed slots are audibly busy and decode-useless, jam decisions
+	// are slot-keyed, and adaptive state is fed by per-slot feedback, so
+	// the jam pattern is the same whether or not idle stretches in
+	// between were fast-forwarded.  An arrival adversary's injections
+	// are merged with the configured arrival process, subject to the
+	// same Horizon.  Adversaries are stateful: construct one per run,
+	// never share across concurrent runs.
 	Adversary adversary.Adversary
 }
 
@@ -199,13 +194,10 @@ func (r *Result) SegmentMeanBacklog(from, to float64) float64 {
 	return sum / float64(n)
 }
 
-// jamSeedSalt decorrelates the jammer's slot-keyed randomness from the
-// arrival stream, which uses Config.Seed directly.
-const jamSeedSalt = 0x4a4d // "JM"
-
 // advSeedSalt decorrelates an adversary's slot-keyed randomness from
-// both the arrival stream and a legacy Config.Jammer composed in the
-// same run.
+// the arrival stream, which uses Config.Seed directly, and from a
+// jammer the scenario builder composed into Config.Medium under its own
+// salt.
 const advSeedSalt = 0x414456 // "ADV"
 
 // latSeedSalt decorrelates the latency reservoir's replacement stream

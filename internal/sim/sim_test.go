@@ -11,7 +11,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/channel"
 	"repro/internal/core"
-	"repro/internal/jam"
 	"repro/internal/medium"
 	"repro/internal/nocd"
 	"repro/internal/protocol"
@@ -333,7 +332,7 @@ func TestRunTrialsEdgeCases(t *testing.T) {
 
 // workerGrid is a protocol × medium × adversary scenario set spanning
 // the engine's paths: the DBA core (coast), both backoff shapes (Waker
-// fast-forward), classical and capture media, legacy jammers, adaptive
+// fast-forward), classical and capture media, jammed media, adaptive
 // jammers, arrival adversaries, and the no-CD schemes.
 var workerGrid = []struct {
 	name string
@@ -344,8 +343,8 @@ var workerGrid = []struct {
 			core.New(16, rng.New(101)), &arrival.Batch{At: 0, N: 3000})
 	}},
 	{"dba/coded/bernoulli+random-jam", func() *Result {
-		return Run(Config{Kappa: 16, Horizon: 20000, Drain: true, Seed: 12,
-			Jammer: &jam.Random{Rate: 0.2}},
+		return Run(Config{Horizon: 20000, Drain: true, Seed: 12,
+			Medium: medium.JamAdversary(medium.NewCoded(16, 64), adversary.NewRandom(0.2), 12)},
 			core.New(16, rng.New(102)), &arrival.Bernoulli{Rate: 0.3})
 	}},
 	{"dba/coded/reactive-adaptive", func() *Result {
@@ -364,7 +363,7 @@ var workerGrid = []struct {
 	}},
 	{"beb/coded/periodic-jam-waker", func() *Result {
 		return Run(Config{Kappa: 8, Horizon: 4096, Drain: true, Seed: 16,
-			Jammer: &jam.Periodic{Period: 64, Burst: 8}},
+			Adversary: adversary.NewBurstGap(8, 56)},
 			baseline.NewExponentialBackoff(rng.New(106)), &arrival.Batch{At: 0, N: 48})
 	}},
 	{"poly/coded/batch-waker", func() *Result {
@@ -397,7 +396,7 @@ var workerGrid = []struct {
 	}},
 	{"beb/capture/bernoulli+random-jam", func() *Result {
 		return Run(Config{Kappa: 4, Horizon: 8000, Drain: true, Seed: 23,
-			Medium: medium.NewCapture(4), Jammer: &jam.Random{Rate: 0.1}},
+			Medium: medium.JamAdversary(medium.NewCapture(4), adversary.NewRandom(0.1), 23)},
 			baseline.NewExponentialBackoff(rng.New(113)), &arrival.Bernoulli{Rate: 0.2})
 	}},
 	{"mw/capture/reactive-adaptive", func() *Result {
@@ -624,8 +623,8 @@ func TestChannelDetectorEquivalenceEndToEnd(t *testing.T) {
 }
 
 func TestJammedRunConservation(t *testing.T) {
-	res := Run(Config{Kappa: 16, Horizon: 5000, Drain: true, Seed: 31,
-		Jammer: &jam.Random{Rate: 0.3}},
+	res := Run(Config{Horizon: 5000, Drain: true, Seed: 31,
+		Medium: medium.JamAdversary(medium.NewCoded(16, 64), adversary.NewRandom(0.3), 31)},
 		core.New(16, rng.New(32)), &arrival.Bernoulli{Rate: 0.3})
 	if res.Arrivals != res.Delivered+int64(res.Pending) {
 		t.Fatalf("conservation violated under jamming: %d != %d + %d",
@@ -658,8 +657,8 @@ func TestJammerAlignedAcrossFastForward(t *testing.T) {
 		// A batch at slot 0 makes everything after it a drain: BEB sleeps
 		// between retries, so the fast run skips long stretches the slow
 		// run steps one by one.
-		return Run(Config{Kappa: 1, Horizon: 1, Drain: true, Seed: 92,
-			Jammer: &jam.Random{Rate: 0.25}},
+		return Run(Config{Horizon: 1, Drain: true, Seed: 92,
+			Medium: medium.JamAdversary(medium.NewCoded(1, 4), adversary.NewRandom(0.25), 92)},
 			proto, &arrival.Batch{At: 0, N: 8})
 	}
 	fast, slow := run(true), run(false)
@@ -732,11 +731,12 @@ func TestSigmaRhoAdversaryMergesWithArrivals(t *testing.T) {
 }
 
 func TestLegacyJammerAndAdversaryCompose(t *testing.T) {
-	// Config.Jammer (legacy) and Config.Adversary stack: both spoil
-	// slots, their randomness decorrelated by distinct salts, and the
-	// medium name records the composition order.
-	res := Run(Config{Kappa: 8, Horizon: 3000, Drain: true, Seed: 51,
-		Jammer:    &jam.Random{Rate: 0.05},
+	// A jammer in Config.Medium, as the scenario builder composes a
+	// jammer descriptor, and Config.Adversary stack: both spoil slots,
+	// their randomness decorrelated by distinct seeds, and the medium
+	// name records the composition order.
+	res := Run(Config{Horizon: 3000, Drain: true, Seed: 51,
+		Medium:    medium.JamAdversary(medium.NewCoded(8, 32), adversary.NewRandom(0.05), 51),
 		Adversary: &adversary.BurstGap{Burst: 20, Gap: 180}},
 		core.New(8, rng.New(52)), &arrival.Bernoulli{Rate: 0.2})
 	if res.Medium != "coded+jam:random(0.050)+jam:burst(20/180)" {
@@ -748,22 +748,6 @@ func TestLegacyJammerAndAdversaryCompose(t *testing.T) {
 	if res.Arrivals != res.Delivered+int64(res.Pending) {
 		t.Fatal("conservation violated under stacked jamming")
 	}
-}
-
-func TestAdaptiveAdversaryRejectsLegacyJammerStack(t *testing.T) {
-	// The legacy jammer spoils slots the engine skips as provably
-	// silent, so an adaptive adversary over it cannot keep its
-	// gap-equals-silence contract; Run must reject the combination
-	// rather than silently produce fast-forward-dependent results.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("adaptive adversary over Config.Jammer was accepted")
-		}
-	}()
-	Run(Config{Kappa: 8, Horizon: 100, Seed: 1,
-		Jammer:    &jam.Random{Rate: 0.3},
-		Adversary: adversary.NewReactive(2, 16)},
-		core.New(8, rng.New(2)), &arrival.Batch{At: 0, N: 4})
 }
 
 func TestAdaptiveAdversaryRejectsSilenceMaskingMedium(t *testing.T) {
@@ -782,8 +766,10 @@ func TestAdaptiveAdversaryRejectsSilenceMaskingMedium(t *testing.T) {
 }
 
 func TestAdaptiveAdversaryRejectsPreJammedMedium(t *testing.T) {
-	// The guard inspects the composed medium, so a jammer baked into
-	// Config.Medium (rather than Config.Jammer) is caught too.
+	// A jammer spoils slots the engine skips as provably silent, so an
+	// adaptive adversary over it cannot keep its gap-equals-silence
+	// contract.  The guard inspects the composed medium, so a jammer
+	// baked into Config.Medium is caught.
 	defer func() {
 		if recover() == nil {
 			t.Fatal("adaptive adversary over a pre-jammed medium was accepted")
@@ -791,7 +777,7 @@ func TestAdaptiveAdversaryRejectsPreJammedMedium(t *testing.T) {
 	}()
 	inner := medium.NewCoded(8, 0)
 	Run(Config{Horizon: 100, Seed: 1,
-		Medium:    medium.Jam(inner, &jam.Random{Rate: 0.3}, 5),
+		Medium:    medium.JamAdversary(inner, adversary.NewRandom(0.3), 5),
 		Adversary: adversary.NewReactive(2, 16)},
 		baseline.NewExponentialBackoff(rng.New(2)), &arrival.Batch{At: 0, N: 4})
 }

@@ -66,8 +66,10 @@ type Spec struct {
 	Kappas []int `json:"kappas"`
 	// Rates are the offered loads, each in (0, ∞).
 	Rates []float64 `json:"rates"`
-	// Jammers are jammer descriptors: "none", "random:RATE", or
-	// "periodic:PERIOD/BURST".  Empty means {"none"}.
+	// Jammers are jammer descriptors (scenario.ParseJammer): "none",
+	// "random:RATE", or "periodic:PERIOD/BURST", oblivious jammers of
+	// the adversary layer on their own seed stream.  Empty means
+	// {"none"}.
 	Jammers []string `json:"jammers,omitempty"`
 	// Adversaries are adversary descriptors (internal/adversary):
 	// "none", "random:RATE", "burst:B/GAP", "reactive:TRIGGER/BURST", or

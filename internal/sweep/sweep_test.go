@@ -344,27 +344,44 @@ func TestRunSeedMatters(t *testing.T) {
 	}
 }
 
+// TestRunJammedCell runs each jammer descriptor alone and beside an
+// injecting adversary.  The builder wraps every jammed cell's model
+// medium afresh while the trial slots recycle the medium below it, so
+// the artifact must not depend on how trials share slots.
 func TestRunJammedCell(t *testing.T) {
 	s := Spec{
-		Protocols: []string{"genie"},
-		Arrivals:  []string{"bernoulli"},
-		Kappas:    []int{4},
-		Rates:     []float64{0.2},
-		Jammers:   []string{"none", "random:0.3", "periodic:100/10"},
-		Trials:    2,
-		Horizon:   2000,
-		Seed:      7,
+		Protocols:   []string{"genie"},
+		Arrivals:    []string{"bernoulli"},
+		Kappas:      []int{4},
+		Rates:       []float64{0.2},
+		Jammers:     []string{"none", "random:0.3", "periodic:100/10"},
+		Adversaries: []string{"none", "sigmarho:40/0.05"},
+		Trials:      4,
+		Horizon:     2000,
+		Seed:        7,
 	}
-	grid, err := Run(context.Background(), s, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if grid.Cells[0].Slots.Jammed != 0 {
-		t.Fatal("unjammed cell recorded jammed slots")
-	}
-	for _, i := range []int{1, 2} {
-		if grid.Cells[i].Slots.Jammed == 0 {
-			t.Fatalf("cell %s never jammed", grid.Cells[i].Key())
+	var serial []byte
+	for _, par := range []int{1, 8} {
+		grid, err := Run(context.Background(), s, Options{Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(grid.Cells) != 6 {
+			t.Fatalf("%d cells, want 6", len(grid.Cells))
+		}
+		for _, c := range grid.Cells {
+			if jammed := c.Slots.Jammed != 0; jammed != (c.Jammer != "none") {
+				t.Fatalf("cell %s: %d jammed slots", c.Key(), c.Slots.Jammed)
+			}
+		}
+		js, err := grid.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if serial == nil {
+			serial = js
+		} else if !bytes.Equal(serial, js) {
+			t.Fatalf("parallelism %d changed the jammed cells' artifact", par)
 		}
 	}
 }
