@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/arena"
 	"repro/internal/channel"
@@ -21,9 +22,14 @@ import (
 // ALOHA ignores all feedback except its own delivery, so it needs no
 // adaptation for the coded channel.
 type SlottedAloha struct {
-	rand    *rng.Rand
-	p       float64 // static probability; 0 means genie mode
-	c       float64 // genie numerator (target expected transmitters)
+	rand *rng.Rand
+	p    float64 // static probability; 0 means genie mode
+	c    float64 // genie numerator (target expected transmitters)
+	// q is the probability the next sample draws at, lq its
+	// Log1p(-q), and qFor the backlog they were computed for (genie
+	// mode recomputes them only when the backlog changes).
+	q, lq   float64
+	qFor    int
 	ids     []channel.PacketID
 	loc     arena.Index[int] // packet ID → index in ids
 	stats   AlohaStats
@@ -79,6 +85,7 @@ func (a *SlottedAloha) reset(r *rng.Rand, p, c float64) {
 		panic("baseline: nil rng")
 	}
 	a.rand, a.p, a.c = r, p, c
+	a.q, a.lq, a.qFor = p, math.Log1p(-p), 0
 	a.ids = a.ids[:0]
 	a.loc.Reset()
 	a.stats = AlohaStats{}
@@ -117,14 +124,11 @@ func (a *SlottedAloha) Transmitters(now int64, buf []channel.PacketID) []channel
 	if n == 0 {
 		return buf
 	}
-	p := a.p
-	if p == 0 { // genie mode
-		p = a.c / float64(n)
-		if p > 1 {
-			p = 1
-		}
+	if a.p == 0 && n != a.qFor { // genie mode
+		a.q, a.qFor = min(a.c/float64(n), 1), n
+		a.lq = math.Log1p(-a.q)
 	}
-	a.scratch = a.rand.SampleIndices(a.scratch[:0], n, p)
+	a.scratch = a.rand.SampleIndicesLog(a.scratch[:0], n, a.q, a.lq)
 	for _, idx := range a.scratch {
 		buf = append(buf, a.ids[idx])
 	}

@@ -260,14 +260,27 @@ func (p *population) moveAll(src, dst *popBucket) {
 }
 
 // Sample appends, to dst, each packet independently with its current
-// probability, and returns the extended slice.
+// probability, and returns the extended slice.  It draws exactly what a
+// SampleIndicesLog call per bucket draws, but settles a bucket's first
+// uniform here: most buckets send nothing in a slot, and SkipsPast
+// proves it for most of those without a call or a logarithm.
 func (p *population) Sample(r *rng.Rand, dst []channel.PacketID) []channel.PacketID {
 	for _, b := range p.buckets {
-		if len(b.ids) == 0 {
+		n := len(b.ids)
+		if n == 0 {
 			continue
 		}
 		s := p.slot(b.base + p.shift)
-		p.scratch = r.SampleIndicesLog(p.scratch[:0], len(b.ids), p.probs[s], p.logq[s])
+		q := p.probs[s]
+		if q >= 1 {
+			dst = append(dst, b.ids...)
+			continue
+		}
+		u := r.OpenFloat64()
+		if rng.SkipsPast(u, n, q) {
+			continue
+		}
+		p.scratch = r.SampleIndicesFrom(p.scratch[:0], n, q, p.logq[s], u)
 		for _, idx := range p.scratch {
 			dst = append(dst, b.ids[idx])
 		}

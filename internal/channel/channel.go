@@ -22,9 +22,9 @@
 // packet ID (internal/arena) and names a recycled member list, not an
 // entry, so a slot that resends the previous good slot's list moves one
 // list handle; window occupancy is a uint64 bitset (linalg.Bits) so
-// detection scans words instead of entries, duplicate validation sorts
-// a reused scratch slice, and the decoding event and its packet slice
-// are reused across events.
+// detection scans words instead of entries, duplicate validation marks
+// a bitmap in, or sorts, a reused scratch slice, and the decoding event
+// and its packet slice are reused across events.
 package channel
 
 import (
@@ -165,8 +165,9 @@ type Channel struct {
 	// protocols resend identical sets for many consecutive slots, and an
 	// equality scan is far cheaper than re-validating thousands of IDs.
 	prevTxs []PacketID
-	// dupScratch is the reused sort buffer for large-slot duplicate
-	// validation.
+	// dupScratch is the reused scratch for large-slot duplicate
+	// validation: FindDup's bitmap or sorted copy.  DupScratch lends it
+	// to a jam wrapper for the slots it spoils.
 	dupScratch []PacketID
 
 	// ev and evPackets back the returned decoding event, reused across
@@ -306,12 +307,15 @@ func (c *Channel) checkDuplicates(txs []PacketID) bool {
 }
 
 // FindDup reports a duplicated ID in txs.  Small lists use a quadratic
-// scan (cheaper than any setup); larger ones sort a reused scratch copy
-// and scan adjacent pairs, so validation needs no map, no per-call
+// scan (cheaper than any setup).  A larger list whose IDs span fewer
+// than 64 values per ID marks a bitmap of the span in the scratch, one
+// word per 64 values, so at most one word per ID; a sparser one sorts a
+// scratch copy and scans adjacent pairs.  Either way validation needs no map, no per-call
 // allocation once the scratch has grown, and no memory beyond the
 // largest list checked.  The reported duplicate is deterministic: first
-// by position for small lists, smallest duplicated ID for large ones.
-// It is the one duplicate check every detector and medium shares.
+// by position for small lists, smallest duplicated ID for large ones
+// (a duplicate the bitmap finds is named by the sort).  It is the one
+// duplicate check every detector and medium shares.
 func FindDup(txs []PacketID, scratch *[]PacketID) (PacketID, bool) {
 	if len(txs) <= 32 {
 		for i := 1; i < len(txs); i++ {
@@ -321,6 +325,14 @@ func FindDup(txs []PacketID, scratch *[]PacketID) (PacketID, bool) {
 				}
 			}
 		}
+		return 0, false
+	}
+	lo, hi := txs[0], txs[0]
+	for _, id := range txs[1:] {
+		lo, hi = min(lo, id), max(hi, id)
+	}
+	// The span is taken unsigned: hi-lo overflows int64 for IDs far apart.
+	if span := uint64(hi) - uint64(lo); span/64 < uint64(len(txs)) && !bitmapDup(txs, lo, span, scratch) {
 		return 0, false
 	}
 	s := append((*scratch)[:0], txs...)
@@ -333,6 +345,29 @@ func FindDup(txs []PacketID, scratch *[]PacketID) (PacketID, bool) {
 	}
 	return 0, false
 }
+
+// bitmapDup reports whether txs, whose IDs lie in [lo, lo+span], holds
+// a duplicate, marking one bit per ID in scratch's words.
+func bitmapDup(txs []PacketID, lo PacketID, span uint64, scratch *[]PacketID) bool {
+	words := int(span/64) + 1
+	bm := slices.Grow((*scratch)[:0], words)[:words]
+	*scratch = bm
+	clear(bm)
+	for _, id := range txs {
+		off := uint64(id) - uint64(lo)
+		w, bit := off/64, PacketID(1)<<(off%64)
+		if bm[w]&bit != 0 {
+			return true
+		}
+		bm[w] |= bit
+	}
+	return false
+}
+
+// DupScratch returns the scratch the channel's duplicate check runs
+// FindDup in, for a wrapper that validates the slots it keeps from the
+// channel (a jam wrapper's spoiled slots) without a scratch of its own.
+func (c *Channel) DupScratch() *[]PacketID { return &c.dupScratch }
 
 // sameIDs reports whether a and b are element-wise identical.
 func sameIDs(a, b []PacketID) bool {

@@ -165,7 +165,24 @@ type DecodableBackoff struct {
 	txScratch    []int
 	stats        Stats
 	pendingPeak  int
+
+	// errSilent and errOverfull are Definition 2's contention thresholds
+	// κ^(1/4) and κ^(3/4).
+	errSilent, errOverfull float64
+	// probs[k] holds prob(eCap-1-k) and Log1p of its negation, filled on
+	// first use and emptied by Reset.  It is bounded by probTableLen.
+	probs []probLog
 }
+
+// probLog is a joining probability p < 1 or at the cap, with
+// lq = Log1p(-p), the sampler's logarithm.
+type probLog struct{ p, lq float64 }
+
+// probTableLen bounds the probability table: exponents from eCap-1
+// down to eCap-probTableLen are read from it, lower ones from the
+// formula.  A drain of the committed benchmark grid reaches about 931
+// exponents below the cap.
+const probTableLen = 2048
 
 var _ protocol.Protocol = (*DecodableBackoff)(nil)
 var _ protocol.Partitioned = (*DecodableBackoff)(nil)
@@ -209,6 +226,9 @@ func (d *DecodableBackoff) Reset(kappa int, r *rng.Rand, opts ...Option) {
 		joiners:     d.joiners[:0],
 		loc:         d.loc,
 		txScratch:   d.txScratch[:0],
+		errSilent:   math.Pow(float64(kappa), 0.25),
+		errOverfull: math.Pow(float64(kappa), 0.75),
+		probs:       d.probs[:0],
 	}
 	for _, opt := range opts {
 		opt(d)
@@ -240,6 +260,39 @@ func (d *DecodableBackoff) Pending() int {
 
 // prob returns the joining probability for effective exponent e.
 func (d *DecodableBackoff) prob(e int) float64 {
+	p, _ := d.probLog(e)
+	return p
+}
+
+// probLog returns prob(e) and Log1p(-prob(e)).  Below the cap both come
+// from the table (within probTableLen of the cap) or from rawProb.
+func (d *DecodableBackoff) probLog(e int) (p, lq float64) {
+	k := d.eCap - 1 - e
+	switch {
+	case k < 0:
+		return 1, math.Inf(-1)
+	case k < len(d.probs):
+		pl := d.probs[k]
+		return pl.p, pl.lq
+	case k < probTableLen:
+		d.fillProbs(k)
+		pl := d.probs[k]
+		return pl.p, pl.lq
+	}
+	p = d.rawProb(e)
+	return p, math.Log1p(-p)
+}
+
+// fillProbs extends the probability table through index k.
+func (d *DecodableBackoff) fillProbs(k int) {
+	for i := len(d.probs); i <= k; i++ {
+		p := d.rawProb(d.eCap - 1 - i)
+		d.probs = append(d.probs, probLog{p, math.Log1p(-p)})
+	}
+}
+
+// rawProb evaluates the joining probability at effective exponent e.
+func (d *DecodableBackoff) rawProb(e int) float64 {
 	if e >= d.eCap {
 		return 1
 	}
@@ -418,12 +471,12 @@ func (d *DecodableBackoff) startEpoch(now int64) {
 		if len(b.ids) == 0 {
 			continue
 		}
-		p := d.prob(b.base + d.shift)
+		p, lq := d.probLog(b.base + d.shift)
 		d.epochCont += float64(len(b.ids)) * p
 		if p < d.epochPMin {
 			d.epochPMin = p
 		}
-		d.txScratch = d.rand.SampleIndices(d.txScratch[:0], len(b.ids), p)
+		d.txScratch = d.rand.SampleIndicesLog(d.txScratch[:0], len(b.ids), p, lq)
 		// Remove selected ids by descending index so swap-deletes do not
 		// disturb indices still to be processed.
 		for k := len(d.txScratch) - 1; k >= 0; k-- {
@@ -591,7 +644,7 @@ func (d *DecodableBackoff) endSilent() {
 		d.inEpoch = false
 		return
 	}
-	isError := d.epochCont >= math.Pow(float64(d.kappa), 0.25)
+	isError := d.epochCont >= d.errSilent
 	d.moveShift(1)
 	d.mergeCapped()
 	if len(d.inactive) > 0 {
@@ -610,7 +663,7 @@ func (d *DecodableBackoff) endSilent() {
 // endOverfull finishes an overfull epoch: every active packet's
 // probability drops by one factor step.
 func (d *DecodableBackoff) endOverfull() {
-	isError := d.epochCont <= math.Pow(float64(d.kappa), 0.75)
+	isError := d.epochCont <= d.errOverfull
 	d.moveShift(-1)
 	d.returnJoiners(0)
 	d.stats.OverfullEpochs++

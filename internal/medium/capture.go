@@ -141,3 +141,6 @@ func (c *Capture) Stats() channel.Stats { return c.stats }
 
 // Reset implements Medium: ResetTo with the medium's own κ.
 func (c *Capture) Reset() { c.ResetTo(c.kappa) }
+
+// dupChecker lends a jam wrapper the duplicate check its slots run.
+func (c *Capture) dupChecker() *dupCheck { return &c.dup }

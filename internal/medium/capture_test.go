@@ -1,6 +1,7 @@
 package medium
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/channel"
@@ -120,5 +121,27 @@ func TestCaptureEventReuseIsSafe(t *testing.T) {
 	_, ev2 := m.Step(1, []channel.PacketID{2})
 	if ev2.Packets[0] != 2 || ev1 != ev2 {
 		t.Fatal("event storage not reused")
+	}
+}
+
+// BenchmarkCaptureStep times the capture medium on slots of 1 (a
+// capture), κ (the largest slot still captured) and 4κ transmitters (a
+// destroyed slot, still checked for duplicates), κ = 8.
+func BenchmarkCaptureStep(b *testing.B) {
+	const kappa = 8
+	for _, n := range []int{1, kappa, 4 * kappa} {
+		b.Run(fmt.Sprintf("txs=%d", n), func(b *testing.B) {
+			m := NewCapture(kappa)
+			txs := make([]channel.PacketID, n)
+			var fb channel.Feedback
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for j := range txs {
+					txs[j] = channel.PacketID(i*n + n - 1 - j) // fresh, descending
+				}
+				m.Step(int64(i), txs)
+				m.Feedback(&fb)
+			}
+		})
 	}
 }

@@ -202,3 +202,6 @@ func (c *Classical) Stats() channel.Stats { return c.stats }
 
 // Reset implements Medium: ResetTo with the medium's own feedback mode.
 func (c *Classical) Reset() { c.ResetTo(c.cd) }
+
+// dupChecker lends a jam wrapper the duplicate check its slots run.
+func (c *Classical) dupChecker() *dupCheck { return &c.dup }

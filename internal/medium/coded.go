@@ -80,3 +80,7 @@ func (c *Coded) Stats() channel.Stats { return c.ch.Stats() }
 // Reset implements Medium: ResetTo with the medium's own κ and window
 // cap.
 func (c *Coded) Reset() { c.ResetTo(c.ch.Kappa(), c.ch.MaxWindow()) }
+
+// dupChecker lends a jam wrapper the detector's duplicate-check
+// scratch.
+func (c *Coded) dupChecker() *dupCheck { return (*dupCheck)(c.ch.DupScratch()) }

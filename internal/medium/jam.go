@@ -38,7 +38,7 @@ type Jammed struct {
 	jammer adversary.Jammer
 	seed   uint64
 	r      rng.Rand
-	dup    dupCheck
+	dup    *dupCheck // the inner medium's, when it has one
 
 	jammed     int64
 	lastJammed bool
@@ -72,13 +72,22 @@ func JamAdversary(inner Medium, j adversary.Jammer, seed uint64) Medium {
 		return inner
 	}
 	cl, ok := inner.(*Classical)
-	return &Jammed{
+	m := &Jammed{
 		inner:          inner,
 		jammer:         j,
 		seed:           seed,
 		collisionOnJam: ok && cl.cd == CDTernary,
 	}
+	if dc, ok := inner.(dupChecker); ok {
+		m.dup = dc.dupChecker()
+	} else {
+		m.dup = new(dupCheck)
+	}
+	return m
 }
+
+// dupChecker lends a wrapper over m the check m borrowed.
+func (m *Jammed) dupChecker() *dupCheck { return m.dup }
 
 // Name implements Medium.
 func (m *Jammed) Name() string { return m.inner.Name() + "+jam:" + m.jammer.Name() }

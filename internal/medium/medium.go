@@ -122,17 +122,21 @@ var Models = []string{"coded", "classical", "classical:none", "classical:binary"
 // dupCheck validates that a transmitter list names distinct packets
 // (one device cannot send two packets at once), mirroring the coded
 // detector's invariant on slots the inner detector never sees.  It is
-// channel.FindDup over a reused sort scratch, so its memory is bounded
-// by the largest slot it has checked.
-type dupCheck struct {
-	scratch []channel.PacketID
-}
+// channel.FindDup over a reused scratch, so its memory is bounded by
+// the largest slot it has checked.
+type dupCheck []channel.PacketID
 
 func (d *dupCheck) check(txs []channel.PacketID) {
-	if id, found := channel.FindDup(txs, &d.scratch); found {
+	if id, found := channel.FindDup(txs, (*[]channel.PacketID)(d)); found {
 		panic(fmt.Sprintf("medium: packet %d transmitted twice in one slot", id))
 	}
 }
+
+// dupChecker is a medium whose duplicate check a jam wrapper over it
+// borrows for the slots it spoils, which the medium never sees.  A
+// wrapper lives for one run while the medium below it may be recycled
+// from run to run, so the borrowed scratch is already grown.
+type dupChecker interface{ dupChecker() *dupCheck }
 
 // MasksSilence reports whether the medium's feedback fails to expose
 // provably idle slots as silent — either because the model has no

@@ -1,6 +1,7 @@
 package medium
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -184,9 +185,11 @@ func TestDuplicateTransmittersPanic(t *testing.T) {
 
 // TestDuplicateCheckMemoryBounded drives each medium that validates
 // transmitters itself through a long run of large slots, every one
-// naming fresh packet IDs, as a long classical drain does.  Validation
-// memory must stay bounded by the largest slot — not grow with every ID
-// ever seen — and a planted duplicate must still panic afterwards.
+// naming fresh packet IDs, as a long classical drain does.  The IDs of
+// a slot are consecutive (FindDup's bitmap regime) or 128 apart (its
+// sort regime).  Validation memory must stay bounded by the largest
+// slot — not grow with every ID ever seen — and a planted duplicate
+// must still panic afterwards.
 func TestDuplicateCheckMemoryBounded(t *testing.T) {
 	const slotSize, slots = 64, 20_000
 	media := map[string]func() (Medium, *dupCheck){
@@ -194,40 +197,83 @@ func TestDuplicateCheckMemoryBounded(t *testing.T) {
 		"capture":   func() (Medium, *dupCheck) { m := NewCapture(4); return m, &m.dup },
 		"jammed": func() (Medium, *dupCheck) {
 			m := JamAdversary(NewCoded(4, 0), adversary.NewBurstGap(1, 0), 1).(*Jammed)
-			return m, &m.dup
+			return m, m.dup
 		},
 	}
-	for name, build := range media {
-		m, dup := build()
-		txs := make([]channel.PacketID, slotSize)
-		step := func(now int64) {
-			for i := range txs {
-				txs[i] = channel.PacketID(now*slotSize + int64(i))
+	for _, stride := range []int64{1, 128} {
+		for name, build := range media {
+			name = fmt.Sprintf("%s/stride=%d", name, stride)
+			m, dup := build()
+			txs := make([]channel.PacketID, slotSize)
+			step := func(now int64) {
+				for i := range txs {
+					txs[i] = channel.PacketID((now*slotSize + int64(i)) * stride)
+				}
+				m.Step(now, txs)
 			}
-			m.Step(now, txs)
+			step(0) // size the scratch
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			for now := int64(1); now < slots; now++ {
+				step(now)
+			}
+			runtime.ReadMemStats(&after)
+			if grown := after.TotalAlloc - before.TotalAlloc; grown > 64<<10 {
+				t.Errorf("%s: %d slots of fresh IDs allocated %d bytes validating them", name, slots, grown)
+			}
+			if c := cap(*dup); c > 2*slotSize {
+				t.Errorf("%s: validation scratch holds %d IDs, largest slot was %d", name, c, slotSize)
+			}
+			txs[slotSize-1] = txs[0]
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: planted duplicate not rejected after the long run", name)
+					}
+				}()
+				m.Step(slots, txs)
+			}()
 		}
-		step(0) // size the scratch
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		for now := int64(1); now < slots; now++ {
-			step(now)
+	}
+}
+
+// TestJamBorrowsInnerDupScratch: a jam wrapper validates the slots it
+// spoils in the duplicate-check scratch of the medium it wraps, so a
+// fresh wrapper over a warm medium — what every jammed run builds over
+// a recycled model medium — allocates nothing for a spoiled slot of
+// 4,096 transmitters, over each model; a duplicate still panics.
+func TestJamBorrowsInnerDupScratch(t *testing.T) {
+	txs := make([]channel.PacketID, 4096)
+	for i := range txs {
+		txs[i] = channel.PacketID(3 * i) // dense enough for the bitmap
+	}
+	for _, inner := range []Medium{NewCoded(8, 32), NewClassical(CDTernary), NewCapture(4)} {
+		warm := JamAdversary(inner, adversary.NewBurstGap(1, 0), 1)
+		warm.Step(0, txs)
+		if n := testing.AllocsPerRun(5, func() { warm.Step(1, txs) }); n != 0 {
+			t.Errorf("%s: a warm wrapper allocates %v objects per spoiled slot", inner.Name(), n)
 		}
-		runtime.ReadMemStats(&after)
-		if grown := after.TotalAlloc - before.TotalAlloc; grown > 64<<10 {
-			t.Errorf("%s: %d slots of fresh IDs allocated %d bytes validating them", name, slots, grown)
+		j := adversary.NewBurstGap(1, 0)
+		build := testing.AllocsPerRun(5, func() { JamAdversary(inner, j, 2) })
+		if n := testing.AllocsPerRun(5, func() { JamAdversary(inner, j, 2).Step(2, txs) }); n > build {
+			t.Errorf("%s: a fresh wrapper over a warm medium allocates %v objects for its first spoiled slot, %v to build",
+				inner.Name(), n, build)
 		}
-		if c := cap(dup.scratch); c > 2*slotSize {
-			t.Errorf("%s: validation scratch holds %d IDs, largest slot was %d", name, c, slotSize)
+		fresh := JamAdversary(inner, j, 2)
+		nested := JamAdversary(fresh, adversary.NewBurstGap(1, 0), 3).(*Jammed)
+		if nested.dup != fresh.(*Jammed).dup {
+			t.Errorf("%s: a wrapper over a wrapper checks in a scratch of its own", inner.Name())
 		}
-		txs[slotSize-1] = txs[0]
+		dup := append([]channel.PacketID(nil), txs...)
+		dup[len(dup)-1] = dup[0]
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("%s: planted duplicate not rejected after the long run", name)
+					t.Errorf("%s: a spoiled slot naming packet %d twice did not panic", inner.Name(), dup[0])
 				}
 			}()
-			m.Step(slots, txs)
+			fresh.Step(3, dup)
 		}()
 	}
 }

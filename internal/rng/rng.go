@@ -9,7 +9,10 @@
 // always replays the same execution.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Rand is a xoshiro256++ pseudo-random number generator.  It is not safe
 // for concurrent use; give each goroutine its own Rand (see Split).
@@ -94,26 +97,11 @@ func (r *Rand) Uint64n(n uint64) uint64 {
 		panic("rng: Uint64n with zero n")
 	}
 	for {
-		v := r.Uint64()
-		hi, lo := mul128(v, n)
+		hi, lo := bits.Mul64(r.Uint64(), n)
 		if lo >= n || lo >= -n%n {
 			return hi
 		}
 	}
-}
-
-// mul128 returns the 128-bit product of a and b as (hi, lo).
-func mul128(a, b uint64) (hi, lo uint64) {
-	const mask = 1<<32 - 1
-	aLo, aHi := a&mask, a>>32
-	bLo, bHi := b&mask, b>>32
-	t := aLo*bHi + (aLo*bLo)>>32
-	w1 := t & mask
-	w2 := t >> 32
-	w1 += aHi * bLo
-	hi = aHi*bHi + w2 + w1>>32
-	lo = a * b
-	return hi, lo
 }
 
 // Bernoulli reports true with probability p.  Values of p outside [0, 1]
@@ -140,11 +128,7 @@ func (r *Rand) Geometric(p float64) int64 {
 		return 0
 	}
 	// Inversion: floor(ln U / ln(1-p)), U uniform in (0, 1).
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	g := math.Floor(math.Log(u) / math.Log1p(-p))
+	g := math.Floor(math.Log(r.OpenFloat64()) / math.Log1p(-p))
 	if g < 0 {
 		return 0
 	}
@@ -248,7 +232,7 @@ const skipMargin = 1 - 1e-9
 // generator exactly as a loop of Geometric(p) skips would — one uniform
 // per skip, including the final skip that runs past the end — and
 // selects the same indices, but it settles that final skip without a
-// logarithm whenever the bound in skipsPast proves it.
+// logarithm whenever the bound in SkipsPast proves it.
 func (r *Rand) SampleIndicesLog(dst []int, n int, p, lq float64) []int {
 	if p <= 0 || n == 0 {
 		return dst
@@ -259,13 +243,28 @@ func (r *Rand) SampleIndicesLog(dst []int, n int, p, lq float64) []int {
 		}
 		return dst
 	}
-	for next := 0; ; {
-		u := r.Float64()
-		for u == 0 {
-			u = r.Float64()
+	return r.SampleIndicesFrom(dst, n, p, lq, r.OpenFloat64())
+}
+
+// OpenFloat64 returns a uniform float64 in (0, 1): Float64, drawn again
+// while it reads 0.  Every geometric skip of SampleIndicesLog starts
+// with one.
+func (r *Rand) OpenFloat64() float64 {
+	for {
+		if u := r.Float64(); u != 0 {
+			return u
 		}
+	}
+}
+
+// SampleIndicesFrom is SampleIndicesLog for 0 < p < 1 and n > 0 after
+// its first draw: u is the uniform OpenFloat64 returned.  A caller that
+// samples many small groups draws u itself and, when SkipsPast(u, n, p)
+// already proves the sample empty, skips the call.
+func (r *Rand) SampleIndicesFrom(dst []int, n int, p, lq, u float64) []int {
+	for next := 0; ; u = r.OpenFloat64() {
 		left := n - next
-		if skipsPast(u, left, p) {
+		if SkipsPast(u, left, p) {
 			return dst
 		}
 		g := math.Floor(math.Log(u) / lq)
@@ -281,25 +280,21 @@ func (r *Rand) SampleIndicesLog(dst []int, n int, p, lq float64) []int {
 	}
 }
 
-// skipsPast reports that a geometric skip drawn from uniform u certainly
+// SkipsPast reports that a geometric skip drawn from uniform u certainly
 // covers all m remaining positions, i.e. floor(Log(u)/Log1p(-p)) ≥ m.
 // u < (1-p)^m implies it, and Bernoulli's inequality gives
 // (1-p)^m ≥ 1-m·p; the condition p ≤ ½ bounds m·|Log1p(-p)| below 1.39
 // so that the skipMargin slack outweighs the rounding of the exact
 // formula.  A false answer decides nothing: the caller evaluates the
 // exact formula.
-func skipsPast(u float64, m int, p float64) bool {
+func SkipsPast(u float64, m int, p float64) bool {
 	mp := float64(m) * p
 	return p <= 0.5 && mp < 1 && u < (1-mp)*skipMargin
 }
 
 // ExpFloat64 returns an exponentially distributed float64 with rate 1.
 func (r *Rand) ExpFloat64() float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -math.Log(u)
+	return -math.Log(r.OpenFloat64())
 }
 
 // NormFloat64 returns a standard normal sample (Marsaglia polar method).

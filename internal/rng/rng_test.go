@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -339,6 +340,25 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
+// mul128 is the portable 128-bit product Uint64n used before it took
+// bits.Mul64: the reference TestMul128 holds bits.Mul64 to.
+func mul128(a, b uint64) (hi, lo uint64) {
+	const mask = 1<<32 - 1
+	aLo, aHi := a&mask, a>>32
+	bLo, bHi := b&mask, b>>32
+	t := aLo*bHi + (aLo*bLo)>>32
+	w1 := t & mask
+	w2 := t >> 32
+	w1 += aHi * bLo
+	hi = aHi*bHi + w2 + w1>>32
+	lo = a * b
+	return hi, lo
+}
+
+// TestMul128 pins the product Uint64n rejects and scales by: the
+// portable reference on fixed cases, bits.Mul64 equal to it on random
+// operands, and Uint64n equal to Lemire's method on the reference from
+// the same generator states.
 func TestMul128(t *testing.T) {
 	cases := []struct {
 		a, b, hi, lo uint64
@@ -353,6 +373,35 @@ func TestMul128(t *testing.T) {
 		hi, lo := mul128(c.a, c.b)
 		if hi != c.hi || lo != c.lo {
 			t.Fatalf("mul128(%d,%d) = (%d,%d), want (%d,%d)", c.a, c.b, hi, lo, c.hi, c.lo)
+		}
+		if bh, bl := bits.Mul64(c.a, c.b); bh != hi || bl != lo {
+			t.Fatalf("bits.Mul64(%d,%d) = (%d,%d), want (%d,%d)", c.a, c.b, bh, bl, hi, lo)
+		}
+	}
+	r := New(9)
+	for i := 0; i < 100_000; i++ {
+		a, b := r.Uint64(), r.Uint64()>>(i%64)
+		bh, bl := bits.Mul64(a, b)
+		if hi, lo := mul128(a, b); bh != hi || bl != lo {
+			t.Fatalf("bits.Mul64(%d,%d) = (%d,%d), mul128 (%d,%d)", a, b, bh, bl, hi, lo)
+		}
+	}
+	got, ref := New(10), New(10)
+	for i := 0; i < 100_000; i++ {
+		n := uint64(i%1000) + 1
+		if i%3 == 0 {
+			n = 1<<63 + uint64(i) // rejects about half the draws
+		}
+		var want uint64
+		for {
+			hi, lo := mul128(ref.Uint64(), n)
+			if lo >= n || lo >= -n%n {
+				want = hi
+				break
+			}
+		}
+		if v := got.Uint64n(n); v != want || got.s != ref.s {
+			t.Fatalf("Uint64n(%d) = %d, reference %d (or the generator states differ)", n, v, want)
 		}
 	}
 }
@@ -466,7 +515,7 @@ func TestSkipsPastNeverContradictsExact(t *testing.T) {
 				}
 				fired := 0
 				for i := 0; i < 2*steps; i++ {
-					if skipsPast(u, m, p) {
+					if SkipsPast(u, m, p) {
 						fired++
 						if !exactPast(u) {
 							t.Fatalf("p=%v m=%d u=%v: fast skip fired but exact skip %v < m",
@@ -482,7 +531,7 @@ func TestSkipsPastNeverContradictsExact(t *testing.T) {
 		}
 	}
 	// The bound is a one-sided proof: never claimed for p > 1/2 or m·p ≥ 1.
-	if skipsPast(1e-300, 1, 0.5+1e-12) || skipsPast(1e-300, 10, 0.1) {
+	if SkipsPast(1e-300, 1, 0.5+1e-12) || SkipsPast(1e-300, 10, 0.1) {
 		t.Fatal("fast skip fired outside its proven range")
 	}
 }

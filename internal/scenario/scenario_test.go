@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/adversary"
 	"repro/internal/arena"
-	"repro/internal/channel"
 	"repro/internal/medium"
 	"repro/internal/protocol"
 	"repro/internal/rng"
@@ -353,32 +353,31 @@ func TestWarmSlotAllocatesNoProtocolBuffers(t *testing.T) {
 // built fresh per trial, wrapper and all, while the Slot recycles the
 // model medium below it, so a jammed trial allocates at most what a
 // fresh jammer and wrapper cost beyond the same trial unjammed: their
-// construction, the medium's name, and the wrapper's duplicate-check
-// scratch for a jammed slot the whole batch transmits in.
+// construction and the medium's name.  The wrapper validates the slots
+// it spoils in the model medium's duplicate-check scratch, so a jammed
+// slot the whole batch transmits in allocates nothing on a warm Slot.
+// Each count starts on a collected heap, so that a collection emptying
+// fmt's buffer pool mid-count is less likely to add an allocation.
 func TestWarmSlotRecyclesUnderJammer(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts vary under the race detector")
 	}
-	const batch = 4096
+	const batch, runs = 4096, 3
 	warm := func(proto, jammer string) float64 {
 		d := Desc{Protocol: proto, Kappa: 8, BatchN: batch, Horizon: 1, Drain: true, Jammer: jammer,
 			LatencySamples: sim.LatencySamplesOff, SeriesCap: sim.SeriesOff}
 		var s Slot
-		return testing.AllocsPerRun(3, func() { s.Run(d, 1, 2, nil) }) // its warm-up call warms s
+		runtime.GC()
+		return testing.AllocsPerRun(runs, func() { s.Run(d, 1, 2, nil) }) // its warm-up call warms s
 	}
 	model := medium.NewCoded(8, 32)
-	txs := make([]channel.PacketID, batch)
-	for i := range txs {
-		txs[i] = channel.PacketID(i)
-	}
-	wrap := testing.AllocsPerRun(3, func() {
-		j, err := ParseJammer("random:1") // jams every slot
+	runtime.GC()
+	wrap := testing.AllocsPerRun(runs, func() {
+		j, err := ParseJammer("random:0.1")
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := medium.JamAdversary(model, j, 1)
-		m.Step(0, txs)
-		_ = m.Name()
+		_ = medium.JamAdversary(model, j, 1).Name()
 	})
 	plain := map[string]float64{"beb": warm("beb", ""), "dba": warm("dba", "")}
 	if plain["beb"] > plain["dba"] {
@@ -386,7 +385,7 @@ func TestWarmSlotRecyclesUnderJammer(t *testing.T) {
 	}
 	for proto, p := range plain {
 		if jammed := warm(proto, "random:0.1"); jammed > p+wrap {
-			t.Errorf("a warm jammed %s trial allocates %v objects, unjammed %v, the jammer and its wrapper %v",
+			t.Errorf("a warm jammed %s trial allocates %v objects, unjammed %v, the jammer, its wrapper and name %v",
 				proto, jammed, p, wrap)
 		}
 	}

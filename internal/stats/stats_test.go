@@ -358,3 +358,22 @@ func TestReservoirResetReadsLikeNew(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkReservoirQuantiles times the sweep's per-trial reduce: p50
+// and p99 of a latency reservoir filled to the engine's default
+// capacity (16,384) with tie-heavy values in random order, as a
+// Bernoulli cell leaves it.
+func BenchmarkReservoirQuantiles(b *testing.B) {
+	const capacity = 16384
+	r, g := NewReservoir(capacity, 1), rng.New(1)
+	for i := 0; i < capacity; i++ {
+		r.Add(float64(g.Intn(capacity / 8)))
+	}
+	sample := slices.Clone(r.vals)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(r.vals, sample) // Quantiles sorts the sample in place
+		r.Quantiles(0.50, 0.99)
+	}
+}
