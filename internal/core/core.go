@@ -101,22 +101,39 @@ type bucket struct {
 }
 
 // location tracks where a packet currently lives so deliveries are O(1).
-type where uint8
+// It packs into 8 bytes: the core's share of a batch's time is mostly
+// cache misses on these values, and a 512-entry arena page of them fits
+// a smaller size class.  A bucket member stores its bucket's base and
+// its index (≥ 0); a joiner or inactive packet stores ^index (< 0) with
+// the base joinerList or inactiveList.  moveShift and index32 keep both
+// fields from wrapping.
+type location struct {
+	base int32
+	idx  int32
+}
 
+// The base of a joiner's and an inactive packet's location.
 const (
-	inInactive where = iota
-	inBucket
-	inJoiners
+	joinerList   int32 = 0
+	inactiveList int32 = 1
 )
 
-// location packs into 12 bytes: the core's share of a batch's time is
-// mostly cache misses on these values, so base and idx are int32, kept
-// from wrapping by moveShift and index32.
-type location struct {
-	base  int32 // bucket base when where == inBucket
-	idx   int32 // index within the containing slice
-	where where
-}
+// bucketLoc is the location of index idx in the bucket with the given
+// base.
+func bucketLoc(base int, idx int32) location { return location{base: int32(base), idx: idx} }
+
+// listLoc is the location of index idx in the joiner or inactive list.
+func listLoc(list, idx int32) location { return location{base: list, idx: ^idx} }
+
+// inBucket reports whether the packet is a bucket member; its bucket's
+// base is then l.base.
+func (l location) inBucket() bool { return l.idx >= 0 }
+
+// inList reports whether the packet sits at l.index() in list.
+func (l location) inList(list int32) bool { return l.idx < 0 && l.base == list }
+
+// index returns the packet's index in its bucket or list.
+func (l location) index() int { return int(l.idx ^ l.idx>>31) }
 
 type joiner struct {
 	id   channel.PacketID
@@ -314,7 +331,7 @@ func (d *DecodableBackoff) Inject(now int64, ids []channel.PacketID) {
 			panic(fmt.Sprintf("core: duplicate injection of packet %d", id))
 		}
 		if d.admission {
-			d.loc.Put(int64(id), location{where: inInactive, idx: index32(len(d.inactive))})
+			d.loc.Put(int64(id), listLoc(inactiveList, index32(len(d.inactive))))
 			d.inactive = append(d.inactive, id)
 		} else {
 			d.addActive(id)
@@ -335,7 +352,7 @@ func (d *DecodableBackoff) addActive(id channel.PacketID) {
 
 // addToBucket appends an active packet to bucket b.
 func (d *DecodableBackoff) addToBucket(b *bucket, id channel.PacketID) {
-	d.loc.Put(int64(id), location{where: inBucket, base: int32(b.base), idx: index32(len(b.ids))})
+	d.loc.Put(int64(id), bucketLoc(b.base, index32(len(b.ids))))
 	b.ids = append(b.ids, id)
 	d.active++
 }
@@ -476,14 +493,24 @@ func (d *DecodableBackoff) startEpoch(now int64) {
 		if p < d.epochPMin {
 			d.epochPMin = p
 		}
+		// Size the scratch for the expected sample, n·p plus 4√(n·p)
+		// (about four standard deviations), and the joiner list for the
+		// actual one, so a batch's first overfull epochs allocate each
+		// buffer once instead of growing it through appends.  A sample
+		// never exceeds n, so a scratch that holds n needs no hint.
+		if n := len(b.ids); n > cap(d.txScratch) {
+			np := float64(n) * p
+			d.txScratch = slices.Grow(d.txScratch[:0], min(n, int(np+4*math.Sqrt(np))+1))
+		}
 		d.txScratch = d.rand.SampleIndicesLog(d.txScratch[:0], len(b.ids), p, lq)
+		d.joiners = slices.Grow(d.joiners, len(d.txScratch))
 		// Remove selected ids by descending index so swap-deletes do not
 		// disturb indices still to be processed.
 		for k := len(d.txScratch) - 1; k >= 0; k-- {
 			idx := d.txScratch[k]
 			id := b.ids[idx]
 			d.removeFromBucket(b, idx)
-			d.loc.Put(int64(id), location{where: inJoiners, idx: index32(len(d.joiners))})
+			d.loc.Put(int64(id), listLoc(joinerList, index32(len(d.joiners))))
 			d.joiners = append(d.joiners, joiner{id: id, base: b.base})
 		}
 	}
@@ -515,7 +542,7 @@ func (d *DecodableBackoff) removeFromBucket(b *bucket, idx int) {
 	b.ids[idx] = moved
 	b.ids = b.ids[:last]
 	if idx != last {
-		d.loc.Put(int64(moved), location{where: inBucket, base: int32(b.base), idx: int32(idx)})
+		d.loc.Put(int64(moved), bucketLoc(b.base, int32(idx)))
 	}
 	d.active--
 }
@@ -524,6 +551,7 @@ func (d *DecodableBackoff) removeFromBucket(b *bucket, idx int) {
 // broadcast in every slot of the epoch.
 func (d *DecodableBackoff) Transmitters(now int64, buf []channel.PacketID) []channel.PacketID {
 	d.PrepareSlot(now)
+	buf = slices.Grow(buf, len(d.joiners))
 	for _, j := range d.joiners {
 		buf = append(buf, j.id)
 	}
@@ -611,17 +639,17 @@ func (d *DecodableBackoff) endSuccessful(fb channel.Feedback) {
 		if !ok {
 			continue // not ours (possible only in multi-protocol setups)
 		}
-		switch l.where {
-		case inJoiners:
-			d.removeJoiner(int(l.idx))
-		case inBucket:
+		switch {
+		case l.inList(joinerList):
+			d.removeJoiner(l.index())
+		case l.inBucket():
 			// A straggler delivered from an earlier window; possible only
 			// with exotic channel configurations, but handle it.
 			b := d.findBucket(int(l.base))
-			d.removeFromBucket(b, int(l.idx))
+			d.removeFromBucket(b, l.index())
 			d.dropBucketIfEmpty(b)
-		case inInactive:
-			d.removeInactive(int(l.idx))
+		case l.inList(inactiveList):
+			d.removeInactive(l.index())
 		}
 		d.loc.Delete(int64(id))
 		d.shardPending[int(id)%protocol.NumShards]--
@@ -647,17 +675,35 @@ func (d *DecodableBackoff) endSilent() {
 	isError := d.epochCont >= d.errSilent
 	d.moveShift(1)
 	d.mergeCapped()
-	if len(d.inactive) > 0 {
-		b := d.getBucket(0 - d.shift)
-		b.ids = slices.Grow(b.ids, len(d.inactive))
+	d.activate()
+	d.stats.SilentEpochs++
+	d.finishEpoch(protocol.EpochSilent, isError)
+}
+
+// activate moves every inactive packet into the activation bucket
+// (exponent 0).  An empty activation bucket takes the inactive list
+// itself: indices carry over, so each location changes in place and no
+// ID is copied.  A bucket that already holds packets appends them.
+func (d *DecodableBackoff) activate() {
+	n := len(d.inactive)
+	if n == 0 {
+		return
+	}
+	b := d.getBucket(0 - d.shift)
+	if len(b.ids) == 0 {
+		b.ids, d.inactive = d.inactive, b.ids
+		for i, id := range b.ids {
+			d.loc.Put(int64(id), bucketLoc(b.base, int32(i)))
+		}
+		d.active += n
+	} else {
+		b.ids = slices.Grow(b.ids, n)
 		for _, id := range d.inactive {
 			d.addToBucket(b, id) // overwrites the inactive location
 		}
-		d.stats.Activations += int64(len(d.inactive))
 	}
 	d.inactive = d.inactive[:0]
-	d.stats.SilentEpochs++
-	d.finishEpoch(protocol.EpochSilent, isError)
+	d.stats.Activations += int64(n)
 }
 
 // endOverfull finishes an overfull epoch: every active packet's
@@ -687,7 +733,7 @@ func (d *DecodableBackoff) mergeCapped() {
 	dst := d.getBucket(capBase)
 	for _, b := range over {
 		for _, id := range b.ids {
-			d.loc.Put(int64(id), location{where: inBucket, base: int32(dst.base), idx: index32(len(dst.ids))})
+			d.loc.Put(int64(id), bucketLoc(dst.base, index32(len(dst.ids))))
 			dst.ids = append(dst.ids, id)
 		}
 		b.ids = b.ids[:0]
@@ -713,7 +759,7 @@ func (d *DecodableBackoff) removeJoiner(idx int) {
 	d.joiners[idx] = moved
 	d.joiners = d.joiners[:last]
 	if idx != last {
-		d.loc.Put(int64(moved.id), location{where: inJoiners, idx: int32(idx)})
+		d.loc.Put(int64(moved.id), listLoc(joinerList, int32(idx)))
 	}
 }
 
@@ -724,7 +770,7 @@ func (d *DecodableBackoff) removeInactive(idx int) {
 	d.inactive[idx] = moved
 	d.inactive = d.inactive[:last]
 	if idx != last {
-		d.loc.Put(int64(moved), location{where: inInactive, idx: int32(idx)})
+		d.loc.Put(int64(moved), listLoc(inactiveList, int32(idx)))
 	}
 }
 

@@ -39,7 +39,7 @@ func checkInvariants(t *testing.T, d *DecodableBackoff) {
 		}
 		for i, id := range b.ids {
 			l, ok := d.loc.Get(int64(id))
-			if !ok || l.where != inBucket || int(l.base) != b.base || int(l.idx) != i {
+			if !ok || !l.inBucket() || int(l.base) != b.base || l.index() != i {
 				t.Fatalf("packet %d bucket location desynced: %+v", id, l)
 			}
 			total++
@@ -47,14 +47,14 @@ func checkInvariants(t *testing.T, d *DecodableBackoff) {
 	}
 	for i, j := range d.joiners {
 		l, ok := d.loc.Get(int64(j.id))
-		if !ok || l.where != inJoiners || int(l.idx) != i {
+		if !ok || !l.inList(joinerList) || l.index() != i {
 			t.Fatalf("joiner %d location desynced: %+v", j.id, l)
 		}
 		total++
 	}
 	for i, id := range d.inactive {
 		l, ok := d.loc.Get(int64(id))
-		if !ok || l.where != inInactive || int(l.idx) != i {
+		if !ok || !l.inList(inactiveList) || l.index() != i {
 			t.Fatalf("inactive %d location desynced: %+v", id, l)
 		}
 		total++

@@ -59,6 +59,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -602,7 +603,7 @@ func RunStation(t Transport, timeout time.Duration) error {
 			}
 			if f.HasSlot {
 				if f.InjN > 0 {
-					ids = ids[:0]
+					ids = slices.Grow(ids[:0], int(f.InjN))
 					for k := int32(0); k < f.InjN; k++ {
 						ids = append(ids, channel.PacketID(f.InjFirst+int64(k)))
 					}

@@ -143,8 +143,9 @@ type dupChecker interface{ dupChecker() *dupCheck }
 // channel sensing (classical:none) or because composed jamming energy
 // can land on idle slots (any jam wrapper).  Adaptive adversaries rely
 // on truthful silence for their gap-equals-silence determinism rule, so
-// sim.Run rejects them on masking media and the sweep layer skips the
-// cells.
+// sim.Run rejects them on masking media and the scenario builder
+// refuses the pairing (through Spec.MasksSilence, which answers for a
+// model before it is built).
 func MasksSilence(m Medium) bool {
 	msk, ok := m.(interface{ MasksSilence() bool })
 	return ok && msk.MasksSilence()

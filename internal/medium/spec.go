@@ -112,6 +112,11 @@ func (s Spec) String() string {
 	return fmt.Sprintf("Spec(%q)", s.Model)
 }
 
+// MasksSilence reports whether the media the spec builds mask silence
+// (see the function MasksSilence) without building one: only the
+// classical channel without collision detection does.
+func (s Spec) MasksSilence() bool { return s.Model == "classical" && s.CD == CDNone }
+
 // Build constructs the medium the spec describes.  kappa and maxWindow
 // supply the context defaults for fields the descriptor left embedded
 // at zero; an embedded value always wins.  Classical media ignore both

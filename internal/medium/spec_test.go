@@ -165,6 +165,26 @@ func TestNewMatchesSpecBuild(t *testing.T) {
 	}
 }
 
+// TestSpecMasksSilenceMatchesBuiltMedium pins that a Spec answers
+// MasksSilence as the medium it builds does, for every model
+// descriptor and every spelling of its arguments.
+func TestSpecMasksSilenceMatchesBuiltMedium(t *testing.T) {
+	descs := append([]string{"", "coded:8", "coded:8/32", "capture:8"}, Models...)
+	for _, desc := range descs {
+		s, err := ParseSpec(desc)
+		if err != nil {
+			t.Fatalf("ParseSpec(%q): %v", desc, err)
+		}
+		m, err := s.Build(4, 16)
+		if err != nil {
+			t.Fatalf("Build(%q): %v", desc, err)
+		}
+		if got, want := s.MasksSilence(), MasksSilence(m); got != want {
+			t.Errorf("ParseSpec(%q).MasksSilence() = %v, the built %s's = %v", desc, got, m.Name(), want)
+		}
+	}
+}
+
 func ExampleParseSpec() {
 	s, _ := ParseSpec("coded:64")
 	fmt.Println(s.Model, s.Kappa, s.String())

@@ -202,7 +202,7 @@ func (d Desc) check() (checked, error) {
 		return c, pairing("%s is a no-collision-detection protocol; pair it with classical:none, not %s", info.Name, c.model)
 	case c.jammer != nil && (jams || adaptive):
 		return c, pairing("jammer %s and adversary %s are two noise sources; a run takes one", d.Jammer, d.Adversary)
-	case adaptive && masksSilence(c.model, c.kappa):
+	case adaptive && c.model.MasksSilence():
 		return c, pairing("adversary %s reacts to channel feedback, but %s masks silence", d.Adversary, c.model)
 	}
 	if c.kappa < info.MinKappa {
@@ -213,13 +213,6 @@ func (d Desc) check() (checked, error) {
 
 func pairing(format string, args ...any) error {
 	return fmt.Errorf("%w: "+format, append([]any{ErrPairing}, args...)...)
-}
-
-// masksSilence asks the model itself whether its feedback hides idle
-// slots (classical:none has no channel sensing).
-func masksSilence(ms medium.Spec, kappa int) bool {
-	m, err := ms.Build(kappa, 0)
-	return err == nil && medium.MasksSilence(m)
 }
 
 // Build checks the descriptor and builds one run.  engineSeed drives

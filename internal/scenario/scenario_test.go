@@ -98,6 +98,34 @@ func TestCheckRules(t *testing.T) {
 	}
 }
 
+// TestCheckBuildsNoMedium: checking an adaptive adversary's pairing
+// reads the model descriptor and builds no medium, so check allocates
+// for a reactive:4/48 descriptor only the adversary it parses, exactly
+// as for none, on every model the adversary pairs with.
+func TestCheckBuildsNoMedium(t *testing.T) {
+	const adv = "reactive:4/48"
+	parse := testing.AllocsPerRun(100, func() {
+		if _, err := adversary.Parse(adv); err != nil {
+			t.Fatal(err)
+		}
+	})
+	for _, model := range []string{"coded", "classical:binary", "classical:ternary", "capture"} {
+		checkAllocs := func(a string) float64 {
+			d := base()
+			d.Model, d.Adversary = model, a
+			return testing.AllocsPerRun(100, func() {
+				if _, err := d.check(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if with, without := checkAllocs(adv), checkAllocs("none"); with != without+parse {
+			t.Errorf("%s: check allocates %v objects with %s, %v with none and %v parsing the adversary",
+				model, with, adv, without, parse)
+		}
+	}
+}
+
 // TestBuildDefaults pins what the zero values of the descriptor select
 // and the κ a run is built at.
 func TestBuildDefaults(t *testing.T) {
