@@ -1,16 +1,16 @@
 // Command crnquery is the analytics CLI over the repo's sweep
 // artifacts: it lists, filters, and diffs grid cells across runs and
-// commits, and compares engine benchmark artifacts.  Every source kind
-// the repo produces is accepted interchangeably — a grid JSON, a
-// committed BENCH_sweep.json, a cell-cache directory, or a live
-// crnserve URL — and every report is deterministic: same inputs, same
-// bytes, so reports are diffable artifacts themselves.
+// commits.  Every source kind the repo produces is accepted
+// interchangeably — a grid JSON, a committed BENCH_sweep.json, a
+// cell-cache directory, or a live crnserve URL — and every report is
+// deterministic: same inputs, same bytes, so reports are diffable
+// artifacts themselves.  Engine benchmark artifacts are compared by
+// crnbench -compare.
 //
 // Usage:
 //
 //	crnquery list -src SOURCE [-where SELECTOR] [-csv] [-out FILE]
 //	crnquery diff -a SOURCE -b SOURCE [-where SELECTOR] [-changed] [-csv] [-out FILE]
-//	crnquery engine -a OLD.json -b NEW.json [-out FILE]
 //
 // A SOURCE is a grid artifact (crnsweep -json), a benchmark artifact
 // (crnsweep -bench), a cell-cache directory (crnsweep -cache-dir), or
@@ -22,18 +22,15 @@
 //	crnquery list -src BENCH_sweep.json -where protocol=dba
 //	crnquery diff -a BENCH_sweep.json -b /tmp/bench.json -changed
 //	crnquery diff -a http://coordinator:8771 -b .sweep-cache -csv -out diff.csv
-//	crnquery engine -a BENCH_engine.json -b /tmp/engine.json
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
-	"repro/internal/perf"
 	"repro/internal/query"
 	"repro/internal/report"
 )
@@ -57,7 +54,6 @@ func main() {
 const usage = `usage:
   crnquery list -src SOURCE [-where SELECTOR] [-csv] [-out FILE]
   crnquery diff -a SOURCE -b SOURCE [-where SELECTOR] [-changed] [-csv] [-out FILE]
-  crnquery engine -a OLD.json -b NEW.json [-out FILE]
 
 A SOURCE is a grid artifact, a benchmark artifact, a cell-cache
 directory, or a crnserve URL.
@@ -75,8 +71,6 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		err = runList(argv[1:], stdout, stderr)
 	case "diff":
 		err = runDiff(argv[1:], stdout, stderr)
-	case "engine":
-		err = runEngine(argv[1:], stdout, stderr)
 	case "-h", "-help", "--help", "help":
 		fmt.Fprint(stderr, usage)
 		return nil
@@ -179,38 +173,4 @@ func runDiff(argv []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("diff: %d of %d shared cells changed", d.Changed(), len(d.Deltas))
 	}
 	return nil
-}
-
-func runEngine(argv []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("crnquery engine", flag.ContinueOnError)
-	a := fs.String("a", "", "old engine benchmark artifact (required)")
-	b := fs.String("b", "", "new engine benchmark artifact (required)")
-	out := fs.String("out", "", "write the report to this file (atomic) instead of stdout")
-	if err := parseFlags(fs, argv, stderr); err != nil {
-		return err
-	}
-	if *a == "" || *b == "" {
-		return fmt.Errorf("engine: -a and -b are both required")
-	}
-	old, err := loadEngineArtifact(*a)
-	if err != nil {
-		return err
-	}
-	fresh, err := loadEngineArtifact(*b)
-	if err != nil {
-		return err
-	}
-	return emit(stdout, *out, perf.Compare(old, fresh))
-}
-
-func loadEngineArtifact(path string) (*perf.Artifact, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var art perf.Artifact
-	if err := json.Unmarshal(data, &art); err != nil {
-		return nil, fmt.Errorf("%s is not an engine benchmark artifact: %w", path, err)
-	}
-	return &art, nil
 }

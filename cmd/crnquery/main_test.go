@@ -71,7 +71,6 @@ func TestFlagValidation(t *testing.T) {
 		{"list bad selector", []string{"list", "-src", "x.json", "-where", "bogus=1"}},
 		{"diff missing b", []string{"diff", "-a", "x.json"}},
 		{"diff missing a", []string{"diff", "-b", "x.json"}},
-		{"engine missing b", []string{"engine", "-a", "x.json"}},
 		{"list missing source file", []string{"list", "-src", "/nonexistent/x.json"}},
 		{"list bad url", []string{"list", "-src", "http://"}},
 	}
@@ -179,15 +178,5 @@ func TestDiffOutWritesFile(t *testing.T) {
 	}
 	if !strings.Contains(string(data), "# Cell diff") {
 		t.Fatalf("report file:\n%s", data)
-	}
-}
-
-func TestEngineCompare(t *testing.T) {
-	out, err := runCLI(t, "engine", "-a", "../../BENCH_engine.json", "-b", "../../BENCH_engine.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "|") {
-		t.Fatalf("engine compare emitted no table:\n%s", out)
 	}
 }

@@ -214,22 +214,19 @@ func NewBurstJammer(burst, gap int64) Adversary {
 // most sigma + rho·t injections over any t-slot prefix, spent as early
 // as possible (σ packets at slot 0, a ρ-paced stream after).  As an
 // Adversary it merges with Config's arrival process; NewAdversaryArrivals
-// adapts it into a standalone Arrivals instead.
+// returns it as a standalone Arrivals instead.
 func NewSigmaRhoArrivals(sigma int64, rho float64) Adversary {
 	return adversary.NewSigmaRho(sigma, rho)
 }
 
-// NewAdversaryArrivals adapts an arrival adversary — an Adversary that
-// injects packets, like NewSigmaRhoArrivals — into a standalone
-// Arrivals process, usable anywhere a benign process is (including
-// NewMergedArrivals).  The second result is false if adv does not
-// inject.
+// NewAdversaryArrivals returns an arrival adversary — an Adversary that
+// injects packets, like NewSigmaRhoArrivals — as the Arrivals process it
+// already is, usable anywhere a benign process is (including
+// NewMergedArrivals); it hears the channel's feedback there too.  The
+// second result is false if adv does not inject.
 func NewAdversaryArrivals(adv Adversary) (Arrivals, bool) {
 	inj, ok := adv.(adversary.Injector)
-	if !ok {
-		return nil, false
-	}
-	return adversary.Arrivals(inj), true
+	return inj, ok
 }
 
 // NewMergedArrivals sums two arrival processes: packets from both arrive

@@ -61,3 +61,16 @@ func ExampleWithEpochObserver() {
 	// Output:
 	// all delivered across multiple successful epochs: true
 }
+
+// ExampleNewDisruptor runs the adaptive adversary that bursts right
+// after every silent slot, when Decodable Backoff activates its inactive
+// packets, capped to the paper's sliding-window rate bound.  It hears
+// the channel through the cap.
+func ExampleNewDisruptor() {
+	arr := crn.NewCappedArrivals(crn.NewDisruptor(8), 256, 64)
+	res := crn.Run(crn.Config{Kappa: 16, Horizon: 4000, Drain: true, Seed: 3},
+		crn.NewDecodableBackoff(16, 4), arr)
+	fmt.Println(res.Arrival, res.Arrivals, res.Delivered, res.Pending, res.MaxBacklog, res.Elapsed)
+	// Output:
+	// disruptor(8)|cap(64/256) 1024 1024 0 22 4000
+}

@@ -13,8 +13,9 @@
 // re-exports as medium.Feedback) and carries whatever state its
 // strategy needs.  The two capability interfaces say what it does with
 // that state: a Jammer spoils slots (composed over any channel model by
-// medium.JamAdversary), an Injector produces packet arrivals (composed
-// with any arrival process via Arrivals and arrival.Merge).
+// medium.JamAdversary), and an Injector is an arrival process that hears
+// the channel (composed with a benign workload by arrival.Merge, which
+// forwards each slot's feedback to its Observe).
 //
 // # Determinism contract
 //
@@ -40,6 +41,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/arrival"
 	"repro/internal/channel"
 	"repro/internal/rng"
 )
@@ -86,19 +88,13 @@ type Adaptive interface {
 	Adaptive()
 }
 
-// Injector is an adversary that injects packets.  Adapt it to an
-// arrival process with Arrivals and compose it with a benign process via
-// arrival.Merge.
+// Injector is an adversary that injects packets: an arrival process
+// that hears the channel.  Its Observe makes it an arrival.Observer, so
+// it drives a run directly or composes with a benign process via
+// arrival.Merge and hears each stepped slot either way.
 type Injector interface {
 	Adversary
-	// Injects returns how many packets arrive at slot now.  Like
-	// arrival.Process, it is called once per stepped slot in increasing
-	// order, and skipped stretches are guaranteed injection-free via
-	// NextAfter.
-	Injects(now int64, r *rng.Rand) int
-	// NextAfter returns the smallest slot > now at which Injects may be
-	// nonzero, or -1 if the adversary will never inject again.
-	NextAfter(now int64) int64
+	arrival.Process
 }
 
 // Random jams each slot independently with probability Rate — the
@@ -326,6 +322,8 @@ func NewSigmaRho(sigma int64, rho float64) *SigmaRho {
 	return &SigmaRho{Sigma: sigma, Rho: rho}
 }
 
+var _ Injector = (*SigmaRho)(nil)
+
 // Name implements Adversary.
 func (s *SigmaRho) Name() string { return fmt.Sprintf("sigmarho(%d/%.3f)", s.Sigma, s.Rho) }
 
@@ -342,10 +340,11 @@ func (s *SigmaRho) budget(now int64) int64 {
 	return s.Sigma + int64(s.Rho*float64(now+1))
 }
 
-// Injects implements Injector: greedily spend the whole available
-// budget.  The count at slot t depends only on t and the budget already
-// spent, so skipped injection-free stretches cannot change the schedule.
-func (s *SigmaRho) Injects(now int64, _ *rng.Rand) int {
+// Injections implements arrival.Process: greedily spend the whole
+// available budget.  The count at slot t depends only on t and the
+// budget already spent, so skipped injection-free stretches cannot
+// change the schedule.
+func (s *SigmaRho) Injections(now int64, _ *rng.Rand) int {
 	n := s.budget(now) - s.injected
 	if n <= 0 {
 		return 0
@@ -354,8 +353,8 @@ func (s *SigmaRho) Injects(now int64, _ *rng.Rand) int {
 	return int(n)
 }
 
-// NextAfter implements Injector: the next slot at which the budget
-// crosses the next integer.
+// NextAfter implements arrival.Process: the next slot at which the
+// budget crosses the next integer.
 func (s *SigmaRho) NextAfter(now int64) int64 {
 	if s.budget(now) > s.injected {
 		return now + 1 // backlog of budget to spend immediately
@@ -371,7 +370,7 @@ func (s *SigmaRho) NextAfter(now int64) int64 {
 	if need >= math.MaxInt64/4 {
 		return -1
 	}
-	// Start a nudge early — returning a slot early is harmless (Injects
+	// Start a nudge early — returning a slot early is harmless (Injections
 	// yields 0), late would skip a due injection — and repair float
 	// truncation with a short upward scan.
 	t := int64(need) - 2

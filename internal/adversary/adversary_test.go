@@ -231,7 +231,7 @@ func TestSigmaRhoFrontLoadsWithinBudget(t *testing.T) {
 	r := rng.New(1)
 	var total int64
 	for now := int64(0); now < 100; now++ {
-		n := int64(s.Injects(now, r))
+		n := int64(s.Injections(now, r))
 		total += n
 		if budget := int64(10) + int64(0.5*float64(now+1)); total > budget {
 			t.Fatalf("slot %d: injected %d exceeds budget %d", now, total, budget)
@@ -253,7 +253,7 @@ func TestSigmaRhoNextAfterSkipsNothing(t *testing.T) {
 	dense := &SigmaRho{Sigma: 3, Rho: 0.3}
 	densePer := map[int64]int{}
 	for now := int64(0); now < 50; now++ {
-		if n := dense.Injects(now, r); n > 0 {
+		if n := dense.Injections(now, r); n > 0 {
 			densePer[now] = n
 		}
 	}
@@ -261,7 +261,7 @@ func TestSigmaRhoNextAfterSkipsNothing(t *testing.T) {
 	sparsePer := map[int64]int{}
 	now := int64(0)
 	for now < 50 {
-		if n := sparse.Injects(now, r); n > 0 {
+		if n := sparse.Injections(now, r); n > 0 {
 			sparsePer[now] = n
 		}
 		next := sparse.NextAfter(now)
@@ -286,42 +286,66 @@ func TestSigmaRhoNextAfterSkipsNothing(t *testing.T) {
 func TestSigmaRhoPureBurstEnds(t *testing.T) {
 	s := &SigmaRho{Sigma: 5, Rho: 0}
 	r := rng.New(1)
-	if s.Injects(0, r) != 5 {
+	if s.Injections(0, r) != 5 {
 		t.Fatal("σ burst not injected at slot 0")
 	}
 	if s.NextAfter(0) != -1 {
 		t.Fatalf("NextAfter after exhausting σ = %d, want -1", s.NextAfter(0))
 	}
 	s.Reset()
-	if s.Injects(3, r) != 5 {
+	if s.Injections(3, r) != 5 {
 		t.Fatal("Reset did not restore the budget")
 	}
 }
 
+// heardSigmaRho is a SigmaRho that records the slots its Observe hears.
+type heardSigmaRho struct {
+	SigmaRho
+	heard []int64
+}
+
+func (h *heardSigmaRho) Observe(fb channel.Feedback) { h.heard = append(h.heard, fb.Slot) }
+
 func TestArrivalsAdapter(t *testing.T) {
-	inj := &SigmaRho{Sigma: 2, Rho: 0}
-	p := Arrivals(inj)
-	if p.Name() != inj.Name() {
-		t.Fatal("adapter name mismatch")
+	// An Injector is an arrival process itself: merged with a benign
+	// workload it supplies its name, counts and wake-ups, and hears each
+	// slot's feedback through the merge.
+	inj := &heardSigmaRho{SigmaRho: SigmaRho{Sigma: 2, Rho: 0}}
+	p := &arrival.Merge{A: arrival.None{}, B: inj}
+	if !strings.Contains(p.Name(), inj.Name()) || !strings.Contains(p.Name(), "sigmarho") {
+		t.Fatalf("merged name %q lost the injector's %q", p.Name(), inj.Name())
 	}
 	if p.Injections(0, rng.New(1)) != 2 || p.NextAfter(0) != -1 {
-		t.Fatal("adapter does not forward to the injector")
+		t.Fatal("merge does not forward to the injector")
 	}
-	if !strings.Contains(p.Name(), "sigmarho") {
-		t.Fatal("unexpected adapter name")
+	p.Observe(busy(0))
+	p.Observe(silent(1))
+	if len(inj.heard) != 2 || inj.heard[0] != 0 || inj.heard[1] != 1 {
+		t.Fatalf("injector heard slots %v through the merge, want [0 1]", inj.heard)
 	}
 }
 
 func TestMutedArrivalsDoesNotObserve(t *testing.T) {
-	// The muted adapter is for adversaries already hearing each slot
-	// through the jam wrapper: it must not implement arrival.Observer,
-	// while the standard adapter must.
-	inj := &SigmaRho{Sigma: 1, Rho: 0}
-	if _, ok := MutedArrivals(inj).(arrival.Observer); ok {
-		t.Fatal("MutedArrivals forwards feedback")
+	// An adversary that also jams hears each slot through the jam
+	// wrapper, so the run loop merges it as struct{ arrival.Process }{inj}:
+	// that view must still inject but must not forward feedback, while
+	// the injector merged as itself must.
+	inj := &heardSigmaRho{SigmaRho: SigmaRho{Sigma: 1, Rho: 0}}
+	var muted arrival.Process = struct{ arrival.Process }{inj}
+	if _, ok := muted.(arrival.Observer); ok {
+		t.Fatal("the muted view forwards feedback")
 	}
-	if _, ok := Arrivals(inj).(arrival.Observer); !ok {
-		t.Fatal("Arrivals lost its Observer forwarding")
+	var plain arrival.Process = inj
+	if _, ok := plain.(arrival.Observer); !ok {
+		t.Fatal("an Injector is not an arrival.Observer")
+	}
+	m := &arrival.Merge{A: arrival.None{}, B: muted}
+	if m.Injections(0, rng.New(1)) != 1 {
+		t.Fatal("the muted view lost the injector's arrivals")
+	}
+	m.Observe(busy(0))
+	if len(inj.heard) != 0 {
+		t.Fatalf("muted injector heard slots %v", inj.heard)
 	}
 }
 
@@ -331,7 +355,7 @@ func TestSigmaRhoTinyRhoTerminates(t *testing.T) {
 	// scan the int64 range.
 	s := &SigmaRho{Sigma: 1, Rho: 1e-300}
 	r := rng.New(1)
-	if s.Injects(0, r) != 1 {
+	if s.Injections(0, r) != 1 {
 		t.Fatal("σ burst missing")
 	}
 	if got := s.NextAfter(0); got != -1 {

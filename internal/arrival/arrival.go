@@ -1,7 +1,9 @@
 // Package arrival provides the packet-injection processes the simulator
 // feeds to protocols: batches, stochastic streams, and the adversarial
 // patterns the paper's model allows (arbitrary injection subject to a
-// sliding-window rate bound).
+// sliding-window rate bound).  A process that hears the channel is an
+// Observer; an injecting adversary (internal/adversary's Injector) is
+// one such process, and Merge composes it with a benign workload.
 package arrival
 
 import (
@@ -24,10 +26,13 @@ type Process interface {
 	NextAfter(now int64) int64
 }
 
-// Observer is an optional interface for adaptive adversaries that react
+// Observer is an optional interface for adaptive processes that react
 // to what they hear on the channel (the same feedback devices get).
+// Observe has the signature of the adversary layer's Observe, so every
+// adversary is an Observer.  The engine calls it once per stepped slot,
+// in increasing slot order.
 type Observer interface {
-	ObserveSlot(fb channel.Feedback)
+	Observe(fb channel.Feedback)
 }
 
 // None is an empty arrival process.
@@ -191,67 +196,6 @@ func (w *WindowBurst) NextAfter(now int64) int64 {
 	return next
 }
 
-// OnOff alternates between an on-phase of OnSlots slots with Bernoulli
-// arrivals at OnRate and a silent off-phase of OffSlots slots.
-type OnOff struct {
-	OnSlots  int64
-	OffSlots int64
-	OnRate   float64
-}
-
-// Name implements Process.
-func (o *OnOff) Name() string {
-	return fmt.Sprintf("onoff(%d/%d@%.3f)", o.OnSlots, o.OffSlots, o.OnRate)
-}
-
-func (o *OnOff) period() int64 { return o.OnSlots + o.OffSlots }
-
-// Injections implements Process.
-func (o *OnOff) Injections(now int64, r *rng.Rand) int {
-	if now%o.period() < o.OnSlots && r.Bernoulli(o.OnRate) {
-		return 1
-	}
-	return 0
-}
-
-// NextAfter implements Process.
-func (o *OnOff) NextAfter(now int64) int64 {
-	if o.OnRate <= 0 {
-		return -1
-	}
-	next := now + 1
-	if next%o.period() < o.OnSlots {
-		return next
-	}
-	return (next/o.period() + 1) * o.period()
-}
-
-// Trace replays an explicit schedule: Counts[i] packets arrive at slot i.
-type Trace struct {
-	Counts []int
-}
-
-// Name implements Process.
-func (t *Trace) Name() string { return fmt.Sprintf("trace(%d slots)", len(t.Counts)) }
-
-// Injections implements Process.
-func (t *Trace) Injections(now int64, _ *rng.Rand) int {
-	if now < 0 || now >= int64(len(t.Counts)) {
-		return 0
-	}
-	return t.Counts[now]
-}
-
-// NextAfter implements Process.
-func (t *Trace) NextAfter(now int64) int64 {
-	for s := now + 1; s < int64(len(t.Counts)); s++ {
-		if t.Counts[s] > 0 {
-			return s
-		}
-	}
-	return -1
-}
-
 // Disruptor is an adaptive adversary targeting the Decodable Backoff
 // admission-control mechanism: it listens to the channel and injects a
 // burst immediately after every silent slot — exactly when inactive
@@ -278,18 +222,18 @@ func (d *Disruptor) Injections(now int64, _ *rng.Rand) int {
 // any slot may carry arrivals.
 func (d *Disruptor) NextAfter(now int64) int64 { return now + 1 }
 
-// ObserveSlot implements Observer.
-func (d *Disruptor) ObserveSlot(fb channel.Feedback) {
+// Observe implements Observer.
+func (d *Disruptor) Observe(fb channel.Feedback) {
 	if fb.Silent {
 		d.armed = true
 	}
 }
 
 // Merge sums two arrival processes: packets from both arrive on the
-// shared channel.  It is how an arrival adversary (e.g. the (σ,ρ)
+// shared channel.  It is how an injecting adversary (e.g. the (σ,ρ)
 // front-loader in package adversary) composes with a benign workload —
-// the protocol serves the union.  Feedback reaches both sides, so
-// adaptive processes stay adaptive under composition.
+// the protocol serves the union.  Feedback reaches each side that is an
+// Observer, so adaptive processes stay adaptive under composition.
 type Merge struct {
 	A, B Process
 }
@@ -315,13 +259,13 @@ func (m *Merge) NextAfter(now int64) int64 {
 	return b
 }
 
-// ObserveSlot implements Observer, forwarding to both sides.
-func (m *Merge) ObserveSlot(fb channel.Feedback) {
+// Observe implements Observer, forwarding to both sides.
+func (m *Merge) Observe(fb channel.Feedback) {
 	if o, ok := m.A.(Observer); ok {
-		o.ObserveSlot(fb)
+		o.Observe(fb)
 	}
 	if o, ok := m.B.(Observer); ok {
-		o.ObserveSlot(fb)
+		o.Observe(fb)
 	}
 }
 
@@ -386,9 +330,9 @@ func (c *Cap) Injections(now int64, r *rng.Rand) int {
 // NextAfter implements Process.
 func (c *Cap) NextAfter(now int64) int64 { return c.Inner.NextAfter(now) }
 
-// ObserveSlot implements Observer, forwarding to the inner process.
-func (c *Cap) ObserveSlot(fb channel.Feedback) {
+// Observe implements Observer, forwarding to the inner process.
+func (c *Cap) Observe(fb channel.Feedback) {
 	if o, ok := c.Inner.(Observer); ok {
-		o.ObserveSlot(fb)
+		o.Observe(fb)
 	}
 }

@@ -137,63 +137,20 @@ func TestWindowBurstLimit(t *testing.T) {
 	}
 }
 
-func TestOnOff(t *testing.T) {
-	o := &OnOff{OnSlots: 10, OffSlots: 90, OnRate: 1}
-	r := rng.New(5)
-	total := 0
-	for now := int64(0); now < 1000; now++ {
-		n := o.Injections(now, r)
-		if n > 0 && now%100 >= 10 {
-			t.Fatalf("arrival during off-phase at %d", now)
-		}
-		total += n
-	}
-	if total != 100 {
-		t.Fatalf("on/off total %d, want 100", total)
-	}
-	if o.NextAfter(4) != 5 {
-		t.Fatalf("NextAfter in on-phase = %d", o.NextAfter(4))
-	}
-	if o.NextAfter(9) != 100 {
-		t.Fatalf("NextAfter into off-phase = %d", o.NextAfter(9))
-	}
-}
-
-func TestTrace(t *testing.T) {
-	tr := &Trace{Counts: []int{0, 3, 0, 0, 2}}
-	r := rng.New(6)
-	var got []int
-	for now := int64(0); now < 7; now++ {
-		got = append(got, tr.Injections(now, r))
-	}
-	want := []int{0, 3, 0, 0, 2, 0, 0}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("trace replay %v, want %v", got, want)
-		}
-	}
-	if tr.NextAfter(1) != 4 {
-		t.Fatalf("NextAfter(1) = %d", tr.NextAfter(1))
-	}
-	if tr.NextAfter(4) != -1 {
-		t.Fatalf("NextAfter(4) = %d", tr.NextAfter(4))
-	}
-}
-
 func TestDisruptorFiresAfterSilence(t *testing.T) {
 	d := &Disruptor{BurstSize: 4}
 	r := rng.New(7)
 	if d.Injections(0, r) != 0 {
 		t.Fatal("disruptor fired unprompted")
 	}
-	d.ObserveSlot(channel.Feedback{Slot: 0, Silent: true})
+	d.Observe(channel.Feedback{Slot: 0, Silent: true})
 	if d.Injections(1, r) != 4 {
 		t.Fatal("disruptor did not fire after silence")
 	}
 	if d.Injections(2, r) != 0 {
 		t.Fatal("disruptor fired twice per silence")
 	}
-	d.ObserveSlot(channel.Feedback{Slot: 3, Silent: false})
+	d.Observe(channel.Feedback{Slot: 3, Silent: false})
 	if d.Injections(4, r) != 0 {
 		t.Fatal("disruptor fired after non-silent slot")
 	}
@@ -201,7 +158,7 @@ func TestDisruptorFiresAfterSilence(t *testing.T) {
 
 func TestCapSlidingWindow(t *testing.T) {
 	// Inner wants 5 per slot; cap allows 6 per window of 4.
-	inner := &Trace{Counts: []int{5, 5, 5, 5, 5, 5, 5, 5}}
+	inner := NewEvenPaced(5)
 	c := NewCap(inner, 4, 6)
 	r := rng.New(8)
 	var got []int
@@ -222,7 +179,7 @@ func TestCapSlidingWindow(t *testing.T) {
 }
 
 func TestCapReplenishes(t *testing.T) {
-	inner := &Trace{Counts: []int{3, 0, 0, 3, 0, 0}}
+	inner := &WindowBurst{Window: 3, PerWindow: 3}
 	c := NewCap(inner, 3, 3)
 	r := rng.New(9)
 	var got []int
@@ -253,7 +210,7 @@ func TestCapValidation(t *testing.T) {
 func TestCapForwardsObserve(t *testing.T) {
 	d := &Disruptor{BurstSize: 2}
 	c := NewCap(d, 10, 1)
-	c.ObserveSlot(channel.Feedback{Slot: 0, Silent: true})
+	c.Observe(channel.Feedback{Slot: 0, Silent: true})
 	r := rng.New(10)
 	if c.Injections(1, r) != 1 {
 		t.Fatal("cap did not forward observation / limit burst")
@@ -277,8 +234,6 @@ func TestNames(t *testing.T) {
 		&Poisson{Lambda: 0.5},
 		NewEvenPaced(0.5),
 		&WindowBurst{Window: 10, PerWindow: 2},
-		&OnOff{OnSlots: 1, OffSlots: 1, OnRate: 0.5},
-		&Trace{Counts: []int{1}},
 		&Disruptor{BurstSize: 3},
 		NewCap(None{}, 5, 1),
 	}
@@ -318,10 +273,6 @@ func TestMoreNextAfter(t *testing.T) {
 	if c.NextAfter(3) != 9 {
 		t.Fatal("Cap NextAfter should forward")
 	}
-	o := &OnOff{OnSlots: 2, OffSlots: 3, OnRate: 0}
-	if o.NextAfter(0) != -1 {
-		t.Fatal("zero-rate OnOff NextAfter")
-	}
 }
 
 func TestMergeSumsAndForwards(t *testing.T) {
@@ -334,7 +285,7 @@ func TestMergeSumsAndForwards(t *testing.T) {
 	}
 	r := rng.New(1)
 	// Disruptor armed by silence injects alongside the batch.
-	m.ObserveSlot(channel.Feedback{Slot: 4, Silent: true})
+	m.Observe(channel.Feedback{Slot: 4, Silent: true})
 	if got := m.Injections(5, r); got != 5 {
 		t.Fatalf("merged injections %d, want 3+2", got)
 	}

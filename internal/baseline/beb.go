@@ -52,10 +52,6 @@ type Backoff struct {
 	stats    BEBStats
 }
 
-// ExponentialBackoff is the name the rest of the repository uses for the
-// classic protocol.
-type ExponentialBackoff = Backoff
-
 var _ protocol.Protocol = (*Backoff)(nil)
 var _ protocol.Waker = (*Backoff)(nil)
 

@@ -226,22 +226,14 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if err := cfg.Check(); err != nil {
 		return nil, err
 	}
-	stationTimeout := cfg.SlotTimeout
-	if stationTimeout <= 0 {
-		stationTimeout = defaultStationTimeout
-	} else if stationTimeout < defaultStationTimeout {
-		// Stations must outwait the coordinator so barrier failures are
-		// adjudicated (and reported) coordinator-side.
-		stationTimeout = 2 * stationTimeout
-	}
-
+	wait := stationTimeout(cfg.SlotTimeout)
 	links := make([]Transport, cfg.Stations)
 	var wg sync.WaitGroup
 	stationErrs := make([]error, cfg.Stations)
 	runStation := func(i int, t Transport) {
 		defer wg.Done()
 		defer t.Close()
-		stationErrs[i] = RunStation(t, stationTimeout)
+		stationErrs[i] = RunStation(t, wait)
 	}
 
 	switch cfg.Transport {
@@ -273,7 +265,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			go runStation(i, t)
 		}
 		for i := range links {
-			t, err := ln.Accept(stationTimeout)
+			t, err := ln.Accept(wait)
 			if err != nil {
 				return nil, fmt.Errorf("emu: accepting station %d/%d: %w", i+1, cfg.Stations, err)
 			}
@@ -514,6 +506,18 @@ func Coordinate(ctx context.Context, cfg Config, links []Transport) (*sim.Result
 		_ = t.Send(&Frame{Type: FrameDone})
 	}
 	return l.Finish(l.InFlight()), nil
+}
+
+// stationTimeout is a swarm station's patience per Recv for a
+// coordinator with the given slot timeout: twice that timeout, so
+// stations outwait the coordinator and barrier failures are adjudicated
+// (and reported) coordinator-side; defaultStationTimeout when it is
+// unset.
+func stationTimeout(slotTimeout time.Duration) time.Duration {
+	if slotTimeout <= 0 {
+		return defaultStationTimeout
+	}
+	return 2 * slotTimeout
 }
 
 // RunStation speaks the station side of the wire protocol over t: it

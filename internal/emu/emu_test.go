@@ -485,6 +485,23 @@ func TestDeadStationFailsLoudly(t *testing.T) {
 	}
 }
 
+// TestStationTimeoutOutwaitsCoordinator: swarm stations wait twice the
+// coordinator's slot timeout at every setting, so a barrier failure is
+// always adjudicated coordinator-side.
+func TestStationTimeoutOutwaitsCoordinator(t *testing.T) {
+	for _, c := range []struct{ slot, want time.Duration }{
+		{0, defaultStationTimeout},
+		{10 * time.Second, 20 * time.Second},
+		{119 * time.Second, 238 * time.Second},
+		{120 * time.Second, 240 * time.Second},
+		{5 * time.Minute, 10 * time.Minute},
+	} {
+		if got := stationTimeout(c.slot); got != c.want {
+			t.Errorf("slot timeout %v: stations wait %v, want %v", c.slot, got, c.want)
+		}
+	}
+}
+
 // TestStationRejectsHostileCoordinator feeds a station garbage instead
 // of the handshake: it must fail fast with an error, not hang.
 func TestStationRejectsHostileCoordinator(t *testing.T) {

@@ -39,13 +39,6 @@ func (s Scale) pick(q, f int) int {
 	return f
 }
 
-func (s Scale) pick64(q, f int64) int64 {
-	if s == Quick {
-		return q
-	}
-	return f
-}
-
 // Output is the rendered result of one experiment.
 type Output struct {
 	ID     string

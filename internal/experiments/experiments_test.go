@@ -38,9 +38,6 @@ func TestScaleString(t *testing.T) {
 	if Quick.pick(1, 2) != 1 || Full.pick(1, 2) != 2 {
 		t.Fatal("pick wrong")
 	}
-	if Quick.pick64(3, 4) != 3 || Full.pick64(3, 4) != 4 {
-		t.Fatal("pick64 wrong")
-	}
 }
 
 // requireClaims runs an experiment at Quick scale and fails the test if

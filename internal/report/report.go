@@ -4,7 +4,6 @@ package report
 
 import (
 	"fmt"
-	"io"
 	"path/filepath"
 	"strings"
 )
@@ -109,12 +108,6 @@ func (t *Table) String() string {
 		writeRow(r)
 	}
 	return b.String()
-}
-
-// WriteTo writes the rendered table followed by a blank line.
-func (t *Table) WriteTo(w io.Writer) (int64, error) {
-	n, err := io.WriteString(w, t.String()+"\n")
-	return int64(n), err
 }
 
 // CSV renders the table as comma-separated values (header + rows).

@@ -1,7 +1,6 @@
 package report
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -49,18 +48,6 @@ func TestFloatFormatting(t *testing.T) {
 	}
 	if got := formatCell(int64(9)); got != "9" {
 		t.Fatalf("int cell %q", got)
-	}
-}
-
-func TestWriteTo(t *testing.T) {
-	tb := NewTable("T", "a")
-	tb.AddRow(1)
-	var buf bytes.Buffer
-	if _, err := tb.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasSuffix(buf.String(), "\n\n") {
-		t.Fatal("WriteTo should end with a blank line")
 	}
 }
 

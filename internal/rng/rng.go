@@ -193,17 +193,6 @@ func (r *Rand) poissonKnuth(lambda float64) int64 {
 	return n
 }
 
-// Perm returns a uniformly random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := 1; i < n; i++ {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
 // Shuffle pseudo-randomizes the order of n elements using the provided
 // swap function (Fisher–Yates).
 func (r *Rand) Shuffle(n int, swap func(i, j int)) {
@@ -290,11 +279,6 @@ func (r *Rand) SampleIndicesFrom(dst []int, n int, p, lq, u float64) []int {
 func SkipsPast(u float64, m int, p float64) bool {
 	mp := float64(m) * p
 	return p <= 0.5 && mp < 1 && u < (1-mp)*skipMargin
-}
-
-// ExpFloat64 returns an exponentially distributed float64 with rate 1.
-func (r *Rand) ExpFloat64() float64 {
-	return -math.Log(r.OpenFloat64())
 }
 
 // NormFloat64 returns a standard normal sample (Marsaglia polar method).

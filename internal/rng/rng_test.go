@@ -245,23 +245,6 @@ func TestPoissonMean(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(6)
-	for _, n := range []int{0, 1, 2, 10, 100} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) invalid: %v", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
 func TestSampleIndicesProperties(t *testing.T) {
 	r := New(8)
 	f := func(seed uint64, n16 uint16, pRaw uint16) bool {
@@ -306,18 +289,6 @@ func TestSampleIndicesEdges(t *testing.T) {
 		if v != i {
 			t.Fatalf("p=1 selected %v", got)
 		}
-	}
-}
-
-func TestExpFloat64Mean(t *testing.T) {
-	r := New(12)
-	const n = 100000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += r.ExpFloat64()
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.02 {
-		t.Fatalf("ExpFloat64 mean %v", mean)
 	}
 }
 

@@ -60,10 +60,10 @@ func (p *arrivalProbe) Injections(now int64, r *rng.Rand) int {
 
 func (p *arrivalProbe) NextAfter(now int64) int64 { return p.inner.NextAfter(now) }
 
-// ObserveSlot implements arrival.Observer: the probe hears every
+// Observe implements arrival.Observer: the probe hears every
 // stepped slot and checks each delivery against its own ledger — a
 // packet may only be delivered after it arrived, and only once.
-func (p *arrivalProbe) ObserveSlot(fb channel.Feedback) {
+func (p *arrivalProbe) Observe(fb channel.Feedback) {
 	if fb.Silent {
 		p.silent++
 	}

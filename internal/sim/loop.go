@@ -90,12 +90,12 @@ func (r *Runner) loop(cfg Config, protoName string, arr arrival.Process) *Loop {
 			m = medium.JamAdversary(m, aj, cfg.Seed^advSeedSalt)
 		}
 		if inj, ok := cfg.Adversary.(adversary.Injector); ok {
-			advArr := adversary.Arrivals(inj)
+			var advArr arrival.Process = inj
 			if jams {
 				// The jam wrapper already delivers each stepped slot's
-				// feedback to Observe; forwarding it through the arrival
-				// path too would observe every slot twice.
-				advArr = adversary.MutedArrivals(inj)
+				// feedback to Observe; hiding Observe from the merge
+				// keeps every slot observed once.
+				advArr = struct{ arrival.Process }{inj}
 			}
 			arr = &arrival.Merge{A: arr, B: advArr}
 		}
@@ -212,7 +212,7 @@ func (l *Loop) InjectNow() []channel.PacketID {
 func (l *Loop) Observe(ev *channel.Event) medium.Feedback {
 	l.m.Feedback(&l.fb)
 	if l.observer != nil {
-		l.observer.ObserveSlot(l.fb)
+		l.observer.Observe(l.fb)
 	}
 	if ev != nil {
 		l.res.Delivered += int64(len(ev.Packets))

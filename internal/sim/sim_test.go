@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/adversary"
@@ -729,6 +730,70 @@ func TestSigmaRhoAdversaryMergesWithArrivals(t *testing.T) {
 	}
 	if res.Arrival != "even(0.100)+sigmarho(64/0.050)" {
 		t.Fatalf("arrival name %q", res.Arrival)
+	}
+}
+
+// jamInjector is a test adversary on both channels: it injects two
+// packets at the start of every period and jams the slot after, and it
+// records the slot of every feedback it hears.
+type jamInjector struct {
+	period   int64
+	observed []int64
+}
+
+func (a *jamInjector) Name() string                     { return "jaminjector" }
+func (a *jamInjector) Observe(fb channel.Feedback)      { a.observed = append(a.observed, fb.Slot) }
+func (a *jamInjector) Reset()                           { a.observed = a.observed[:0] }
+func (a *jamInjector) Jams(now int64, _ *rng.Rand) bool { return now%a.period == 1 }
+func (a *jamInjector) NextAfter(now int64) int64        { return (now/a.period + 1) * a.period }
+func (a *jamInjector) Injections(now int64, _ *rng.Rand) int {
+	if now%a.period == 0 {
+		return 2
+	}
+	return 0
+}
+
+// observedSlots records the slot of every feedback its protocol hears:
+// the engine broadcasts one per stepped slot.
+type observedSlots struct {
+	protocol.Protocol
+	slots []int64
+}
+
+func (p *observedSlots) Observe(fb channel.Feedback) {
+	p.slots = append(p.slots, fb.Slot)
+	p.Protocol.Observe(fb)
+}
+
+func TestAdversaryObservesEachSteppedSlotOnce(t *testing.T) {
+	// An injector hears the channel through the arrival merge; one that
+	// also jams hears it through the jam wrapper, so the Loop hides its
+	// Observe from the merge.  Either way it must hear every stepped
+	// slot exactly once, in increasing slot order.
+	for _, jams := range []bool{true, false} {
+		rec := &jamInjector{period: 50}
+		var adv adversary.Adversary = rec
+		if !jams {
+			adv = struct{ adversary.Injector }{rec} // hides Jams
+		}
+		proto := &observedSlots{Protocol: baseline.NewExponentialBackoff(rng.New(3))}
+		res := Run(Config{Kappa: 1, Horizon: 2000, Drain: true, Seed: 4, Adversary: adv},
+			proto, arrival.None{})
+		if res.Arrivals != 80 || (res.Channel.JammedSlots > 0) != jams {
+			t.Fatalf("jams=%v: %d arrivals, %d jammed slots", jams, res.Arrivals, res.Channel.JammedSlots)
+		}
+		if int64(len(proto.slots)) >= res.Elapsed {
+			t.Fatalf("jams=%v: all %d slots stepped; the run must fast-forward", jams, res.Elapsed)
+		}
+		if !slices.Equal(rec.observed, proto.slots) {
+			t.Fatalf("jams=%v: adversary heard %d feedbacks for %d stepped slots",
+				jams, len(rec.observed), len(proto.slots))
+		}
+		for i := 1; i < len(rec.observed); i++ {
+			if rec.observed[i] <= rec.observed[i-1] {
+				t.Fatalf("jams=%v: slot %d heard after slot %d", jams, rec.observed[i], rec.observed[i-1])
+			}
+		}
 	}
 }
 

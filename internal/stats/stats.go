@@ -1,6 +1,6 @@
 // Package stats provides the summary statistics the measurement harness
-// reports: running moments, quantiles, histograms, confidence intervals,
-// and down-sampled time series.
+// reports: running moments, quantiles, confidence intervals, and
+// down-sampled time series.
 package stats
 
 import (
@@ -136,47 +136,6 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
-}
-
-// Histogram counts observations into equal-width bins over [lo, hi].
-// Observations outside the range land in the first or last bin.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int64
-}
-
-// NewHistogram returns a histogram with the given number of bins ≥ 1 over
-// [lo, hi), hi > lo.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins < 1 {
-		panic("stats: histogram needs at least one bin")
-	}
-	if hi <= lo {
-		panic("stats: histogram range empty")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int64, bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	bins := len(h.Counts)
-	idx := int(float64(bins) * (x - h.Lo) / (h.Hi - h.Lo))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= bins {
-		idx = bins - 1
-	}
-	h.Counts[idx]++
-}
-
-// Total returns the number of observations recorded.
-func (h *Histogram) Total() int64 {
-	var t int64
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
 }
 
 // Series is a down-sampling time series recorder: it keeps at most Cap

@@ -128,38 +128,6 @@ func TestQuantilePanics(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{0, 1.9, 2, 5, 9.9, -3, 42} {
-		h.Add(x)
-	}
-	if h.Total() != 7 {
-		t.Fatalf("total %d", h.Total())
-	}
-	if h.Counts[0] != 3 { // 0, 1.9, -3 (clamped)
-		t.Fatalf("bin0 = %d", h.Counts[0])
-	}
-	if h.Counts[4] != 2 { // 9.9, 42 (clamped)
-		t.Fatalf("bin4 = %d", h.Counts[4])
-	}
-}
-
-func TestHistogramValidation(t *testing.T) {
-	for name, f := range map[string]func(){
-		"bins":  func() { NewHistogram(0, 1, 0) },
-		"range": func() { NewHistogram(1, 1, 3) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s did not panic", name)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 func TestSeriesDownsamples(t *testing.T) {
 	s := NewSeries(16)
 	for i := int64(0); i < 10000; i++ {
